@@ -14,12 +14,10 @@ from .coloring import (ColorAssignment, ColoringInstance, coloring_to_ising,
                        decode_coloring, us_states_instance)
 from .coupling import CouplingFunction, sine, smoothed_square, tabulated
 from .schedule import Schedule, baseline_schedule, constant_schedule
-from .dynamics import (IntegrationError, OscillatorBank, PhaseState,
-                       SimConfig, Trajectory, binarisation_residual, drift,
-                       read_spins, simulate, step_euler_maruyama,
-                       trajectory_to_csv, trajectory_to_json)
-from .lyapunov import (DescentReport, EnergyBreakdown, check_monotone,
-                       energy, grad_energy)
+from .dynamics import (IntegrationError, OscillatorBank, SimConfig, Trajectory,
+                       binarisation_residual, drift, read_spins, simulate,
+                       trajectory_to_csv)
+from .lyapunov import DescentReport, EnergyBreakdown, check_monotone, energy
 from .genadler import (LockEquilibrium, PeriodicSignal, cross_correlate,
                        lock_equilibria, shil_bistability)
 from .harness import (AblationVariant, BoltzmannReport, TrialStats, ablate,

@@ -67,9 +67,8 @@ def _write_best_trajectory(args, problem, coupling, sched, stats):
     config = SimConfig(dt=args.dt, t_end=sched.t_end,
                        seed=trial_seed(args.seed, best_idx),
                        record_every=max(1, int(round(0.1 / args.dt))))
-    traj = simulate(problem, coupling, OscillatorBank.uniform(problem.n),
-                    sched, config)
     bank = OscillatorBank.uniform(problem.n)
+    traj = simulate(problem, coupling, bank, sched, config)
     e = energy_total_batch(problem, coupling, bank, traj.phi,
                            traj.controls[:, 0], traj.controls[:, 1])
     trajectory_to_csv(
@@ -174,14 +173,10 @@ def _signal(spec: str, m: int) -> ga.PeriodicSignal:
 def cmd_genadler(args) -> int:
     p = _signal(args.ppv, args.samples)
     b = _signal(args.perturbation, args.samples)
-    if args.second_harmonic:
-        c2 = ga.cross_correlate(p, b)
-        c = ga.PeriodicSignal(c2.samples[(2 * np.arange(c2.m)) % c2.m])
-    else:
-        c = ga.cross_correlate(p, b)
+    c = ga.shil_profile(p, b) if args.second_harmonic else ga.cross_correlate(p, b)
     detunings = np.linspace(args.detuning_min, args.detuning_max, args.detuning_steps)
     table = ga.detuning_sweep(c, detunings, phi_in=args.phi_in)
-    _emit(args, ga.sweep_to_json(table))
+    _emit(args, json.dumps(table))
     return EXIT_OK
 
 

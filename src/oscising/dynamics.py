@@ -4,11 +4,11 @@ The drift of oscillator i is
 
     dphi_i/dt = (w_i - w*) + w_i * ( -K * sum_{j != i} J_ij g(phi_i - phi_j)
                                      -K * h_i * g(phi_i)
-                                     -Ks * gs(2 phi_i) )
+                                     -Ks * g(2 phi_i) )
 
-with g the pairwise coupling function and gs the second-harmonic locking
-coupling (same kind as g unless overridden).  With uniform unit frequencies
-and g = sin this is the sine-coupled network with a sin(2 phi) locking term.
+with g the coupling function, which also shapes the second-harmonic locking
+term.  With uniform unit frequencies and g = sin this is the sine-coupled
+network with a sin(2 phi) locking term.
 
 Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1), one i.i.d.
 draw per oscillator per step, from a Philox stream keyed by the seed.
@@ -28,16 +28,13 @@ from .schedule import Schedule
 __all__ = [
     "IntegrationError",
     "OscillatorBank",
-    "PhaseState",
     "SimConfig",
     "Trajectory",
     "drift",
-    "step_euler_maruyama",
     "simulate",
     "read_spins",
     "binarisation_residual",
     "trajectory_to_csv",
-    "trajectory_to_json",
 ]
 
 INIT_MODES = ("uniform_0_pi", "uniform_0_2pi", "given")
@@ -91,25 +88,6 @@ class OscillatorBank:
 
 
 @dataclass(frozen=True)
-class PhaseState:
-    t: float
-    phi: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.phi, dtype=np.float64)
-        if p.ndim != 1:
-            raise ValueError("phi must be a vector")
-        if not np.isfinite(p).all():
-            raise ValueError("phases must be finite")
-        p.setflags(write=False)
-        object.__setattr__(self, "phi", p)
-
-    @property
-    def n(self) -> int:
-        return len(self.phi)
-
-
-@dataclass(frozen=True)
 class SimConfig:
     dt: float = 0.01
     t_end: float = 20.0
@@ -156,16 +134,6 @@ class Trajectory:
     def n_samples(self) -> int:
         return len(self.t)
 
-    def samples(self):
-        """Iterate (PhaseState, (K, Ks, Kn), energy-or-None)."""
-        for k in range(self.n_samples):
-            e = None if self.energy is None else float(self.energy[k])
-            yield (PhaseState(t=float(self.t[k]), phi=self.phi[k]),
-                   tuple(self.controls[k]), e)
-
-    def final_state(self) -> PhaseState:
-        return PhaseState(t=float(self.t[-1]), phi=self.phi[-1])
-
 
 def _coupling_sum(problem: IsingProblem, coupling: CouplingFunction,
                   phi: np.ndarray) -> np.ndarray:
@@ -180,36 +148,28 @@ def _coupling_sum(problem: IsingProblem, coupling: CouplingFunction,
     return (s @ ge.T).T
 
 
+def _drift(problem: IsingProblem, coupling: CouplingFunction,
+           omega: np.ndarray, wdelta: np.ndarray, phi: np.ndarray,
+           K: float, Ks: float) -> np.ndarray:
+    """Unchecked drift of (n,) or (B, n) phases; wdelta is omega - omega_star."""
+    pull = -K * _coupling_sum(problem, coupling, phi)
+    if problem.has_self_terms:
+        pull -= K * problem.h * coupling.g(phi)
+    if Ks != 0.0:
+        pull -= Ks * coupling.g(2.0 * phi)
+    return wdelta + omega * pull
+
+
 def drift(problem: IsingProblem, coupling: CouplingFunction,
-          bank: OscillatorBank, phi: np.ndarray, K: float, Ks: float,
-          shil_coupling: CouplingFunction | None = None) -> np.ndarray:
+          bank: OscillatorBank, phi: np.ndarray, K: float, Ks: float) -> np.ndarray:
     """Deterministic phase velocity; accepts (n,) or batched (B, n) phases."""
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape[-1] != problem.n:
         raise ValueError(f"phi has {phi.shape[-1]} phases, problem has n={problem.n}")
     if not np.isfinite(phi).all():
         raise IntegrationError("non-finite phase passed to drift")
-    gs = shil_coupling or coupling
-    pull = -K * _coupling_sum(problem, coupling, phi)
-    if problem.has_self_terms:
-        pull -= K * problem.h * coupling.g(phi)
-    if Ks != 0.0:
-        pull -= Ks * gs.g(2.0 * phi)
-    return (bank.omega - bank.omega_star) + bank.omega * pull
-
-
-def step_euler_maruyama(state: PhaseState, drift_value: np.ndarray, Kn: float,
-                        dt: float, rng: np.random.Generator) -> PhaseState:
-    """phi' = phi + drift*dt + Kn*sqrt(dt)*zeta with zeta ~ N(0, I)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    zeta = rng.standard_normal(state.n)
-    phi = state.phi + np.asarray(drift_value) * dt + Kn * np.sqrt(dt) * zeta
-    bad = np.nonzero(~np.isfinite(phi))[0]
-    if len(bad):
-        raise IntegrationError(f"non-finite phase at index {int(bad[0])} "
-                               f"(t={state.t + dt:g})")
-    return PhaseState(t=state.t + dt, phi=phi)
+    return _drift(problem, coupling, bank.omega, bank.omega - bank.omega_star,
+                  phi, K, Ks)
 
 
 def initial_phases(config: SimConfig, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -226,7 +186,6 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
                omega: np.ndarray, omega_star: float,
                schedule: Schedule, dt: float, n_steps: int,
                phi: np.ndarray, rngs: list[np.random.Generator],
-               shil_coupling: CouplingFunction | None = None,
                record_steps: np.ndarray | None = None,
                check_every: int = 25, fail_fast: bool = False):
     """Shared fixed-step core; phi is (B, n), one RNG stream per row.
@@ -240,9 +199,6 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     bsz, n = phi.shape
     t_grid = np.arange(n_steps) * dt
     k_arr, ks_arr, kn_arr = schedule.eval_arrays(t_grid)
-    gs = shil_coupling or coupling
-    has_h = problem.has_self_terms
-    h = problem.h
     wdelta = omega - omega_star
     sqdt = np.sqrt(dt)
     rec = {}
@@ -254,12 +210,7 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     zeta = np.empty_like(phi)
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_steps):
-            pull = -k_arr[k] * _coupling_sum(problem, coupling, phi)
-            if has_h:
-                pull -= k_arr[k] * h * coupling.g(phi)
-            if ks_arr[k] != 0.0:
-                pull -= ks_arr[k] * gs.g(2.0 * phi)
-            d = wdelta + omega * pull
+            d = _drift(problem, coupling, omega, wdelta, phi, k_arr[k], ks_arr[k])
             for b in range(bsz):
                 zeta[b] = rngs[b].standard_normal(n)
             phi = phi + d * dt + (kn_arr[k] * sqdt) * zeta
@@ -281,8 +232,7 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
 
 
 def simulate(problem: IsingProblem, coupling: CouplingFunction,
-             bank: OscillatorBank, schedule: Schedule, config: SimConfig,
-             shil_coupling: CouplingFunction | None = None) -> Trajectory:
+             bank: OscillatorBank, schedule: Schedule, config: SimConfig) -> Trajectory:
     """Fixed-step Euler-Maruyama run under the given annealing schedule.
 
     Controls are evaluated at the start of each step.  Samples are recorded
@@ -302,11 +252,15 @@ def simulate(problem: IsingProblem, coupling: CouplingFunction,
     _, records = _integrate(
         problem, coupling, bank.omega, bank.omega_star, schedule,
         config.dt, n_steps, phi0[None, :], [rng],
-        shil_coupling=shil_coupling, record_steps=record_steps,
+        record_steps=record_steps,
         check_every=1, fail_fast=True)
     ts = record_steps * config.dt
     ctrl = np.stack(schedule.eval_arrays(np.minimum(ts, schedule.t_end)), axis=1)
     return Trajectory(t=ts.astype(np.float64), phi=records[:, 0, :], controls=ctrl)
+
+
+def _spins_batch(phi: np.ndarray) -> np.ndarray:
+    return np.where(np.cos(phi) >= 0.0, 1.0, -1.0)
 
 
 def read_spins(phi: np.ndarray) -> SpinConfig:
@@ -314,11 +268,7 @@ def read_spins(phi: np.ndarray) -> SpinConfig:
     phi = np.asarray(phi, dtype=np.float64)
     if not np.isfinite(phi).all():
         raise ValueError("phases must be finite")
-    return SpinConfig(np.where(np.cos(phi) >= 0.0, 1.0, -1.0))
-
-
-def _spins_batch(phi: np.ndarray) -> np.ndarray:
-    return np.where(np.cos(phi) >= 0.0, 1.0, -1.0)
+    return SpinConfig(_spins_batch(phi))
 
 
 def binarisation_residual(phi: np.ndarray) -> float:
@@ -344,15 +294,3 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
             row += "," + ("" if traj.energy is None else f"{traj.energy[k]:.17g}")
             f.write(row + "\n")
 
-
-def trajectory_to_json(traj: Trajectory) -> str:
-    import json
-    doc = {
-        "t": traj.t.tolist(),
-        "phi": traj.phi.tolist(),
-        "K": traj.controls[:, 0].tolist(),
-        "Ks": traj.controls[:, 1].tolist(),
-        "Kn": traj.controls[:, 2].tolist(),
-        "E": None if traj.energy is None else traj.energy.tolist(),
-    }
-    return json.dumps(doc)

@@ -17,7 +17,6 @@ bistability used to binarise oscillator phases.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ __all__ = [
     "LockEquilibrium",
     "cross_correlate",
     "lock_equilibria",
+    "shil_profile",
     "shil_bistability",
     "signal_from_csv",
     "detuning_sweep",
@@ -186,6 +186,13 @@ def lock_equilibria(c: PeriodicSignal, detuning_ratio: float,
     return out
 
 
+def shil_profile(p2: PeriodicSignal, b2: PeriodicSignal) -> PeriodicSignal:
+    """The pi-periodic profile c(t) = c2(2t) of the waveforms p2(2t) and
+    b2(2t), with c2 the cross-correlation of p2 and b2."""
+    c2 = cross_correlate(p2, b2)
+    return PeriodicSignal(c2.samples[(2 * np.arange(c2.m)) % c2.m])
+
+
 def shil_bistability(p2: PeriodicSignal, b2: PeriodicSignal,
                      detuning_ratio: float) -> list[LockEquilibrium]:
     """Lock states under second-harmonic drive.
@@ -195,8 +202,7 @@ def shil_bistability(p2: PeriodicSignal, b2: PeriodicSignal,
     profile c(t) = c2(2t).  Stable equilibria of a pi-periodic profile come
     in pairs separated by pi; this is asserted before returning.
     """
-    c2 = cross_correlate(p2, b2)
-    c = PeriodicSignal(c2.samples[(2 * np.arange(c2.m)) % c2.m])
+    c = shil_profile(p2, b2)
     defect = float(np.abs(c.samples - np.roll(c.samples, c.m // 2)).max())
     scale = max(float(np.abs(c.samples).max()), 1e-30)
     if defect > 1e-9 * scale:
@@ -247,7 +253,3 @@ def detuning_sweep(c: PeriodicSignal, detunings, phi_in: float = 0.0) -> list[di
             "degenerate": [e.phi_star for e in eq if e.degenerate],
         })
     return table
-
-
-def sweep_to_json(table: list[dict]) -> str:
-    return json.dumps(table)

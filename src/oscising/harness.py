@@ -20,7 +20,8 @@ from .coupling import CouplingFunction
 from .dynamics import (OscillatorBank, SimConfig, _integrate, _spins_batch,
                        initial_phases, make_rng)
 from .graphs import WeightedGraph, random_graph
-from .ising import IsingProblem, SpinConfig, hamiltonian_batch, maxcut_to_ising
+from .ising import (IsingProblem, SpinConfig, cut_batch, hamiltonian_batch,
+                    maxcut_to_ising)
 from .lyapunov import energy_total_batch
 from .schedule import Schedule, constant_schedule
 
@@ -40,10 +41,14 @@ VARIANT_KINDS = ("baseline", "no_noise", "no_sync_threshold",
                  "sine_coupling", "smoothed_square_coupling", "variability")
 
 HIST_BINS = 32
+SEED_LIMIT = 1 << 64
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
-    """Injective per-trial stream key."""
+    """Injective per-trial stream key; both parts must lie in [0, 2**64)."""
+    for name, value in (("base_seed", base_seed), ("trial_index", trial_index)):
+        if not 0 <= int(value) < SEED_LIMIT:
+            raise ValueError(f"{name} must be in [0, 2**64), got {value}")
     return (int(base_seed) << 64) + int(trial_index)
 
 
@@ -134,7 +139,8 @@ class TrialStats:
         cut = None
         if self.trial_cut is not None:
             cut = np.concatenate([self.trial_cut, other.trial_cut])[order]
-        pick = other if _better(other, self) else self
+        best = idx[_best_trial(h, cut)]
+        pick = self if best in self.trial_index else other
         return _finalize_stats(
             idx, h, cut, pick.best_spins, self.target,
             n_failed=self.n_failed + other.n_failed,
@@ -158,10 +164,14 @@ class TrialStats:
         })
 
 
-def _better(a: TrialStats, b: TrialStats) -> bool:
-    if a.trial_cut is not None:
-        return a.best_cut > b.best_cut
-    return a.best_H < b.best_H
+def _best_trial(h: np.ndarray, cut: np.ndarray | None) -> int:
+    """Position of the best trial: the highest finite objective (cut, else
+    -H), and the first, so the lowest trial index, on ties."""
+    objectives = cut if cut is not None else -h
+    ok = np.isfinite(objectives)
+    if not ok.any():
+        raise RuntimeError("all trials failed")
+    return int(np.argmax(np.where(ok, objectives, -np.inf)))
 
 
 def _finalize_stats(idx, h, cut, best_spins, target, n_failed, wall) -> TrialStats:
@@ -206,15 +216,16 @@ def _run_chunk(problem: IsingProblem, variant: AblationVariant,
     rngs = [make_rng(trial_seed(base_seed, int(k))) for k in trial_indices]
     if variant.kind == "variability":
         omega = np.empty((bsz, n))
-        for b, rng in enumerate(rngs):
-            omega[b] = 1.0 + variant.sigma * rng.standard_normal(n)
-        if not (omega > 0).all():
-            raise ValueError("frequency spread produced a non-positive omega")
+        for b, (k, rng) in enumerate(zip(trial_indices, rngs)):
+            try:
+                bank = OscillatorBank.gaussian_spread(n, variant.sigma, rng)
+            except ValueError as exc:
+                raise ValueError(f"trial {int(k)}: {exc} (variability sigma="
+                                 f"{variant.sigma:g})") from exc
+            omega[b] = bank.omega
     else:
         omega = np.ones(n)
-    phi0 = np.empty((bsz, n))
-    for b, rng in enumerate(rngs):
-        phi0[b] = initial_phases(config, n, rng)
+    phi0 = np.stack([initial_phases(config, n, rng) for rng in rngs])
     phi, _ = _integrate(problem, coupling, omega, 1.0, schedule,
                         config.dt, config.n_steps, phi0, rngs)
     done = np.isfinite(phi).all(axis=1)
@@ -223,8 +234,7 @@ def _run_chunk(problem: IsingProblem, variant: AblationVariant,
     h[~done] = np.nan
     cut = None
     if graph is not None:
-        cross = spins[:, graph.i] * spins[:, graph.j] < 0
-        cut = (cross * graph.w).sum(axis=1)
+        cut = cut_batch(graph, spins)
         cut[~done] = np.nan
     return trial_indices, h, cut, spins, done
 
@@ -266,23 +276,9 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
     idx = np.concatenate([r[0] for r in results])
     h = np.concatenate([r[1] for r in results])
     cut = np.concatenate([r[2] for r in results]) if graph is not None else None
+    spins = np.concatenate([r[3] for r in results])
     n_failed = int(sum((~r[4]).sum() for r in results))
-    objective = cut if cut is not None else -h
-    best_global = None
-    for r in results:
-        obj = r[2] if graph is not None else -r[1]
-        with np.errstate(invalid="ignore"):
-            good = np.nonzero(r[4])[0]
-        if len(good) == 0:
-            continue
-        b = good[np.argmax(obj[good])]
-        cand = (float(obj[b]), r[0][b], r[3][b])
-        if best_global is None or cand[0] > best_global[0] or \
-                (cand[0] == best_global[0] and cand[1] < best_global[1]):
-            best_global = cand
-    if best_global is None:
-        raise RuntimeError("all trials failed")
-    best_spins = SpinConfig(best_global[2])
+    best_spins = SpinConfig(spins[_best_trial(h, cut)])
     return _finalize_stats(idx, h, cut, best_spins, target, n_failed, wall)
 
 
@@ -451,13 +447,14 @@ def scaling_study(sizes: list[int], density_percent: float, n_trials: int,
     """Mean Ising energy over time for random +-1 problems of several sizes.
 
     All sizes run under the same fixed controls so the settling speeds are
-    directly comparable.
+    directly comparable.  Graphs use stream 2**64 - 1 - n, which no trial uses.
     """
     if len(sizes) < 2:
         raise ValueError("need at least two sizes")
     out = []
     for size in sizes:
-        g = random_graph(size, density_percent, "pm_one", seed=trial_seed(seed, size))
+        g = random_graph(size, density_percent, "pm_one",
+                         seed=trial_seed(seed, SEED_LIMIT - 1 - size))
         problem = maxcut_to_ising(g)
         sched = constant_schedule(t_end, K, Ks, Kn)
         config = SimConfig(dt=dt, t_end=t_end, seed=0)

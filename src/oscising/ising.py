@@ -21,6 +21,7 @@ __all__ = [
     "maxcut_to_ising",
     "hamiltonian",
     "cut_value",
+    "cut_batch",
     "brute_force_ground_state",
     "problem_to_json",
     "problem_from_json",
@@ -140,19 +141,24 @@ def _spin_vector(spins, n: int) -> np.ndarray:
     return s
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in index order.  numpy's sum and matmul group the
+    additions by array shape, so a row alone and in a batch could differ."""
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-1])
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
 def hamiltonian(problem: IsingProblem, spins) -> float:
     """Evaluate H = -sum_{i<j} J_ij s_i s_j - sum_i h_i s_i + constant_offset."""
-    s = _spin_vector(spins, problem.n)
-    pair = float(problem.jval @ (s[problem.i] * s[problem.j])) if problem.m else 0.0
-    return -pair - float(problem.h @ s) + problem.constant_offset
+    return float(hamiltonian_batch(problem, spins))
 
 
-def hamiltonian_batch(problem: IsingProblem, s: np.ndarray) -> np.ndarray:
+def hamiltonian_batch(problem: IsingProblem, spins) -> np.ndarray:
     """hamiltonian() over rows of an (batch, n) array of spins."""
-    if s.shape[-1] != problem.n:
-        raise ValueError(f"spin rows have length {s.shape[-1]}, need {problem.n}")
-    pair = (s[..., problem.i] * s[..., problem.j]) @ problem.jval if problem.m else 0.0
-    return -pair - s @ problem.h + problem.constant_offset
+    s = _spin_vector(spins, problem.n)
+    pair = _row_sum(s[..., problem.i] * s[..., problem.j] * problem.jval)
+    return -pair - _row_sum(s * problem.h) + problem.constant_offset
 
 
 def cut_value(graph: WeightedGraph, spins) -> float:
@@ -160,11 +166,14 @@ def cut_value(graph: WeightedGraph, spins) -> float:
 
     Satisfies 2*cut + H = total_weight for H of the MAX-CUT encoding.
     """
+    return float(cut_batch(graph, spins))
+
+
+def cut_batch(graph: WeightedGraph, spins) -> np.ndarray:
+    """cut_value() over rows of an (batch, n) array of spins."""
     s = _spin_vector(spins, graph.n)
-    if graph.m == 0:
-        return 0.0
-    crossing = s[graph.i] * s[graph.j] < 0
-    return float(graph.w[crossing].sum())
+    crossing = s[..., graph.i] * s[..., graph.j] < 0
+    return _row_sum(crossing * graph.w)
 
 
 def brute_force_ground_state(problem: IsingProblem,

@@ -1,4 +1,4 @@
-"""The global descent function of the phase dynamics and its gradient.
+"""The global descent function of the phase dynamics.
 
 The normative definition: E is the potential with grad E = -(2/w) * drift,
 with constants fixed so that for sine coupling and uniform frequencies
@@ -22,10 +22,9 @@ import numpy as np
 
 from .coupling import CouplingFunction
 from .dynamics import OscillatorBank, Trajectory
-from .ising import IsingProblem
+from .ising import IsingProblem, _row_sum
 
-__all__ = ["EnergyBreakdown", "energy", "grad_energy", "check_monotone",
-           "DescentReport"]
+__all__ = ["EnergyBreakdown", "energy", "check_monotone", "DescentReport"]
 
 
 @dataclass(frozen=True)
@@ -39,72 +38,37 @@ class EnergyBreakdown:
     total: float
 
 
-def _validate(problem: IsingProblem, bank: OscillatorBank, phi: np.ndarray) -> np.ndarray:
+def _terms(problem: IsingProblem, coupling: CouplingFunction,
+           bank: OscillatorBank, phi: np.ndarray, K, Ks):
+    """The four EnergyBreakdown terms over rows of (..., n) phases."""
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape[-1] != problem.n:
         raise ValueError(f"phi has {phi.shape[-1]} phases, problem has n={problem.n}")
     if bank.n != problem.n:
         raise ValueError("bank size does not match problem size")
-    return phi
+    zero = np.zeros(phi.shape[:-1])
+    self_term = tilt_term = zero
+    kern = coupling.pair_kernel(phi[..., problem.i] - phi[..., problem.j])
+    coupling_term = -2.0 * K * _row_sum(kern * problem.jval)
+    if problem.has_self_terms:
+        self_term = -2.0 * K * _row_sum(coupling.pair_kernel(phi) * problem.h)
+    shil_term = -Ks * _row_sum(coupling.pair_kernel(2.0 * phi))
+    if not bank.is_uniform:
+        tilt_term = -2.0 * _row_sum(phi * bank.detuning)
+    return coupling_term, self_term, shil_term, tilt_term
 
 
 def energy(problem: IsingProblem, coupling: CouplingFunction,
-           bank: OscillatorBank, phi: np.ndarray, K: float, Ks: float,
-           shil_coupling: CouplingFunction | None = None) -> EnergyBreakdown:
+           bank: OscillatorBank, phi: np.ndarray, K: float, Ks: float) -> EnergyBreakdown:
     """Evaluate the descent function at a phase vector."""
-    phi = _validate(problem, bank, phi)
-    gs = shil_coupling or coupling
-    if problem.m:
-        kern = coupling.pair_kernel(phi[problem.i] - phi[problem.j])
-        coupling_term = -2.0 * K * float(problem.jval @ kern)
-    else:
-        coupling_term = 0.0
-    if problem.has_self_terms:
-        self_term = -2.0 * K * float(problem.h @ coupling.pair_kernel(phi))
-    else:
-        self_term = 0.0
-    shil_term = -Ks * float(gs.pair_kernel(2.0 * phi).sum())
-    tilt_term = 0.0 if bank.is_uniform else -2.0 * float(bank.detuning @ phi)
-    total = coupling_term + self_term + shil_term + tilt_term
-    return EnergyBreakdown(coupling_term, self_term, shil_term, tilt_term, total)
+    terms = [float(t) for t in _terms(problem, coupling, bank, phi, K, Ks)]
+    return EnergyBreakdown(*terms, total=sum(terms))
 
 
 def energy_total_batch(problem: IsingProblem, coupling: CouplingFunction,
-                       bank: OscillatorBank, phi: np.ndarray, K, Ks,
-                       shil_coupling: CouplingFunction | None = None) -> np.ndarray:
+                       bank: OscillatorBank, phi: np.ndarray, K, Ks) -> np.ndarray:
     """energy(...).total over rows of (B, n) phases; K, Ks may be arrays (B,)."""
-    phi = _validate(problem, bank, phi)
-    gs = shil_coupling or coupling
-    K = np.asarray(K, dtype=np.float64)
-    Ks = np.asarray(Ks, dtype=np.float64)
-    if problem.m:
-        kern = coupling.pair_kernel(phi[..., problem.i] - phi[..., problem.j])
-        total = -2.0 * K * (kern @ problem.jval)
-    else:
-        total = np.zeros(phi.shape[:-1])
-    if problem.has_self_terms:
-        total = total - 2.0 * K * (coupling.pair_kernel(phi) @ problem.h)
-    total = total - Ks * gs.pair_kernel(2.0 * phi).sum(axis=-1)
-    if not bank.is_uniform:
-        total = total - 2.0 * (phi @ bank.detuning)
-    return total
-
-
-def grad_energy(problem: IsingProblem, coupling: CouplingFunction,
-                bank: OscillatorBank, phi: np.ndarray, K: float, Ks: float,
-                shil_coupling: CouplingFunction | None = None) -> np.ndarray:
-    """Analytic gradient of energy(); equals -(2/w_i) * drift_i exactly."""
-    from .dynamics import _coupling_sum
-    phi = _validate(problem, bank, phi)
-    gs = shil_coupling or coupling
-    grad = 2.0 * K * _coupling_sum(problem, coupling, phi)
-    if problem.has_self_terms:
-        grad += 2.0 * K * problem.h * coupling.g(phi)
-    if Ks != 0.0:
-        grad += 2.0 * Ks * gs.g(2.0 * phi)
-    if not bank.is_uniform:
-        grad -= 2.0 * bank.detuning
-    return grad
+    return sum(_terms(problem, coupling, bank, phi, K, Ks))
 
 
 @dataclass(frozen=True)
@@ -128,7 +92,6 @@ class DescentReport:
 
 def check_monotone(trajectory: Trajectory, coupling: CouplingFunction,
                    problem: IsingProblem, bank: OscillatorBank,
-                   shil_coupling: CouplingFunction | None = None,
                    rel_tol: float = 1e-8) -> DescentReport:
     """Verify E never rises along a noiseless, constant-control trajectory.
 
@@ -142,8 +105,7 @@ def check_monotone(trajectory: Trajectory, coupling: CouplingFunction,
     if np.any(ctrl != ctrl[0]):
         raise ValueError("descent check needs constant controls")
     K, Ks = float(ctrl[0, 0]), float(ctrl[0, 1])
-    e = energy_total_batch(problem, coupling, bank, trajectory.phi, K, Ks,
-                           shil_coupling=shil_coupling)
+    e = energy_total_batch(problem, coupling, bank, trajectory.phi, K, Ks)
     inc = np.diff(e)
     tol = rel_tol * (1.0 + np.abs(e[:-1]))
     bad = np.nonzero(inc > tol)[0]

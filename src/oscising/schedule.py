@@ -152,13 +152,15 @@ def tuned_schedule(t_end: float, *,
                    ks_first_peak: float = 0.5,
                    ks_last_peak: float = 2.0,
                    ks_final: float = 2.5) -> Schedule:
-    """Solver default: growing locking ramps and a pre-readout cool-down.
+    """Growing locking ramps and a pre-readout cool-down.
 
     Same ingredients as baseline_schedule (linear K, stepped noise, repeated
     locking ramps) plus two empirical changes that matter at readout: the
     ramp peaks grow so late ramps re-binarise against the strengthened
     coupling, and the noise is taken back to zero before the end so the
     final spins are read from a settled state, held by a last locking rise.
+    The CLI and the benchmark use baseline_schedule; whether this schedule
+    should replace it is open until a quality workload compares the two.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")

@@ -60,6 +60,13 @@ def test_solve_maxcut_rejects_malformed_file(tmp_path, capsys):
     assert main(["solve-maxcut", str(tmp_path / "missing.txt")]) == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_solve_maxcut_rejects_out_of_range_seed(gset_file, capsys, seed):
+    assert main(["solve-maxcut", str(gset_file), "--trials", "1",
+                 "--seed", seed, "--t-end", "1"]) == 2
+    assert "[0, 2**64)" in capsys.readouterr().err
+
+
 def test_solve_maxcut_custom_schedule(gset_file, tmp_path, capsys):
     sfile = tmp_path / "sched.json"
     sfile.write_text(tuned_schedule(5.0).to_json())

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from oscising.coupling import sine, smoothed_square
-from oscising.dynamics import (IntegrationError, OscillatorBank, PhaseState,
-                               SimConfig, binarisation_residual, drift,
-                               initial_phases, make_rng, read_spins, simulate,
-                               step_euler_maruyama, trajectory_to_csv)
+from oscising.dynamics import (IntegrationError, OscillatorBank, SimConfig,
+                               binarisation_residual, drift, initial_phases,
+                               make_rng, read_spins, simulate,
+                               trajectory_to_csv)
 from oscising.graphs import random_graph
 from oscising.ising import IsingProblem, maxcut_to_ising
-from oscising.lyapunov import energy
 from oscising.schedule import constant_schedule
 
 
@@ -28,22 +27,6 @@ def test_drift_two_oscillators_analytic():
     bank = OscillatorBank.uniform(2)
     d = drift(p, sine(), bank, np.array([0.0, np.pi / 2]), K=1.0, Ks=0.0)
     assert d == pytest.approx([1.0, -1.0])
-
-
-def test_drift_is_minus_half_gradient():
-    """Finite differences of the energy against the drift, uniform bank."""
-    rng = np.random.default_rng(31)
-    g = random_graph(10, 35, "pm_one", seed=4)
-    p = maxcut_to_ising(g)
-    bank = OscillatorBank.uniform(10)
-    phi = rng.uniform(-4, 4, size=10)
-    d = drift(p, sine(), bank, phi, K=0.8, Ks=0.6)
-    h = 1e-6
-    for i in range(10):
-        e_plus = energy(p, sine(), bank, phi + h * np.eye(10)[i], 0.8, 0.6).total
-        e_minus = energy(p, sine(), bank, phi - h * np.eye(10)[i], 0.8, 0.6).total
-        fd = (e_plus - e_minus) / (2 * h)
-        assert d[i] == pytest.approx(-0.5 * fd, abs=1e-5)
 
 
 def test_drift_two_pi_shift_equivariance():
@@ -84,29 +67,14 @@ def test_drift_rejects_nonfinite_phase():
               np.array([np.nan, 0.0]), 1.0, 0.0)
 
 
-def test_step_noiseless_is_euler():
-    s = PhaseState(t=1.0, phi=np.array([0.1, 0.2]))
-    out = step_euler_maruyama(s, np.array([1.0, -1.0]), Kn=0.0, dt=0.5,
-                              rng=make_rng(0))
-    assert out.t == 1.5
-    assert out.phi == pytest.approx([0.6, -0.3])
-
-
 def test_step_noise_variance():
-    """Var(phi' - phi) = Kn^2 * dt over many draws."""
-    rng = make_rng(77)
+    """Var(phi' - phi) = Kn^2 * dt over many draws, through one simulate step."""
     dt = 0.04
     n = 100_000
-    s = PhaseState(t=0.0, phi=np.zeros(n))
-    out = step_euler_maruyama(s, np.zeros(n), Kn=1.0, dt=dt, rng=rng)
-    assert out.phi.var() == pytest.approx(dt, rel=0.05)
-
-
-def test_step_deterministic_for_fixed_seed():
-    s = PhaseState(t=0.0, phi=np.zeros(4))
-    a = step_euler_maruyama(s, np.zeros(4), 1.0, 0.1, make_rng(5))
-    b = step_euler_maruyama(s, np.zeros(4), 1.0, 0.1, make_rng(5))
-    assert np.array_equal(a.phi, b.phi)
+    cfg = SimConfig(dt=dt, t_end=dt, seed=77, init_mode="given", phi0=np.zeros(n))
+    traj = simulate(empty_problem(n), sine(), OscillatorBank.uniform(n),
+                    constant_schedule(dt, 0.0, 0.0, 1.0), cfg)
+    assert traj.phi[-1].var() == pytest.approx(dt, rel=0.05)
 
 
 def test_simulate_zero_field_keeps_phases():
@@ -140,7 +108,8 @@ def test_simulate_respects_given_init():
 
 
 def test_simulate_matches_manual_stepping():
-    """simulate is repeated step_euler_maruyama with the same stream."""
+    """simulate is the explicit Euler-Maruyama loop
+    phi' = phi + drift*dt + Kn*sqrt(dt)*zeta on the same stream."""
     g = random_graph(5, 80, "unit", seed=6)
     p = maxcut_to_ising(g)
     bank = OscillatorBank.uniform(5)
@@ -149,11 +118,11 @@ def test_simulate_matches_manual_stepping():
     traj = simulate(p, sine(), bank, sched, cfg)
 
     rng = make_rng(11)
-    state = PhaseState(t=0.0, phi=initial_phases(cfg, 5, rng))
-    for _ in range(4):
-        d = drift(p, sine(), bank, state.phi, 0.7, 0.5)
-        state = step_euler_maruyama(state, d, 0.4, 0.05, rng)
-    assert np.array_equal(traj.phi[-1], state.phi)
+    phi = initial_phases(cfg, 5, rng)
+    for k in range(4):
+        d = drift(p, sine(), bank, phi, 0.7, 0.5)
+        phi = phi + d * 0.05 + 0.4 * np.sqrt(0.05) * rng.standard_normal(5)
+        assert np.array_equal(traj.phi[k + 1], phi)
 
 
 def test_simulate_schedule_horizon_enforced():

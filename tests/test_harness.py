@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from oscising import harness
 from oscising.coupling import sine
+from oscising.dynamics import make_rng
 from oscising.graphs import cubic_ring_graph, random_graph
 from oscising.harness import (AblationVariant, BoltzmannReport, ablate,
                               boltzmann_check, gset_targets, run_trials,
@@ -83,9 +85,28 @@ def test_merge_of_disjoint_ranges_equals_single_run(small_run):
         first.merge(first)
 
 
+def test_merge_is_order_independent_on_ties():
+    """Both halves reach the same best cut; the lower trial index wins."""
+    g = cubic_ring_graph(8)
+    p = maxcut_to_ising(g)
+    args = (p, AblationVariant("baseline"), baseline_schedule(5.0))
+    full = run_trials(*args, 16, 1, graph=g)
+    a = run_trials(*args, 8, 1, graph=g)
+    b = run_trials(*args, 8, 1, graph=g, trial_offset=8)
+    assert a.best_cut == b.best_cut == full.best_cut
+    assert stats_equal(a.merge(b), full)
+    assert stats_equal(b.merge(a), full)
+
+
 def test_trial_seed_injective():
     seen = {trial_seed(b, k) for b in range(20) for k in range(50)}
     assert len(seen) == 20 * 50
+
+
+@pytest.mark.parametrize("base, k", [(-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)])
+def test_trial_seed_rejects_out_of_range(base, k):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        trial_seed(base, k)
 
 
 def test_all_trials_failing_raises():
@@ -149,6 +170,16 @@ def test_variability_draws_differ_per_trial():
     assert not np.array_equal(a.trial_cut, b.trial_cut)
 
 
+def test_variability_names_trial_with_nonpositive_omega():
+    g = cubic_ring_graph(8)
+    p = maxcut_to_ising(g)
+    bad = next(k for k in range(64)
+               if (1.0 + 0.5 * make_rng(trial_seed(3, k)).standard_normal(8) <= 0).any())
+    with pytest.raises(ValueError, match=rf"trial {bad}: .*sigma=0\.5"):
+        run_trials(p, AblationVariant("variability", sigma=0.5),
+                   baseline_schedule(1.0), 64, 3, graph=g)
+
+
 def test_run_trials_rejects_zero_trials():
     p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
     with pytest.raises(ValueError):
@@ -205,3 +236,24 @@ def test_scaling_study_bookkeeping():
     assert np.array_equal(traces[0].mean_H, again[0].mean_H)
     with pytest.raises(ValueError):
         scaling_study([20], 10.0, 4, 0)
+
+
+def test_scaling_study_graph_and_trial_streams_are_disjoint(monkeypatch):
+    graph_keys, rng_keys = [], []
+    real_graph, real_rng = harness.random_graph, harness.make_rng
+
+    def random_graph_spy(*args, seed, **kwargs):
+        graph_keys.append(seed)
+        return real_graph(*args, seed=seed, **kwargs)
+
+    def make_rng_spy(seed):
+        rng_keys.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(harness, "random_graph", random_graph_spy)
+    monkeypatch.setattr(harness, "make_rng", make_rng_spy)
+    scaling_study([20, 40], 10.0, n_trials=41, seed=2, dt=0.05, t_end=0.1,
+                  record_every=1)
+    assert len(set(graph_keys)) == 2
+    assert len(rng_keys) == 2 * 41
+    assert not set(graph_keys) & set(rng_keys)

@@ -14,7 +14,7 @@ from .coloring import (ColorAssignment, ColoringInstance, coloring_to_ising,
                        decode_coloring, us_states_instance)
 from .coupling import CouplingFunction, sine, smoothed_square, tabulated
 from .schedule import Schedule, baseline_schedule, constant_schedule
-from .dynamics import (IntegrationError, OscillatorBank, SimConfig, Trajectory,
+from .dynamics import (IntegrationError, OscillatorBank, Trajectory,
                        binarisation_residual, drift, read_spins, simulate,
                        trajectory_to_csv)
 from .lyapunov import DescentReport, EnergyBreakdown, check_monotone, energy

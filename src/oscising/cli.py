@@ -16,14 +16,14 @@ from . import coupling as cpl
 from . import genadler as ga
 from .coloring import ColoringInstance, decode_coloring, coloring_to_ising, \
     parse_adjacency_pairs, us_states_instance
-from .dynamics import (IntegrationError, OscillatorBank, SimConfig, simulate,
+from .dynamics import (IntegrationError, OscillatorBank, simulate,
                        trajectory_to_csv)
 from .graphs import GraphFormatError, load_gset
-from .harness import (AblationVariant, ablate, boltzmann_check, gset_targets,
-                      run_trials, scaling_study, trial_seed)
+from .harness import (AblationVariant, _best_trial, ablate, boltzmann_check,
+                      gset_targets, run_trials, scaling_study, trial_seed)
 from .ising import maxcut_to_ising
 from .lyapunov import energy_total_batch
-from .schedule import Schedule, baseline_schedule, constant_schedule
+from .schedule import Schedule, baseline_schedule
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -63,12 +63,11 @@ def _emit(args, payload: str):
 
 
 def _write_best_trajectory(args, problem, coupling, sched, stats):
-    best_idx = int(stats.trial_index[np.nanargmax(stats.objectives())])
-    config = SimConfig(dt=args.dt, t_end=sched.t_end,
-                       seed=trial_seed(args.seed, best_idx),
-                       record_every=max(1, int(round(0.1 / args.dt))))
+    best_idx = int(stats.trial_index[_best_trial(stats.trial_H, stats.trial_cut)])
     bank = OscillatorBank.uniform(problem.n)
-    traj = simulate(problem, coupling, bank, sched, config)
+    traj = simulate(problem, coupling, bank, sched, dt=args.dt,
+                    seed=trial_seed(args.seed, best_idx),
+                    record_every=max(1, int(round(0.1 / args.dt))))
     e = energy_total_batch(problem, coupling, bank, traj.phi,
                            traj.controls[:, 0], traj.controls[:, 1])
     trajectory_to_csv(
@@ -150,8 +149,8 @@ def cmd_boltzmann(args) -> int:
     from .ising import IsingProblem
     problem = IsingProblem.from_couplings(2, {(0, 1): args.j}, name="pair")
     report = boltzmann_check(problem, cpl.by_name(args.coupling), args.kn,
-                             args.k, args.ks, args.steps, args.seed,
-                             dt=args.dt)
+                             args.k, args.ks, args.steps,
+                             trial_seed(args.seed, 0), dt=args.dt)
     _emit(args, report.to_json())
     return EXIT_OK
 

@@ -62,7 +62,7 @@ class CouplingFunction:
         if self.kind == "sine":
             return 1.0 - np.cos(x)
         if self.kind == "smoothed_square":
-            return self._g_spline_integral(np.mod(x, TWO_PI))
+            return self._antiderivative_spline(np.mod(x, TWO_PI))
         return self._piecewise_quadratic_integral(np.mod(x, TWO_PI))
 
     def pair_kernel(self, x) -> np.ndarray:
@@ -73,11 +73,6 @@ class CouplingFunction:
         return 1.0 - self.antiderivative(x)
 
     # -- internals --------------------------------------------------------
-
-    @cached_property
-    def _grid(self) -> np.ndarray:
-        m = len(self.samples) if self.kind == "tabulated" else _TABLE_SIZE
-        return np.arange(m) * (TWO_PI / m)
 
     def _interp_samples(self, x) -> np.ndarray:
         s = self.samples
@@ -95,7 +90,7 @@ class CouplingFunction:
         consistency tolerance, which cumulative trapezoid sums at this table
         size cannot guarantee for steep beta.
         """
-        grid = self._grid
+        grid = np.arange(_TABLE_SIZE) * (TWO_PI / _TABLE_SIZE)
         gv = self.g(grid)
         spec = np.fft.rfft(gv)
         freqs = np.arange(len(spec))
@@ -106,9 +101,6 @@ class CouplingFunction:
         xs = np.concatenate([grid, [TWO_PI]])
         ys = np.concatenate([table, [table[0]]])
         return CubicSpline(xs, ys, bc_type="periodic")
-
-    def _g_spline_integral(self, xm) -> np.ndarray:
-        return self._antiderivative_spline(xm)
 
     @cached_property
     def _sample_cumint(self) -> np.ndarray:

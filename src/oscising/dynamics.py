@@ -28,7 +28,6 @@ from .schedule import Schedule
 __all__ = [
     "IntegrationError",
     "OscillatorBank",
-    "SimConfig",
     "Trajectory",
     "drift",
     "simulate",
@@ -36,9 +35,6 @@ __all__ = [
     "binarisation_residual",
     "trajectory_to_csv",
 ]
-
-INIT_MODES = ("uniform_0_pi", "uniform_0_2pi", "given")
-
 
 class IntegrationError(RuntimeError):
     """A step produced a non-finite phase."""
@@ -85,32 +81,6 @@ class OscillatorBank:
     @cached_property
     def is_uniform(self) -> bool:
         return bool(np.all(self.omega == self.omega_star))
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    dt: float = 0.01
-    t_end: float = 20.0
-    seed: int = 0
-    record_every: int = 1
-    init_mode: str = "uniform_0_pi"
-    phi0: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must be at least dt")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
-        if self.init_mode not in INIT_MODES:
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        if self.init_mode == "given" and self.phi0 is None:
-            raise ValueError("init_mode 'given' needs phi0")
-
-    @property
-    def n_steps(self) -> int:
-        return max(1, int(np.floor(self.t_end / self.dt + 1e-9)))
 
 
 @dataclass(frozen=True)
@@ -172,41 +142,46 @@ def drift(problem: IsingProblem, coupling: CouplingFunction,
                   phi, K, Ks)
 
 
-def initial_phases(config: SimConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    if config.init_mode == "given":
-        phi0 = np.asarray(config.phi0, dtype=np.float64)
-        if phi0.shape != (n,):
-            raise ValueError(f"phi0 must have shape ({n},)")
-        return phi0.copy()
-    high = np.pi if config.init_mode == "uniform_0_pi" else 2.0 * np.pi
-    return rng.uniform(0.0, high, size=n)
+def _n_steps(t_end: float, dt: float) -> int:
+    """Fixed steps covering [0, t_end]: floor(t_end / dt), for 0 < dt <= t_end."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t_end < dt:
+        raise ValueError("t_end must be at least dt")
+    return int(np.floor(t_end / dt + 1e-9))
+
+
+def _record_grid(n_steps: int, record_every: int) -> np.ndarray:
+    """The record grid: steps 0, k, 2k, ... and always the last step."""
+    steps = np.arange(0, n_steps + 1, record_every)
+    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
 def _integrate(problem: IsingProblem, coupling: CouplingFunction,
                omega: np.ndarray, omega_star: float,
                schedule: Schedule, dt: float, n_steps: int,
                phi: np.ndarray, rngs: list[np.random.Generator],
-               record_steps: np.ndarray | None = None,
-               check_every: int = 25, fail_fast: bool = False):
+               record_every: int = 0, fail_fast: bool = False):
     """Shared fixed-step core; phi is (B, n), one RNG stream per row.
 
-    Returns (phi_final, records) where records is a (<=S, B, n) array of the
-    requested step snapshots.  Row b consumes exactly one standard_normal(n)
-    per step from rngs[b], so batched and one-at-a-time runs are bit-equal.
-    Non-finite rows either raise (fail_fast) or are poisoned with NaN so the
-    remaining rows keep stepping.
+    Returns (phi_final, records).  records is None when record_every is 0,
+    else the (S, B, n) snapshots at _record_grid(n_steps, record_every).
+    Row b consumes exactly one standard_normal(n) per step from rngs[b], so
+    batched and one-at-a-time runs are bit-equal.  Rows never mix, and NaN
+    and inf propagate through every term, so a row that goes non-finite
+    stays non-finite to the end while the other rows step on unchanged;
+    with fail_fast the first non-finite step raises IntegrationError.
     """
     bsz, n = phi.shape
     t_grid = np.arange(n_steps) * dt
     k_arr, ks_arr, kn_arr = schedule.eval_arrays(t_grid)
     wdelta = omega - omega_star
     sqdt = np.sqrt(dt)
-    rec = {}
-    want: set[int] = set()
-    if record_steps is not None:
-        want = set(int(s) for s in record_steps)
-        if 0 in want:
-            rec[0] = phi.copy()
+    records = None
+    want = set()
+    if record_every:
+        want = set(_record_grid(n_steps, record_every).tolist())
+        records = [phi.copy()]
     zeta = np.empty_like(phi)
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_steps):
@@ -214,47 +189,38 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
             for b in range(bsz):
                 zeta[b] = rngs[b].standard_normal(n)
             phi = phi + d * dt + (kn_arr[k] * sqdt) * zeta
-            if k % check_every == check_every - 1:
-                finite = np.isfinite(phi)
-                if not finite.all():
-                    if fail_fast:
-                        _, i_bad = np.argwhere(~finite)[0]
-                        raise IntegrationError(
-                            f"non-finite phase at index {int(i_bad)} "
-                            f"(t={(k + 1) * dt:g})")
-                    phi = np.where(finite.all(axis=1, keepdims=True), phi, np.nan)
+            if fail_fast and not np.isfinite(phi).all():
+                _, i_bad = np.argwhere(~np.isfinite(phi))[0]
+                raise IntegrationError(f"non-finite phase at index {int(i_bad)} "
+                                       f"(t={(k + 1) * dt:g})")
             if (k + 1) in want:
-                rec[k + 1] = phi.copy()
-    records = None
-    if record_steps is not None:
-        records = np.stack([rec[int(s)] for s in record_steps])
-    return phi, records
+                records.append(phi.copy())
+    return phi, None if records is None else np.stack(records)
 
 
 def simulate(problem: IsingProblem, coupling: CouplingFunction,
-             bank: OscillatorBank, schedule: Schedule, config: SimConfig) -> Trajectory:
-    """Fixed-step Euler-Maruyama run under the given annealing schedule.
+             bank: OscillatorBank, schedule: Schedule, *, dt: float, seed: int,
+             record_every: int = 1) -> Trajectory:
+    """Fixed-step Euler-Maruyama run over the schedule's horizon.
 
-    Controls are evaluated at the start of each step.  Samples are recorded
-    at step 0, every record_every steps, and always at the final step.
+    Runs floor(schedule.t_end / dt) steps (dt <= t_end) from phases drawn
+    uniformly on [0, pi) by the Philox stream `seed`, which then supplies
+    the step noise.  Controls are evaluated at the start of each step.
+    Samples are recorded at step 0, every record_every steps, and always at
+    the final step.  A non-finite phase raises IntegrationError.
     """
-    if schedule.t_end < config.t_end - 1e-12:
-        raise ValueError("schedule horizon shorter than config.t_end")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     if bank.n != problem.n:
         raise ValueError("bank size does not match problem size")
-    n_steps = config.n_steps
-    rng = make_rng(config.seed)
-    phi0 = initial_phases(config, problem.n, rng)
-    steps = list(range(0, n_steps + 1, config.record_every))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    record_steps = np.asarray(steps)
+    n_steps = _n_steps(schedule.t_end, dt)
+    rng = make_rng(seed)
+    phi0 = rng.uniform(0.0, np.pi, size=problem.n)
     _, records = _integrate(
         problem, coupling, bank.omega, bank.omega_star, schedule,
-        config.dt, n_steps, phi0[None, :], [rng],
-        record_steps=record_steps,
-        check_every=1, fail_fast=True)
-    ts = record_steps * config.dt
+        dt, n_steps, phi0[None, :], [rng],
+        record_every=record_every, fail_fast=True)
+    ts = _record_grid(n_steps, record_every) * dt
     ctrl = np.stack(schedule.eval_arrays(np.minimum(ts, schedule.t_end)), axis=1)
     return Trajectory(t=ts.astype(np.float64), phi=records[:, 0, :], controls=ctrl)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 __all__ = [
     "PeriodicSignal",
@@ -123,30 +124,14 @@ class LockEquilibrium:
     residual: float = 0.0
 
 
-def _bisect(f, lo: float, hi: float, flo: float) -> float:
-    """Bisection on a bracketing interval; f(lo) and f(hi) have opposite signs."""
-    for _ in range(200):
-        if hi - lo <= ROOT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def lock_equilibria(c: PeriodicSignal, detuning_ratio: float,
                     phi_in: float = 0.0) -> list[LockEquilibrium]:
     """All solutions of detuning_ratio = c(phi - phi_in) on [0, 2*pi).
 
     Roots are bracketed by sign changes of the residual on the sample grid
-    and then bisected to 1e-10 in phi.  Stability follows the sign of the
-    local slope of c: stable iff c'(phi*) < 0; near-zero slopes are flagged
-    degenerate instead of being classified.  An empty list means the drive
+    and then refined by Brent's method to 1e-10 in phi.  Stability follows
+    the sign of the local slope of c: stable iff c'(phi*) < 0; near-zero
+    slopes are flagged degenerate instead of being classified.  An empty list means the drive
     cannot lock at this detuning.
     """
     if c.channels != 1:
@@ -170,7 +155,7 @@ def lock_equilibria(c: PeriodicSignal, detuning_ratio: float,
         if fa == 0.0:
             roots.append(a)
         elif fa * fb < 0.0:
-            roots.append(_bisect(f, a, b, fa))
+            roots.append(brentq(f, a, b, xtol=ROOT_TOL))
     out = []
     for r in roots:
         # slope of the piecewise-linear interpolant just around the root

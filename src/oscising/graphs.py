@@ -165,14 +165,13 @@ def cubic_ring_graph(n: int = 8, weight: float = 1.0) -> WeightedGraph:
 
 
 def random_graph(n: int, density_percent: float, weight_mode: str = "unit",
-                 seed: int = 0, weight_range: tuple[float, float] = (-1.0, 1.0),
-                 name: str = "") -> WeightedGraph:
+                 seed: int = 0, name: str = "") -> WeightedGraph:
     """Seeded Erdos-Renyi graph: each of the n(n-1)/2 pairs is kept with
     probability density_percent/100.
 
     Deterministic for a fixed seed (Philox counter-based generator).
     Weights: "unit" -> 1, "pm_one" -> random sign, "uniform_range" ->
-    uniform over weight_range.
+    uniform over [-1, 1).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -191,8 +190,7 @@ def random_graph(n: int, density_percent: float, weight_mode: str = "unit",
     elif weight_mode == "pm_one":
         ww = rng.integers(0, 2, size=m) * 2.0 - 1.0
     else:
-        lo, hi = weight_range
-        ww = rng.uniform(lo, hi, size=m)
+        ww = rng.uniform(-1.0, 1.0, size=m)
     if not name:
         name = f"random_n{n}_d{density_percent:g}_{weight_mode}_s{seed}"
     return WeightedGraph(n=n, i=ii.astype(np.int64), j=jj.astype(np.int64),

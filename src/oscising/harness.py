@@ -17,8 +17,8 @@ import numpy as np
 
 from . import coupling as cpl
 from .coupling import CouplingFunction
-from .dynamics import (OscillatorBank, SimConfig, _integrate, _spins_batch,
-                       initial_phases, make_rng)
+from .dynamics import (IntegrationError, OscillatorBank, _integrate, _n_steps,
+                       _record_grid, _spins_batch, make_rng)
 from .graphs import WeightedGraph, random_graph
 from .ising import (IsingProblem, SpinConfig, cut_batch, hamiltonian_batch,
                     maxcut_to_ising)
@@ -38,10 +38,13 @@ __all__ = [
 ]
 
 VARIANT_KINDS = ("baseline", "no_noise", "no_sync_threshold",
-                 "sine_coupling", "smoothed_square_coupling", "variability")
+                 "sine_coupling", "variability")
 
 HIST_BINS = 32
 SEED_LIMIT = 1 << 64
+BOLTZMANN_BURN_IN = 0.1      # leading fraction of the chain discarded
+BOLTZMANN_BATCHES = 16       # slices for the occupancy error estimate
+SCALING_RECORD_EVERY = 20    # steps between scaling_study samples
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
@@ -67,7 +70,6 @@ class AblationVariant:
     no_noise            forces Kn = 0
     no_sync_threshold   forces Ks = 0; final analog phases are thresholded
     sine_coupling       plain sine coupling
-    smoothed_square_coupling  explicit baseline coupling
     variability(sigma)  per-trial Gaussian frequency spread, relative std sigma
     """
 
@@ -170,7 +172,7 @@ def _best_trial(h: np.ndarray, cut: np.ndarray | None) -> int:
     objectives = cut if cut is not None else -h
     ok = np.isfinite(objectives)
     if not ok.any():
-        raise RuntimeError("all trials failed")
+        raise IntegrationError("all trials failed")
     return int(np.argmax(np.where(ok, objectives, -np.inf)))
 
 
@@ -208,8 +210,8 @@ def _finalize_stats(idx, h, cut, best_spins, target, n_failed, wall) -> TrialSta
 
 def _run_chunk(problem: IsingProblem, variant: AblationVariant,
                schedule: Schedule, coupling: CouplingFunction,
-               trial_indices: np.ndarray, base_seed: int, config: SimConfig,
-               graph: WeightedGraph | None):
+               trial_indices: np.ndarray, base_seed: int, dt: float,
+               n_steps: int, graph: WeightedGraph | None):
     """Integrate one batch of trials; returns per-trial results."""
     n = problem.n
     bsz = len(trial_indices)
@@ -225,9 +227,9 @@ def _run_chunk(problem: IsingProblem, variant: AblationVariant,
             omega[b] = bank.omega
     else:
         omega = np.ones(n)
-    phi0 = np.stack([initial_phases(config, n, rng) for rng in rngs])
+    phi0 = np.stack([rng.uniform(0.0, np.pi, size=n) for rng in rngs])
     phi, _ = _integrate(problem, coupling, omega, 1.0, schedule,
-                        config.dt, config.n_steps, phi0, rngs)
+                        dt, n_steps, phi0, rngs)
     done = np.isfinite(phi).all(axis=1)
     spins = _spins_batch(np.where(done[:, None], phi, 0.0))
     h = hamiltonian_batch(problem, spins)
@@ -244,8 +246,7 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
                target: float | None = None, *,
                graph: WeightedGraph | None = None,
                coupling: CouplingFunction | None = None,
-               dt: float = 0.01, init_mode: str = "uniform_0_pi",
-               batch_size: int = 64, workers: int = 1,
+               dt: float = 0.01, batch_size: int = 64, workers: int = 1,
                trial_offset: int = 0) -> TrialStats:
     """Run n_trials independent annealing runs and aggregate statistics.
 
@@ -259,12 +260,12 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
         raise ValueError("need n_trials >= 1")
     coupling = coupling or variant.coupling()
     sched = variant.apply_to_schedule(schedule)
-    config = SimConfig(dt=dt, t_end=sched.t_end, seed=0, init_mode=init_mode)
+    n_steps = _n_steps(sched.t_end, dt)
     lo, hi = trial_offset, trial_offset + n_trials
     chunks = [np.arange(s, min(s + batch_size, hi))
               for s in range(lo, hi, batch_size)]
-    args = [(problem, variant, sched, coupling, c, base_seed, config, graph)
-            for c in chunks]
+    args = [(problem, variant, sched, coupling, c, base_seed, dt, n_steps,
+             graph) for c in chunks]
     t0 = time.perf_counter()
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -355,9 +356,7 @@ def _basin_keys(phis: np.ndarray) -> np.ndarray:
 
 def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
                     Kn: float, K: float, Ks: float, duration: int, seed: int,
-                    *, dt: float = 0.05, grid: int = 64,
-                    burn_in_frac: float = 0.1,
-                    n_batches: int = 16) -> BoltzmannReport:
+                    *, dt: float = 0.05, grid: int = 64) -> BoltzmannReport:
     """Compare long-run phase occupancy against the Boltzmann-law density.
 
     A single noisy trajectory of `duration` steps is histogrammed on a
@@ -376,11 +375,10 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
     sched = constant_schedule(duration * dt, K, Ks, Kn)
     rng = make_rng(seed)
     phi0 = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    record = np.arange(duration + 1)
     _, records = _integrate(problem, coupling, np.ones(n), 1.0, sched, dt,
                             duration, phi0[None, :], [rng],
-                            record_steps=record, fail_fast=True, check_every=1)
-    samples = records[int(burn_in_frac * duration):, 0, :]
+                            record_every=1, fail_fast=True)
+    samples = records[int(BOLTZMANN_BURN_IN * duration):, 0, :]
     step = 2.0 * np.pi / grid
     cells = np.floor(np.mod(samples, 2.0 * np.pi) / step).astype(np.int64) % grid
     mult = grid ** np.arange(n)
@@ -405,10 +403,8 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
     basin_ora: dict[tuple[int, ...], float] = {}
     flat_keys = keys @ (2 ** np.arange(n))
     sample_codes = _basin_keys(samples) @ (2 ** np.arange(n))
-    batches = np.array_split(sample_codes, n_batches)
-    batch_probs = []
-    for batch in batches:
-        batch_probs.append({})
+    batches = np.array_split(sample_codes, BOLTZMANN_BATCHES)
+    batch_probs = [{} for _ in batches]
     for code in range(2 ** n):
         key = tuple(int((code >> b) & 1) for b in range(n))
         mask = flat_keys == code
@@ -442,8 +438,8 @@ class ScalingTrace:
 
 def scaling_study(sizes: list[int], density_percent: float, n_trials: int,
                   seed: int, *, K: float = 1.0, Ks: float = 0.1,
-                  Kn: float = 0.01, dt: float = 0.01, t_end: float = 20.0,
-                  record_every: int = 20) -> list[ScalingTrace]:
+                  Kn: float = 0.01, dt: float = 0.01,
+                  t_end: float = 20.0) -> list[ScalingTrace]:
     """Mean Ising energy over time for random +-1 problems of several sizes.
 
     All sizes run under the same fixed controls so the settling speeds are
@@ -457,16 +453,13 @@ def scaling_study(sizes: list[int], density_percent: float, n_trials: int,
                          seed=trial_seed(seed, SEED_LIMIT - 1 - size))
         problem = maxcut_to_ising(g)
         sched = constant_schedule(t_end, K, Ks, Kn)
-        config = SimConfig(dt=dt, t_end=t_end, seed=0)
-        n_steps = config.n_steps
-        record = np.arange(0, n_steps + 1, record_every)
-        if record[-1] != n_steps:
-            record = np.append(record, n_steps)
+        n_steps = _n_steps(t_end, dt)
         rngs = [make_rng(trial_seed(seed, k)) for k in range(n_trials)]
-        phi0 = np.stack([initial_phases(config, size, r) for r in rngs])
+        phi0 = np.stack([r.uniform(0.0, np.pi, size=size) for r in rngs])
         _, recs = _integrate(problem, cpl.smoothed_square(), np.ones(size), 1.0,
-                             sched, dt, n_steps, phi0, rngs, record_steps=record)
-        hs = np.stack([hamiltonian_batch(problem, _spins_batch(recs[s]))
-                       for s in range(len(record))])
-        out.append(ScalingTrace(n=size, t=record * dt, mean_H=hs.mean(axis=1)))
+                             sched, dt, n_steps, phi0, rngs,
+                             record_every=SCALING_RECORD_EVERY)
+        hs = np.stack([hamiltonian_batch(problem, _spins_batch(r)) for r in recs])
+        t = _record_grid(n_steps, SCALING_RECORD_EVERY) * dt
+        out.append(ScalingTrace(n=size, t=t, mean_H=hs.mean(axis=1)))
     return out

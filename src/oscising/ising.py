@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_N = 24
+BRUTE_FORCE_CHUNK = 1 << 18     # spin configurations scored per pass
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,6 @@ class SpinConfig:
     @property
     def n(self) -> int:
         return len(self.s)
-
-    def flipped(self) -> "SpinConfig":
-        return SpinConfig(-self.s)
 
 
 @dataclass(frozen=True)
@@ -176,8 +174,7 @@ def cut_batch(graph: WeightedGraph, spins) -> np.ndarray:
     return _row_sum(crossing * graph.w)
 
 
-def brute_force_ground_state(problem: IsingProblem,
-                             chunk: int = 1 << 18) -> tuple[SpinConfig, float]:
+def brute_force_ground_state(problem: IsingProblem) -> tuple[SpinConfig, float]:
     """Exhaustive minimum of H over all 2^n spin configurations.
 
     When h = 0 the spin-flip symmetry H(s) = H(-s) is exploited by fixing
@@ -193,8 +190,9 @@ def brute_force_ground_state(problem: IsingProblem,
     total = 1 << nbits
     best_h = np.inf
     best_code = 0
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+    for start in range(0, total, BRUTE_FORCE_CHUNK):
+        codes = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total),
+                          dtype=np.uint64)
         energy = np.full(len(codes), problem.constant_offset)
         # bit b of the code holds spin (b + 1) when s_0 is pinned to +1
         off = 1 if fix_first else 0

@@ -15,6 +15,8 @@ import numpy as np
 __all__ = ["Schedule", "baseline_schedule", "constant_schedule", "tuned_schedule"]
 
 Points = tuple[tuple[float, float], ...]
+KN_ON_FRAC = 0.1    # the noise switches on at this fraction of t_end
+KS_RAMPS = 5        # locking (Ks) ramps per anneal
 
 
 def _as_points(points) -> Points:
@@ -105,82 +107,50 @@ def constant_schedule(t_end: float, k: float, ks: float, kn: float) -> Schedule:
                     kn_points=((0.0, kn),))
 
 
-def baseline_schedule(t_end: float, *,
-                      k_start: float = 0.0,
-                      k_max: float = 1.0,
-                      kn_high: float = 1.0,
-                      kn_step_frac: float = 0.1,
-                      ks_peaks: int = 5,
-                      ks_max: float = 1.0) -> Schedule:
+def baseline_schedule(t_end: float, *, k_max: float = 1.0,
+                      kn_high: float = 1.0, ks_max: float = 1.0) -> Schedule:
     """Default annealing profile.
 
-    K ramps linearly k_start -> k_max over [0, t_end]; Kn is 0 until
-    kn_step_frac * t_end and then steps up to kn_high; Ks runs ks_peaks
-    symmetric triangular ramps between 0 and ks_max.  All shape parameters
-    are overridable (the keyword defaults are calibration choices, not
-    physical constants).
+    K ramps linearly 0 -> k_max over [0, t_end]; Kn is 0 until
+    KN_ON_FRAC * t_end and then steps up to kn_high; Ks runs KS_RAMPS
+    symmetric triangular ramps between 0 and ks_max.  Other shapes are
+    built from Schedule control points directly, or loaded from a schedule
+    JSON file (Schedule.from_json, the CLI's --schedule).
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if ks_peaks < 1:
-        raise ValueError("need at least one Ks ramp")
-    k_points = ((0.0, k_start), (t_end, k_max))
-    t_step = kn_step_frac * t_end
-    eps = 1e-9 * t_end
-    if t_step <= 0.0:
-        kn_points = ((0.0, kn_high),)
-    else:
-        kn_points = ((0.0, 0.0), (t_step, 0.0), (t_step + eps, kn_high))
-    ks_pts = []
-    half = t_end / (2 * ks_peaks)
-    for seg in range(2 * ks_peaks + 1):
-        ks_pts.append((seg * half, ks_max if seg % 2 else 0.0))
+    t_step = KN_ON_FRAC * t_end
+    kn_points = ((0.0, 0.0), (t_step, 0.0), (t_step + 1e-9 * t_end, kn_high))
+    half = t_end / (2 * KS_RAMPS)
+    ks_pts = [(seg * half, ks_max if seg % 2 else 0.0)
+              for seg in range(2 * KS_RAMPS)]
     # keep the final point inside t_end despite rounding
-    ks_pts[-1] = (t_end, ks_pts[-1][1])
-    return Schedule(t_end=t_end, k_points=k_points,
+    ks_pts.append((t_end, 0.0))
+    return Schedule(t_end=t_end, k_points=((0.0, 0.0), (t_end, k_max)),
                     ks_points=tuple(ks_pts), kn_points=kn_points)
 
 
-def tuned_schedule(t_end: float, *,
-                   k_start: float = 0.0,
-                   k_max: float = 1.0,
-                   kn_high: float = 1.0,
-                   kn_on_frac: float = 0.1,
-                   kn_off_frac: float = 0.75,
-                   kn_zero_frac: float = 0.9,
-                   ks_ramps: int = 5,
-                   ks_first_peak: float = 0.5,
-                   ks_last_peak: float = 2.0,
-                   ks_final: float = 2.5) -> Schedule:
+def tuned_schedule(t_end: float) -> Schedule:
     """Growing locking ramps and a pre-readout cool-down.
 
-    Same ingredients as baseline_schedule (linear K, stepped noise, repeated
-    locking ramps) plus two empirical changes that matter at readout: the
-    ramp peaks grow so late ramps re-binarise against the strengthened
-    coupling, and the noise is taken back to zero before the end so the
-    final spins are read from a settled state, held by a last locking rise.
-    The CLI and the benchmark use baseline_schedule; whether this schedule
-    should replace it is open until a quality workload compares the two.
+    Same ingredients as baseline_schedule at its defaults (linear K to 1,
+    noise stepping to 1 at KN_ON_FRAC * t_end, KS_RAMPS locking ramps) plus
+    two empirical changes that matter at readout: the ramp peaks grow from
+    0.5 to 2 so late ramps re-binarise against the strengthened coupling,
+    and the noise is taken back down to zero between 0.75 and 0.9 of t_end
+    so the final spins are read from a settled state, held by a last
+    locking rise to 2.5.  The CLI and the benchmark use baseline_schedule;
+    whether this schedule should replace it is open until a quality
+    workload compares the two.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if ks_ramps < 1:
-        raise ValueError("need at least one locking ramp")
-    if not 0 < kn_on_frac < kn_off_frac < kn_zero_frac <= 1.0:
-        raise ValueError("noise fractions must satisfy 0 < on < off < zero <= 1")
-    k_points = ((0.0, k_start), (t_end, k_max))
     eps = 1e-9 * t_end
-    t_on, t_off, t_zero = (f * t_end for f in (kn_on_frac, kn_off_frac, kn_zero_frac))
-    kn_points = ((0.0, 0.0), (t_on, 0.0), (t_on + eps, kn_high),
-                 (t_off, kn_high), (t_zero, 0.0))
+    t_on, t_off, t_zero = (f * t_end for f in (KN_ON_FRAC, 0.75, 0.9))
+    kn_points = ((0.0, 0.0), (t_on, 0.0), (t_on + eps, 1.0),
+                 (t_off, 1.0), (t_zero, 0.0))
     ks_pts = [(0.0, 0.0)]
-    half = t_end / (2 * ks_ramps)
-    for r in range(ks_ramps):
-        frac = r / (ks_ramps - 1) if ks_ramps > 1 else 1.0
-        peak = ks_first_peak + (ks_last_peak - ks_first_peak) * frac
-        ks_pts.append(((2 * r + 1) * half, peak))
-        if r < ks_ramps - 1:
+    half = t_end / (2 * KS_RAMPS)
+    for r in range(KS_RAMPS):
+        ks_pts.append(((2 * r + 1) * half, 0.5 + 1.5 * (r / (KS_RAMPS - 1))))
+        if r < KS_RAMPS - 1:
             ks_pts.append(((2 * r + 2) * half, 0.0))
-    ks_pts.append((t_end, ks_final))
-    return Schedule(t_end=t_end, k_points=k_points,
+    ks_pts.append((t_end, 2.5))
+    return Schedule(t_end=t_end, k_points=((0.0, 0.0), (t_end, 1.0)),
                     ks_points=tuple(ks_pts), kn_points=kn_points)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oscising.cli import main
+from oscising.dynamics import read_spins
 from oscising.graphs import random_graph, serialize_gset
 from oscising.schedule import tuned_schedule
 
@@ -40,6 +41,9 @@ def test_solve_maxcut_writes_trajectory(gset_file, tmp_path):
     assert len(lines) > 2
     # energy column populated
     assert lines[1].split(",")[-1] != ""
+    # the trajectory is the best trial's: its last row reads out to best_spins
+    phi = np.array([float(c) for c in lines[-1].split(",")[1:13]])
+    assert read_spins(phi).s.tolist() == json.loads(out.read_text())["best_spins"]
 
 
 def test_solve_maxcut_seed_changes_results(gset_file, capsys):
@@ -60,11 +64,26 @@ def test_solve_maxcut_rejects_malformed_file(tmp_path, capsys):
     assert main(["solve-maxcut", str(tmp_path / "missing.txt")]) == 2
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
-def test_solve_maxcut_rejects_out_of_range_seed(gset_file, capsys, seed):
-    assert main(["solve-maxcut", str(gset_file), "--trials", "1",
-                 "--seed", seed, "--t-end", "1"]) == 2
+@pytest.mark.parametrize("command, seed", [
+    pytest.param("solve-maxcut", "-1", id="-1"),
+    pytest.param("solve-maxcut", str(2 ** 64), id=str(2 ** 64)),
+    pytest.param("boltzmann", "-1", id="boltzmann--1"),
+    pytest.param("boltzmann", str(2 ** 64), id=f"boltzmann-{2 ** 64}"),
+])
+def test_solve_maxcut_rejects_out_of_range_seed(gset_file, capsys, command, seed):
+    argv = ([command, str(gset_file), "--trials", "1", "--t-end", "1"]
+            if command == "solve-maxcut" else [command, "--steps", "20"])
+    assert main(argv + ["--seed", seed]) == 2
     assert "[0, 2**64)" in capsys.readouterr().err
+
+
+def test_solve_maxcut_exits_3_when_every_trial_fails(tmp_path, capsys):
+    # an enormous coupling with long steps overflows every trial
+    path = tmp_path / "huge.txt"
+    path.write_text("2 1\n1 2 1e308\n")
+    assert main(["solve-maxcut", str(path), "--trials", "2", "--dt", "0.5",
+                 "--t-end", "20"]) == 3
+    assert "all trials failed" in capsys.readouterr().err
 
 
 def test_solve_maxcut_custom_schedule(gset_file, tmp_path, capsys):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from oscising.coupling import sine, smoothed_square
-from oscising.dynamics import (IntegrationError, OscillatorBank, SimConfig,
-                               binarisation_residual, drift, initial_phases,
-                               make_rng, read_spins, simulate,
-                               trajectory_to_csv)
+from oscising.dynamics import (IntegrationError, OscillatorBank, _integrate,
+                               binarisation_residual, drift, make_rng,
+                               read_spins, simulate, trajectory_to_csv)
 from oscising.graphs import random_graph
 from oscising.ising import IsingProblem, maxcut_to_ising
 from oscising.schedule import constant_schedule
@@ -71,17 +70,16 @@ def test_step_noise_variance():
     """Var(phi' - phi) = Kn^2 * dt over many draws, through one simulate step."""
     dt = 0.04
     n = 100_000
-    cfg = SimConfig(dt=dt, t_end=dt, seed=77, init_mode="given", phi0=np.zeros(n))
     traj = simulate(empty_problem(n), sine(), OscillatorBank.uniform(n),
-                    constant_schedule(dt, 0.0, 0.0, 1.0), cfg)
-    assert traj.phi[-1].var() == pytest.approx(dt, rel=0.05)
+                    constant_schedule(dt, 0.0, 0.0, 1.0), dt=dt, seed=77)
+    assert (traj.phi[-1] - traj.phi[0]).var() == pytest.approx(dt, rel=0.05)
 
 
 def test_simulate_zero_field_keeps_phases():
     p = empty_problem(5)
     sched = constant_schedule(2.0, 1.0, 0.0, 0.0)
-    cfg = SimConfig(dt=0.01, t_end=2.0, seed=3, record_every=50)
-    traj = simulate(p, sine(), OscillatorBank.uniform(5), sched, cfg)
+    traj = simulate(p, sine(), OscillatorBank.uniform(5), sched, dt=0.01,
+                    seed=3, record_every=50)
     assert np.allclose(traj.phi, traj.phi[0], atol=0.0)
 
 
@@ -89,22 +87,25 @@ def test_simulate_deterministic_and_records_final():
     g = random_graph(6, 60, "pm_one", seed=2)
     p = maxcut_to_ising(g)
     sched = constant_schedule(1.0, 0.5, 1.0, 0.3)
-    cfg = SimConfig(dt=0.01, t_end=1.0, seed=42, record_every=7)
     bank = OscillatorBank.uniform(6)
-    t1 = simulate(p, sine(), bank, sched, cfg)
-    t2 = simulate(p, sine(), bank, sched, cfg)
+    t1 = simulate(p, sine(), bank, sched, dt=0.01, seed=42, record_every=7)
+    t2 = simulate(p, sine(), bank, sched, dt=0.01, seed=42, record_every=7)
     assert np.array_equal(t1.phi, t2.phi)
     assert t1.t[-1] == pytest.approx(1.0)
     assert t1.t[0] == 0.0
+    # steps 0, 7, ..., 98 and the last step, 100
+    assert np.allclose(t1.t, np.append(np.arange(0, 100, 7), 100) * 0.01)
 
 
-def test_simulate_respects_given_init():
-    p = empty_problem(3)
-    phi0 = np.array([0.3, 1.0, -2.0])
-    cfg = SimConfig(dt=0.1, t_end=0.5, seed=0, init_mode="given", phi0=phi0)
-    traj = simulate(p, sine(), OscillatorBank.uniform(3),
-                    constant_schedule(0.5, 0.0, 0.0, 0.0), cfg)
-    assert np.array_equal(traj.phi[0], phi0)
+def test_simulate_rejects_bad_step_and_record_settings():
+    p = empty_problem(2)
+    args = (p, sine(), OscillatorBank.uniform(2), constant_schedule(1.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="dt must be positive"):
+        simulate(*args, dt=0.0, seed=0)
+    with pytest.raises(ValueError, match="t_end must be at least dt"):
+        simulate(*args, dt=2.0, seed=0)
+    with pytest.raises(ValueError, match="record_every"):
+        simulate(*args, dt=0.1, seed=0, record_every=0)
 
 
 def test_simulate_matches_manual_stepping():
@@ -114,23 +115,39 @@ def test_simulate_matches_manual_stepping():
     p = maxcut_to_ising(g)
     bank = OscillatorBank.uniform(5)
     sched = constant_schedule(0.2, 0.7, 0.5, 0.4)
-    cfg = SimConfig(dt=0.05, t_end=0.2, seed=11, record_every=1)
-    traj = simulate(p, sine(), bank, sched, cfg)
+    traj = simulate(p, sine(), bank, sched, dt=0.05, seed=11)
 
     rng = make_rng(11)
-    phi = initial_phases(cfg, 5, rng)
+    phi = rng.uniform(0, np.pi, 5)
     for k in range(4):
         d = drift(p, sine(), bank, phi, 0.7, 0.5)
         phi = phi + d * 0.05 + 0.4 * np.sqrt(0.05) * rng.standard_normal(5)
         assert np.array_equal(traj.phi[k + 1], phi)
 
 
-def test_simulate_schedule_horizon_enforced():
-    p = empty_problem(2)
-    with pytest.raises(ValueError):
+def test_simulate_raises_on_nonfinite_phase():
+    p = IsingProblem.from_couplings(2, {(0, 1): 1e308})
+    with pytest.raises(IntegrationError, match="non-finite phase"):
         simulate(p, sine(), OscillatorBank.uniform(2),
-                 constant_schedule(1.0, 0.0, 0.0, 0.0),
-                 SimConfig(dt=0.01, t_end=2.0, seed=0))
+                 constant_schedule(20.0, 1.0, 0.0, 0.0), dt=0.5, seed=0)
+
+
+def test_nonfinite_row_stays_nonfinite_and_leaves_others_alone():
+    """Without fail_fast a diverging row ends non-finite, and every other row
+    is bit-equal to its run alone: rows never mix."""
+    p = IsingProblem.from_couplings(2, {(0, 1): 1e308})
+    sched = constant_schedule(20.0, 1.0, 0.0, 0.0)   # Kn = 0
+    one = np.ones(2)
+
+    def run(rows):
+        phi = np.array(rows, dtype=np.float64)
+        rngs = [make_rng(k) for k in range(len(rows))]
+        return _integrate(p, sine(), one, 1.0, sched, 0.5, 40, phi, rngs)[0]
+
+    both = run([[0.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(both[0], run([[0.0, 0.0]])[0])
+    assert np.isfinite(both[0]).all()
+    assert not np.isfinite(both[1]).all()
 
 
 def test_read_spins_mapping():
@@ -154,9 +171,8 @@ def test_frequency_spread_bank():
 
 def test_trajectory_csv_format(tmp_path):
     p = empty_problem(2)
-    cfg = SimConfig(dt=0.1, t_end=0.3, seed=1, record_every=1)
     traj = simulate(p, sine(), OscillatorBank.uniform(2),
-                    constant_schedule(0.3, 1.0, 2.0, 0.0), cfg)
+                    constant_schedule(0.3, 1.0, 2.0, 0.0), dt=0.1, seed=1)
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, path)
     lines = path.read_text().splitlines()

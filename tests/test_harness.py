@@ -3,7 +3,7 @@ import pytest
 
 from oscising import harness
 from oscising.coupling import sine
-from oscising.dynamics import make_rng
+from oscising.dynamics import IntegrationError, make_rng
 from oscising.graphs import cubic_ring_graph, random_graph
 from oscising.harness import (AblationVariant, BoltzmannReport, ablate,
                               boltzmann_check, gset_targets, run_trials,
@@ -113,7 +113,8 @@ def test_all_trials_failing_raises():
     # an enormous coupling with long steps overflows every trial
     p = IsingProblem.from_couplings(2, {(0, 1): 1e308})
     sched = constant_schedule(20.0, 1.0, 0.0, 0.0)
-    with pytest.raises(RuntimeError):
+    # IntegrationError is a RuntimeError, mapped to exit code 3 by the CLI
+    with pytest.raises(IntegrationError, match="all trials failed"):
         run_trials(p, AblationVariant("baseline"), sched, 4, 0, dt=0.5)
 
 
@@ -143,8 +144,6 @@ def test_variant_schedule_overrides():
 def test_variant_couplings():
     assert AblationVariant("sine_coupling").coupling().kind == "sine"
     assert AblationVariant("baseline").coupling().kind == "smoothed_square"
-    assert AblationVariant("smoothed_square_coupling").coupling().kind == \
-        "smoothed_square"
 
 
 def test_ablate_returns_all_variants():
@@ -186,6 +185,14 @@ def test_run_trials_rejects_zero_trials():
         run_trials(p, AblationVariant("baseline"), tuned_schedule(5.0), 0, 0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1, 6.0])
+def test_run_trials_rejects_bad_dt(dt):
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    with pytest.raises(ValueError, match="dt"):
+        run_trials(p, AblationVariant("baseline"), baseline_schedule(5.0), 2, 0,
+                   dt=dt)
+
+
 def test_gset_targets_table():
     t = gset_targets()
     assert t["G1"] == 11624
@@ -223,7 +230,7 @@ def test_boltzmann_rejects_large_n():
 
 def test_scaling_study_bookkeeping():
     traces = scaling_study([20, 40], 10.0, n_trials=4, seed=11,
-                           dt=0.05, t_end=5.0, record_every=10)
+                           dt=0.05, t_end=5.0)
     assert [tr.n for tr in traces] == [20, 40]
     for tr in traces:
         assert tr.t[0] == 0.0 and tr.t[-1] == pytest.approx(5.0)
@@ -232,7 +239,7 @@ def test_scaling_study_bookkeeping():
         assert tr.normalized()[-1] == pytest.approx(-1.0)
         assert 0.0 <= tr.settling_time() <= 5.0
     again = scaling_study([20, 40], 10.0, n_trials=4, seed=11,
-                          dt=0.05, t_end=5.0, record_every=10)
+                          dt=0.05, t_end=5.0)
     assert np.array_equal(traces[0].mean_H, again[0].mean_H)
     with pytest.raises(ValueError):
         scaling_study([20], 10.0, 4, 0)
@@ -252,8 +259,7 @@ def test_scaling_study_graph_and_trial_streams_are_disjoint(monkeypatch):
 
     monkeypatch.setattr(harness, "random_graph", random_graph_spy)
     monkeypatch.setattr(harness, "make_rng", make_rng_spy)
-    scaling_study([20, 40], 10.0, n_trials=41, seed=2, dt=0.05, t_end=0.1,
-                  record_every=1)
+    scaling_study([20, 40], 10.0, n_trials=41, seed=2, dt=0.05, t_end=0.1)
     assert len(set(graph_keys)) == 2
     assert len(rng_keys) == 2 * 41
     assert not set(graph_keys) & set(rng_keys)

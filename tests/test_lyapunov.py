@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oscising.coupling import sine, smoothed_square
-from oscising.dynamics import (OscillatorBank, SimConfig, Trajectory, drift,
+from oscising.dynamics import (OscillatorBank, Trajectory, drift,
                                make_rng, simulate)
 from oscising.graphs import random_graph
 from oscising.ising import IsingProblem, hamiltonian, maxcut_to_ising
@@ -141,9 +141,9 @@ def test_locking_term_does_not_change_binary_differences():
 
 def test_descent_on_constant_phase_trajectory():
     p = IsingProblem.from_couplings(3, {})
-    cfg = SimConfig(dt=0.01, t_end=1.0, seed=0, record_every=10)
     traj = simulate(p, sine(), OscillatorBank.uniform(3),
-                    constant_schedule(1.0, 1.0, 0.0, 0.0), cfg)
+                    constant_schedule(1.0, 1.0, 0.0, 0.0), dt=0.01, seed=0,
+                    record_every=10)
     rep = check_monotone(traj, sine(), p, OscillatorBank.uniform(3))
     assert rep.passed
     assert rep.max_increase <= 0.0
@@ -154,8 +154,8 @@ def test_descent_on_relaxing_network(coupling):
     g = random_graph(20, 10, "pm_one", seed=2024)
     p = maxcut_to_ising(g)
     bank = OscillatorBank.uniform(20)
-    cfg = SimConfig(dt=0.01, t_end=20.0, seed=7, record_every=1)
-    traj = simulate(p, coupling, bank, constant_schedule(20.0, 0.5, 1.0, 0.0), cfg)
+    traj = simulate(p, coupling, bank, constant_schedule(20.0, 0.5, 1.0, 0.0),
+                    dt=0.01, seed=7)
     rep = check_monotone(traj, coupling, p, bank)
     assert rep.passed, f"uphill step at {rep.first_violation}"
 

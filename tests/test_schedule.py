@@ -76,14 +76,14 @@ def test_baseline_shape():
 
 
 def test_baseline_overrides():
-    s = baseline_schedule(10.0, k_max=2.0, ks_max=0.5, kn_high=0.25, ks_peaks=3)
+    s = baseline_schedule(10.0, k_max=2.0, ks_max=0.5, kn_high=0.25)
     assert s.eval(10.0)[0] == 2.0
     assert s.eval(10.0)[2] == 0.25
     assert max(v for _, v in s.ks_points) == 0.5
 
 
 def test_json_roundtrip_exact():
-    for s in (baseline_schedule(20.0), tuned_schedule(30.0, kn_high=0.7),
+    for s in (baseline_schedule(20.0), tuned_schedule(30.0),
               constant_schedule(5.0, 1 / 3, 2 / 7, 0.1)):
         r = Schedule.from_json(s.to_json())
         assert r.t_end == s.t_end

@@ -10,6 +10,16 @@ with g the coupling function, which also shapes the second-harmonic locking
 term.  With uniform unit frequencies and g = sin this is the sine-coupled
 network with a sin(2 phi) locking term.
 
+The coupling sum never takes a sine per edge for the sine and smoothed-square
+kinds.  With s = sin phi and c = cos phi evaluated once per oscillator,
+sin(phi_i - phi_j) = s_i c_j - c_i s_j, so
+
+    sum_j J_ij sin(phi_i - phi_j) = s_i (J c)_i - c_i (J s)_i
+
+is one sparse product of the symmetric J with [s | c], and the smoothed
+square takes tanh(beta * (s_i c_j - c_i s_j)) per edge.  Only the tabulated
+kind evaluates g on edge differences.
+
 Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1), one i.i.d.
 draw per oscillator per step, from a Philox stream keyed by the seed.
 Phases are kept unwrapped; wrapping happens only in the readout helpers.
@@ -107,15 +117,44 @@ class Trajectory:
 
 def _coupling_sum(problem: IsingProblem, coupling: CouplingFunction,
                   phi: np.ndarray) -> np.ndarray:
-    """sum_{j != i} J_ij g(phi_i - phi_j) for each i; phi is (n,) or (B, n)."""
+    """sum_{j != i} J_ij g(phi_i - phi_j) for each i; phi is (n,) or (B, n).
+
+    Per kind, with s = sin phi and c = cos phi computed once per node:
+      sine             s_i (J c)_i - c_i (J s)_i, one product of the
+                       symmetric J with the node-major [s | c] block;
+      smoothed_square  tanh(beta (s_i c_j - c_i s_j)) per edge, summed by
+                       the signed incidence S;
+      tabulated        g(phi_i - phi_j) per edge, summed by S.
+    A sparse product sums each column in the same order at every batch
+    size, so a row's sum does not depend on the rows beside it.
+    """
     if problem.m == 0:
         return np.zeros_like(phi)
-    diffs = phi[..., problem.i] - phi[..., problem.j]
-    ge = coupling.g(diffs)
-    s = problem.incidence
-    if phi.ndim == 1:
-        return s @ ge
-    return (s @ ge.T).T
+    if coupling.kind == "tabulated":
+        ge = coupling.g(phi[..., problem.i] - phi[..., problem.j])
+        return (problem.incidence @ ge.T).T
+    n = phi.shape[-1]
+    sc = np.empty((2,) + phi.shape)
+    np.sin(phi, sc[0])
+    np.cos(phi, sc[1])
+    node_major = np.ascontiguousarray(sc.reshape(-1, n).T)     # (n, 2B)
+    if coupling.kind == "sine":
+        jsc = (problem.adjacency @ node_major).T.reshape(sc.shape)
+        prod = sc * jsc[::-1]       # [s (J c), c (J s)]
+        return prod[0] - prod[1]
+    bsz = node_major.shape[1] // 2
+    sn, cs = node_major[:, :bsz], node_major[:, bsz:]
+    # at most three (m, B) arrays live at once
+    x = np.take(sn, problem.i, axis=0)
+    y = np.take(cs, problem.j, axis=0)
+    x *= y
+    np.take(cs, problem.i, axis=0, out=y)
+    y *= np.take(sn, problem.j, axis=0)
+    x -= y
+    del y
+    x *= coupling.beta
+    np.tanh(x, x)
+    return np.ascontiguousarray((problem.incidence @ x).T).reshape(phi.shape)
 
 
 def _drift(problem: IsingProblem, coupling: CouplingFunction,

@@ -71,6 +71,14 @@ class IsingProblem:
             raise ValueError("h must be finite")
         if not np.isfinite(self.constant_offset):
             raise ValueError("constant_offset must be finite")
+        if not len(self.i) == len(self.j) == len(self.jval):
+            raise ValueError(f"i, j and jval must have equal lengths, got "
+                             f"{len(self.i)}, {len(self.j)} and {len(self.jval)}")
+        if not np.isfinite(self.jval).all():
+            raise ValueError("jval must be finite")
+        for name, idx in (("i", self.i), ("j", self.j)):
+            if len(idx) and (idx.min() < 0 or idx.max() >= self.n):
+                raise ValueError(f"{name} holds an index outside [0, n={self.n})")
         if len(self.i) and not (self.i < self.j).all():
             raise ValueError("couplings must be stored with i < j")
         if len(self.i) != len(set(zip(self.i.tolist(), self.j.tolist()))):
@@ -112,13 +120,26 @@ class IsingProblem:
         """Signed coupling incidence S (n x m): S[i_e, e] = +J_e, S[j_e, e] = -J_e.
 
         For an odd coupling g, (S @ g(phi[i_e] - phi[j_e]))_k equals
-        sum_{l != k} J_kl g(phi_k - phi_l).
+        sum_{l != k} J_kl g(phi_k - phi_l).  The smoothed-square and
+        tabulated coupling sums read it.
         """
         m = self.m
         rows = np.concatenate([self.i, self.j])
         cols = np.concatenate([np.arange(m), np.arange(m)])
         vals = np.concatenate([self.jval, -self.jval])
         return sparse.csr_matrix((vals, (rows, cols)), shape=(self.n, m))
+
+    @cached_property
+    def adjacency(self) -> sparse.csr_matrix:
+        """The symmetric coupling matrix J (n x n), both triangles stored.
+
+        The sine coupling sum reads it: sum_l J_kl sin(phi_k - phi_l)
+        = sin(phi_k) (J cos phi)_k - cos(phi_k) (J sin phi)_k.
+        """
+        rows = np.concatenate([self.i, self.j])
+        cols = np.concatenate([self.j, self.i])
+        vals = np.concatenate([self.jval, self.jval])
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
 
     @cached_property
     def has_self_terms(self) -> bool:

@@ -126,16 +126,20 @@ def test_simulate_matches_manual_stepping():
 
 
 def test_simulate_raises_on_nonfinite_phase():
-    p = IsingProblem.from_couplings(2, {(0, 1): 1e308})
+    """omega = 1e308 with no coupling or noise: the phase overflows to inf
+    within four steps, whatever form the coupling kernel takes."""
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    bank = OscillatorBank(n=2, omega=np.array([1.0, 1e308]))
     with pytest.raises(IntegrationError, match="non-finite phase"):
-        simulate(p, sine(), OscillatorBank.uniform(2),
-                 constant_schedule(20.0, 1.0, 0.0, 0.0), dt=0.5, seed=0)
+        simulate(p, sine(), bank, constant_schedule(20.0, 0.0, 0.0, 0.0),
+                 dt=0.5, seed=0)
 
 
 def test_nonfinite_row_stays_nonfinite_and_leaves_others_alone():
-    """Without fail_fast a diverging row ends non-finite, and every other row
-    is bit-equal to its run alone: rows never mix."""
-    p = IsingProblem.from_couplings(2, {(0, 1): 1e308})
+    """Without fail_fast a row that starts at an infinite phase ends
+    non-finite, and every other row is bit-equal to its run alone: rows
+    never mix."""
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
     sched = constant_schedule(20.0, 1.0, 0.0, 0.0)   # Kn = 0
     one = np.ones(2)
 
@@ -144,7 +148,7 @@ def test_nonfinite_row_stays_nonfinite_and_leaves_others_alone():
         rngs = [make_rng(k) for k in range(len(rows))]
         return _integrate(p, sine(), one, 1.0, sched, 0.5, 40, phi, rngs)[0]
 
-    both = run([[0.0, 0.0], [0.0, 1.0]])
+    both = run([[0.0, 0.0], [0.0, np.inf]])
     assert np.array_equal(both[0], run([[0.0, 0.0]])[0])
     assert np.isfinite(both[0]).all()
     assert not np.isfinite(both[1]).all()

@@ -39,6 +39,39 @@ def test_maxcut_cubic8_has_12_unit_couplings():
     assert np.all(p.jval == -1.0)
 
 
+@pytest.mark.parametrize("jval", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_nonfinite_jval(jval):
+    with pytest.raises(ValueError, match="jval must be finite"):
+        IsingProblem.from_couplings(3, {(0, 1): jval})
+
+
+def test_problem_rejects_unequal_coupling_lengths():
+    with pytest.raises(ValueError, match="i, j and jval must have equal lengths"):
+        IsingProblem(n=3, i=np.array([0, 1]), j=np.array([1, 2]),
+                     jval=np.array([1.0]), h=np.zeros(3))
+
+
+def test_problem_rejects_negative_index():
+    with pytest.raises(ValueError, match="i holds an index outside"):
+        IsingProblem(n=3, i=np.array([-1]), j=np.array([1]),
+                     jval=np.array([1.0]), h=np.zeros(3))
+
+
+def test_problem_rejects_index_at_or_above_n():
+    with pytest.raises(ValueError, match=r"j holds an index outside \[0, n=3\)"):
+        IsingProblem.from_couplings(3, {(0, 7): 1.0})
+    with pytest.raises(ValueError, match="j holds an index outside"):
+        IsingProblem.from_couplings(3, {(0, 3): 1.0})
+
+
+def test_adjacency_is_the_symmetric_coupling_matrix():
+    p = IsingProblem.from_couplings(4, {(0, 1): 1.5, (1, 3): -2.0})
+    dense = np.zeros((4, 4))
+    dense[0, 1] = dense[1, 0] = 1.5
+    dense[1, 3] = dense[3, 1] = -2.0
+    assert np.array_equal(p.adjacency.toarray(), dense)
+
+
 def test_hamiltonian_single_term():
     p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
     assert hamiltonian(p, np.array([1.0, -1.0])) == 1.0

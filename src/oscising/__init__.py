@@ -8,11 +8,10 @@ verifies the theory behind it as executable invariants.
 from .graphs import (GraphFormatError, WeightedGraph, load_gset, parse_gset,
                      random_graph, serialize_gset)
 from .ising import (IsingProblem, SpinConfig, brute_force_ground_state,
-                    cut_value, hamiltonian, maxcut_to_ising,
-                    problem_from_json, problem_to_json)
+                    cut_value, hamiltonian, maxcut_to_ising)
 from .coloring import (ColorAssignment, ColoringInstance, coloring_to_ising,
                        decode_coloring, us_states_instance)
-from .coupling import CouplingFunction, sine, smoothed_square, tabulated
+from .coupling import CouplingFunction, sine, smoothed_square
 from .schedule import Schedule, baseline_schedule, constant_schedule
 from .dynamics import (IntegrationError, OscillatorBank, Trajectory,
                        binarisation_residual, drift, read_spins, simulate,

@@ -10,15 +10,15 @@ with g the coupling function, which also shapes the second-harmonic locking
 term.  With uniform unit frequencies and g = sin this is the sine-coupled
 network with a sin(2 phi) locking term.
 
-The coupling sum never takes a sine per edge for the sine and smoothed-square
-kinds.  With s = sin phi and c = cos phi evaluated once per oscillator,
-sin(phi_i - phi_j) = s_i c_j - c_i s_j, so
+Every coupling has the form g(x) = f(sin x), so the coupling sum never
+takes a sine per edge.  With s = sin phi and c = cos phi evaluated once per
+oscillator, sin(phi_i - phi_j) = s_i c_j - c_i s_j.  For the sine kind
+(f(s) = s) the sum is linear in the products:
 
-    sum_j J_ij sin(phi_i - phi_j) = s_i (J c)_i - c_i (J s)_i
+    sum_j J_ij sin(phi_i - phi_j) = s_i (J c)_i - c_i (J s)_i,
 
-is one sparse product of the symmetric J with [s | c], and the smoothed
-square takes tanh(beta * (s_i c_j - c_i s_j)) per edge.  Only the tabulated
-kind evaluates g on edge differences.
+one sparse product of the symmetric J with [s | c].  The smoothed square
+applies its f to s_i c_j - c_i s_j per edge.
 
 Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1), one i.i.d.
 draw per oscillator per step, from a Philox stream keyed by the seed.
@@ -119,20 +119,16 @@ def _coupling_sum(problem: IsingProblem, coupling: CouplingFunction,
                   phi: np.ndarray) -> np.ndarray:
     """sum_{j != i} J_ij g(phi_i - phi_j) for each i; phi is (n,) or (B, n).
 
-    Per kind, with s = sin phi and c = cos phi computed once per node:
-      sine             s_i (J c)_i - c_i (J s)_i, one product of the
-                       symmetric J with the node-major [s | c] block;
-      smoothed_square  tanh(beta (s_i c_j - c_i s_j)) per edge, summed by
-                       the signed incidence S;
-      tabulated        g(phi_i - phi_j) per edge, summed by S.
+    With s = sin phi and c = cos phi computed once per node, and g = f(sin):
+      sine             f is linear: s_i (J c)_i - c_i (J s)_i, one product of
+                       the symmetric J with the node-major [s | c] block;
+      smoothed_square  f(s_i c_j - c_i s_j) per edge, summed by the signed
+                       incidence S.
     A sparse product sums each column in the same order at every batch
     size, so a row's sum does not depend on the rows beside it.
     """
     if problem.m == 0:
         return np.zeros_like(phi)
-    if coupling.kind == "tabulated":
-        ge = coupling.g(phi[..., problem.i] - phi[..., problem.j])
-        return (problem.incidence @ ge.T).T
     n = phi.shape[-1]
     sc = np.empty((2,) + phi.shape)
     np.sin(phi, sc[0])
@@ -152,8 +148,7 @@ def _coupling_sum(problem: IsingProblem, coupling: CouplingFunction,
     y *= np.take(sn, problem.j, axis=0)
     x -= y
     del y
-    x *= coupling.beta
-    np.tanh(x, x)
+    coupling.g_of_sin(x, out=x)
     return np.ascontiguousarray((problem.incidence @ x).T).reshape(phi.shape)
 
 
@@ -183,8 +178,8 @@ def drift(problem: IsingProblem, coupling: CouplingFunction,
 
 def _n_steps(t_end: float, dt: float) -> int:
     """Fixed steps covering [0, t_end]: floor(t_end / dt), for 0 < dt <= t_end."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if t_end < dt:
         raise ValueError("t_end must be at least dt")
     return int(np.floor(t_end / dt + 1e-9))

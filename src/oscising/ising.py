@@ -6,7 +6,6 @@ encoded Hamiltonians are exact, not merely equal up to a constant.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,8 +22,6 @@ __all__ = [
     "cut_value",
     "cut_batch",
     "brute_force_ground_state",
-    "problem_to_json",
-    "problem_from_json",
 ]
 
 BRUTE_FORCE_MAX_N = 24
@@ -120,8 +117,9 @@ class IsingProblem:
         """Signed coupling incidence S (n x m): S[i_e, e] = +J_e, S[j_e, e] = -J_e.
 
         For an odd coupling g, (S @ g(phi[i_e] - phi[j_e]))_k equals
-        sum_{l != k} J_kl g(phi_k - phi_l).  The smoothed-square and
-        tabulated coupling sums read it.
+        sum_{l != k} J_kl g(phi_k - phi_l).  The smoothed-square coupling
+        sum reads it, with g(phi_i - phi_j) formed per edge as
+        f(s_i c_j - c_i s_j) from per-node s = sin phi, c = cos phi.
         """
         m = self.m
         rows = np.concatenate([self.i, self.j])
@@ -237,25 +235,3 @@ def brute_force_ground_state(problem: IsingProblem) -> tuple[SpinConfig, float]:
         bits = [0] + bits
     s = 1.0 - 2.0 * np.array(bits, dtype=np.float64)
     return SpinConfig(s), best_h
-
-
-def problem_to_json(problem: IsingProblem) -> str:
-    """JSON schema: {"n", "name", "constant_offset", "h", "couplings": [[i, j, J]]}."""
-    doc = {
-        "n": problem.n,
-        "name": problem.name,
-        "constant_offset": problem.constant_offset,
-        "h": problem.h.tolist(),
-        "couplings": [[int(a), int(b), float(v)] for a, b, v
-                      in zip(problem.i, problem.j, problem.jval)],
-    }
-    return json.dumps(doc)
-
-
-def problem_from_json(text: str) -> IsingProblem:
-    doc = json.loads(text)
-    couplings = {(int(a), int(b)): float(v) for a, b, v in doc["couplings"]}
-    return IsingProblem.from_couplings(
-        n=int(doc["n"]), couplings=couplings, h=np.asarray(doc["h"], dtype=np.float64),
-        constant_offset=float(doc.get("constant_offset", 0.0)),
-        name=doc.get("name", ""))

@@ -12,17 +12,19 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Schedule", "baseline_schedule", "constant_schedule", "tuned_schedule"]
+__all__ = ["Schedule", "baseline_schedule", "constant_schedule"]
 
 Points = tuple[tuple[float, float], ...]
 KN_ON_FRAC = 0.1    # the noise switches on at this fraction of t_end
 KS_RAMPS = 5        # locking (Ks) ramps per anneal
 
 
-def _as_points(points) -> Points:
+def _as_points(label: str, points) -> Points:
     pts = tuple((float(t), float(v)) for t, v in points)
     if not pts:
-        raise ValueError("channel needs at least one control point")
+        raise ValueError(f"{label} needs at least one control point")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{label} control points must be finite")
     if pts[0][0] != 0.0:
         raise ValueError(f"first control point must be at t=0, got t={pts[0][0]}")
     ts = [t for t, _ in pts]
@@ -39,11 +41,11 @@ class Schedule:
     kn_points: Points
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        object.__setattr__(self, "k_points", _as_points(self.k_points))
-        object.__setattr__(self, "ks_points", _as_points(self.ks_points))
-        object.__setattr__(self, "kn_points", _as_points(self.kn_points))
+        if not (np.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        object.__setattr__(self, "k_points", _as_points("K", self.k_points))
+        object.__setattr__(self, "ks_points", _as_points("Ks", self.ks_points))
+        object.__setattr__(self, "kn_points", _as_points("Kn", self.kn_points))
         for label, pts in (("Ks", self.ks_points), ("Kn", self.kn_points)):
             if any(v < 0 for _, v in pts):
                 raise ValueError(f"{label} values must be >= 0")
@@ -93,11 +95,25 @@ class Schedule:
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
+        """Parse to_json's format; a malformed field raises ValueError naming it."""
         doc = json.loads(text)
-        return cls(t_end=float(doc["t_end"]),
-                   k_points=tuple((t, v) for t, v in doc["K"]),
-                   ks_points=tuple((t, v) for t, v in doc["Ks"]),
-                   kn_points=tuple((t, v) for t, v in doc["Kn"]))
+        if not isinstance(doc, dict):
+            raise ValueError("schedule JSON must be an object with t_end, K, Ks and Kn")
+        for key in ("t_end", "K", "Ks", "Kn"):
+            if key not in doc:
+                raise ValueError(f"schedule JSON lacks field {key!r}")
+        try:
+            t_end = float(doc["t_end"])
+        except (TypeError, ValueError):
+            raise ValueError("schedule field 't_end' must be a number") from None
+        channels = []
+        for key in ("K", "Ks", "Kn"):
+            try:
+                channels.append(tuple((float(t), float(v)) for t, v in doc[key]))
+            except (TypeError, ValueError):
+                raise ValueError(f"schedule field {key!r} must be a list of "
+                                 "[t, value] pairs") from None
+        return cls(t_end, *channels)
 
 
 def constant_schedule(t_end: float, k: float, ks: float, kn: float) -> Schedule:
@@ -125,32 +141,4 @@ def baseline_schedule(t_end: float, *, k_max: float = 1.0,
     # keep the final point inside t_end despite rounding
     ks_pts.append((t_end, 0.0))
     return Schedule(t_end=t_end, k_points=((0.0, 0.0), (t_end, k_max)),
-                    ks_points=tuple(ks_pts), kn_points=kn_points)
-
-
-def tuned_schedule(t_end: float) -> Schedule:
-    """Growing locking ramps and a pre-readout cool-down.
-
-    Same ingredients as baseline_schedule at its defaults (linear K to 1,
-    noise stepping to 1 at KN_ON_FRAC * t_end, KS_RAMPS locking ramps) plus
-    two empirical changes that matter at readout: the ramp peaks grow from
-    0.5 to 2 so late ramps re-binarise against the strengthened coupling,
-    and the noise is taken back down to zero between 0.75 and 0.9 of t_end
-    so the final spins are read from a settled state, held by a last
-    locking rise to 2.5.  The CLI and the benchmark use baseline_schedule;
-    whether this schedule should replace it is open until a quality
-    workload compares the two.
-    """
-    eps = 1e-9 * t_end
-    t_on, t_off, t_zero = (f * t_end for f in (KN_ON_FRAC, 0.75, 0.9))
-    kn_points = ((0.0, 0.0), (t_on, 0.0), (t_on + eps, 1.0),
-                 (t_off, 1.0), (t_zero, 0.0))
-    ks_pts = [(0.0, 0.0)]
-    half = t_end / (2 * KS_RAMPS)
-    for r in range(KS_RAMPS):
-        ks_pts.append(((2 * r + 1) * half, 0.5 + 1.5 * (r / (KS_RAMPS - 1))))
-        if r < KS_RAMPS - 1:
-            ks_pts.append(((2 * r + 2) * half, 0.0))
-    ks_pts.append((t_end, 2.5))
-    return Schedule(t_end=t_end, k_points=((0.0, 0.0), (t_end, 1.0)),
                     ks_points=tuple(ks_pts), kn_points=kn_points)

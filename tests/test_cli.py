@@ -6,7 +6,6 @@ import pytest
 from oscising.cli import main
 from oscising.dynamics import read_spins
 from oscising.graphs import random_graph, serialize_gset
-from oscising.schedule import tuned_schedule
 
 
 @pytest.fixture
@@ -88,10 +87,48 @@ def test_solve_maxcut_exits_3_when_every_trial_fails(tmp_path, capsys):
 
 def test_solve_maxcut_custom_schedule(gset_file, tmp_path, capsys):
     sfile = tmp_path / "sched.json"
-    sfile.write_text(tuned_schedule(5.0).to_json())
+    sfile.write_text(json.dumps({
+        "t_end": 5.0, "K": [[0.0, 0.0], [5.0, 1.0]],
+        "Ks": [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [4.0, 2.0]],
+        "Kn": [[0.0, 0.0], [0.5, 0.0], [0.5000001, 1.0], [4.5, 0.0]]}))
     code = main(["solve-maxcut", str(gset_file), "--trials", "2", "--seed", "0",
                  "--schedule", str(sfile)])
     assert code == 0
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"t_end": 5, "K": [[0, 0]], "Ks": [[0, 0]]}', "lacks field 'Kn'"),
+    ('{"t_end": 5, "K": 1, "Ks": [[0, 0]], "Kn": [[0, 0]]}', "field 'K' must be"),
+    ('[[0, 0]]', "must be an object"),
+    ('{"t_end": null, "K": [[0, 0]], "Ks": [[0, 0]], "Kn": [[0, 0]]}',
+     "field 't_end' must be"),
+    ('{"t_end": 5, "K": [[0, 0]], "Ks": [[0, null]], "Kn": [[0, 0]]}',
+     "field 'Ks' must be"),
+    ('{"t_end": 5, "K": [[0, 0]], "Ks": [[0, 0]], "Kn": [[0, 0, 1]]}',
+     "field 'Kn' must be"),
+])
+def test_solve_maxcut_rejects_malformed_schedule(gset_file, tmp_path, capsys,
+                                                 doc, message):
+    sfile = tmp_path / "bad.json"
+    sfile.write_text(doc)
+    assert main(["solve-maxcut", str(gset_file), "--schedule", str(sfile)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--kn-high", "nan", "Kn control points must be finite"),
+    ("--k-max", "inf", "K control points must be finite"),
+    ("--t-end", "inf", "t_end must be positive and finite"),
+    ("--dt", "nan", "dt must be positive and finite"),
+    ("--coupling", "sqsmooth:nan", "finite beta > 0"),
+])
+def test_solve_maxcut_rejects_nonfinite_numbers(gset_file, capsys, monkeypatch,
+                                                flag, value, message):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr("oscising.harness._integrate", no_trials)
+    assert main(["solve-maxcut", str(gset_file), flag, value]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_solve_coloring_us_states(tmp_path):

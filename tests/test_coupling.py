@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
 
-from oscising.coupling import CouplingFunction, by_name, sine, smoothed_square, tabulated
+from oscising.coupling import CouplingFunction, by_name, sine, smoothed_square
 
 GRID = np.linspace(-7.0, 7.0, 613)
 
 
-@pytest.fixture(params=["sine", "smoothed_square", "tabulated"])
+@pytest.fixture(params=["sine", "smoothed_square"])
 def any_coupling(request):
-    if request.param == "sine":
-        return sine()
-    if request.param == "smoothed_square":
-        return smoothed_square(4.0)
-    x = np.arange(1024) * (2 * np.pi / 1024)
-    return tabulated(np.tanh(2.5 * np.sin(x)))
+    return sine() if request.param == "sine" else smoothed_square(4.0)
 
 
 def test_sine_analytic():
@@ -58,10 +53,19 @@ def test_smoothed_square_limits():
     assert mid[0] - mid[1] == pytest.approx(mid[1] - mid[2], rel=1e-3)
 
 
-def test_rejects_non_odd_samples():
-    x = np.arange(256) * (2 * np.pi / 256)
-    with pytest.raises(ValueError):
-        tabulated(np.cos(x))
+def test_g_of_sin_in_place_matches_g(any_coupling):
+    s = np.sin(GRID)
+    expected = any_coupling.g(GRID)
+    assert np.array_equal(any_coupling.g_of_sin(s), expected)
+    out = s.copy()
+    assert any_coupling.g_of_sin(out, out=out) is out
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, None, float("nan"), float("inf")])
+def test_smoothed_square_rejects_bad_beta(beta):
+    with pytest.raises(ValueError, match="finite beta > 0"):
+        CouplingFunction(kind="smoothed_square", beta=beta)
 
 
 def test_rejects_bad_kind():

@@ -100,8 +100,9 @@ def test_simulate_deterministic_and_records_final():
 def test_simulate_rejects_bad_step_and_record_settings():
     p = empty_problem(2)
     args = (p, sine(), OscillatorBank.uniform(2), constant_schedule(1.0, 0.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match="dt must be positive"):
-        simulate(*args, dt=0.0, seed=0)
+    for dt in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            simulate(*args, dt=dt, seed=0)
     with pytest.raises(ValueError, match="t_end must be at least dt"):
         simulate(*args, dt=2.0, seed=0)
     with pytest.raises(ValueError, match="record_every"):

@@ -9,14 +9,14 @@ from oscising.harness import (AblationVariant, BoltzmannReport, ablate,
                               boltzmann_check, gset_targets, run_trials,
                               scaling_study, trial_seed)
 from oscising.ising import IsingProblem, cut_value, hamiltonian, maxcut_to_ising
-from oscising.schedule import baseline_schedule, constant_schedule, tuned_schedule
+from oscising.schedule import baseline_schedule, constant_schedule
 
 
 @pytest.fixture(scope="module")
 def small_run():
     g = random_graph(12, 40, "pm_one", seed=21)
     p = maxcut_to_ising(g)
-    sched = tuned_schedule(5.0)
+    sched = baseline_schedule(5.0)
     stats = run_trials(p, AblationVariant("baseline"), sched, 16, 99,
                        target=None, graph=g, dt=0.02)
     return g, p, sched, stats
@@ -151,20 +151,20 @@ def test_ablate_returns_all_variants():
     p = maxcut_to_ising(g)
     variants = [AblationVariant("baseline"), AblationVariant("no_noise"),
                 AblationVariant("variability", sigma=0.01)]
-    stats, table = ablate(p, variants, tuned_schedule(5.0), 8, 5, graph=g,
+    stats, table = ablate(p, variants, baseline_schedule(5.0), 8, 5, graph=g,
                           dt=0.02)
     assert set(stats) == {"baseline", "no_noise", "variability_1%"}
     assert [row["variant"] for row in table] == list(stats)
     with pytest.raises(ValueError):
-        ablate(p, [], tuned_schedule(5.0), 8, 5)
+        ablate(p, [], baseline_schedule(5.0), 8, 5)
 
 
 def test_variability_draws_differ_per_trial():
     g = cubic_ring_graph(8)
     p = maxcut_to_ising(g)
     v = AblationVariant("variability", sigma=0.05)
-    a = run_trials(p, v, tuned_schedule(5.0), 8, 7, graph=g, dt=0.02)
-    b = run_trials(p, AblationVariant("baseline"), tuned_schedule(5.0), 8, 7,
+    a = run_trials(p, v, baseline_schedule(5.0), 8, 7, graph=g, dt=0.02)
+    b = run_trials(p, AblationVariant("baseline"), baseline_schedule(5.0), 8, 7,
                    graph=g, dt=0.02)
     assert not np.array_equal(a.trial_cut, b.trial_cut)
 
@@ -182,10 +182,10 @@ def test_variability_names_trial_with_nonpositive_omega():
 def test_run_trials_rejects_zero_trials():
     p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
     with pytest.raises(ValueError):
-        run_trials(p, AblationVariant("baseline"), tuned_schedule(5.0), 0, 0)
+        run_trials(p, AblationVariant("baseline"), baseline_schedule(5.0), 0, 0)
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.1, 6.0])
+@pytest.mark.parametrize("dt", [0.0, -0.1, 6.0, float("nan"), float("inf")])
 def test_run_trials_rejects_bad_dt(dt):
     p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
     with pytest.raises(ValueError, match="dt"):

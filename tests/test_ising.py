@@ -4,7 +4,7 @@ import pytest
 from oscising.graphs import cubic_ring_graph, random_graph
 from oscising.ising import (IsingProblem, SpinConfig, brute_force_ground_state,
                             cut_value, hamiltonian, hamiltonian_batch,
-                            maxcut_to_ising, problem_from_json, problem_to_json)
+                            maxcut_to_ising)
 
 
 def all_spin_configs(n):
@@ -144,18 +144,6 @@ def test_brute_force_rejects_large_n():
     p = IsingProblem.from_couplings(25, {(0, 1): 1.0})
     with pytest.raises(ValueError):
         brute_force_ground_state(p)
-
-
-def test_problem_json_roundtrip():
-    rng = np.random.default_rng(4)
-    p = IsingProblem.from_couplings(
-        5, {(0, 1): -1.5, (2, 4): 0.25}, h=rng.normal(size=5),
-        constant_offset=3.75, name="roundtrip")
-    q = problem_from_json(problem_to_json(p))
-    assert q.n == p.n and q.name == p.name
-    assert q.coupling_dict() == p.coupling_dict()
-    assert np.array_equal(q.h, p.h)
-    assert q.constant_offset == p.constant_offset
 
 
 def test_constant_offset_enters_hamiltonian():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from oscising.schedule import (Schedule, baseline_schedule, constant_schedule,
-                               tuned_schedule)
+from oscising.schedule import Schedule, baseline_schedule, constant_schedule
 
 
 def test_constant_channels():
@@ -48,10 +47,20 @@ def test_eval_arrays_matches_eval():
     ((1.0, 0.0),),                      # does not start at 0
     ((0.0, 0.0), (0.0, 1.0)),           # not strictly increasing
     ((0.0, 0.0), (30.0, 1.0)),          # beyond t_end
+    ((0.0, float("nan")),),             # non-finite value
+    ((0.0, 0.0), (5.0, float("inf"))),
+    ((0.0, 0.0), (float("nan"), 1.0)),  # non-finite time
 ])
 def test_rejects_bad_points(points):
     with pytest.raises(ValueError):
         Schedule(t_end=20.0, k_points=points,
+                 ks_points=((0.0, 0.0),), kn_points=((0.0, 0.0),))
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan"), float("inf")])
+def test_rejects_bad_t_end(t_end):
+    with pytest.raises(ValueError, match="t_end"):
+        Schedule(t_end=t_end, k_points=((0.0, 0.0),),
                  ks_points=((0.0, 0.0),), kn_points=((0.0, 0.0),))
 
 
@@ -83,7 +92,11 @@ def test_baseline_overrides():
 
 
 def test_json_roundtrip_exact():
-    for s in (baseline_schedule(20.0), tuned_schedule(30.0),
+    uneven = Schedule(t_end=30.0, k_points=((0.0, 0.1), (7.5, 1 / 3), (30.0, 1.0)),
+                      ks_points=((0.0, 0.0), (3.0, 2.5)),
+                      kn_points=((0.0, 0.0), (3.0, 0.0), (3.0 + 3e-8, 1.0),
+                                 (27.0, 0.0)))
+    for s in (baseline_schedule(20.0), uneven,
               constant_schedule(5.0, 1 / 3, 2 / 7, 0.1)):
         r = Schedule.from_json(s.to_json())
         assert r.t_end == s.t_end
@@ -98,16 +111,8 @@ def test_override_channels():
     assert s.eval(20.0)[0] == 1.0
 
 
-def test_tuned_schedule_ends_cold_and_locked():
-    s = tuned_schedule(20.0)
-    k, ks, kn = s.eval(20.0)
-    assert kn == 0.0
-    assert ks == 2.5
-    assert k == 1.0
-
-
 def test_monotone_channel_interpolates_monotonically():
-    s = tuned_schedule(20.0)
+    s = baseline_schedule(20.0)
     ts = np.linspace(0.0, 20.0, 400)
     karr = s.eval_arrays(ts)[0]
     assert np.all(np.diff(karr) >= 0)

@@ -118,7 +118,7 @@ def cmd_solve_coloring(args) -> int:
     if instance.labels and assignment.valid:
         doc["colors_by_label"] = {lab: int(c) for lab, c in
                                   zip(instance.labels, assignment.colors)}
-    _emit(args, json.dumps(doc))
+    _emit(args, json.dumps(doc, allow_nan=False))
     if args.traj:
         _write_best_trajectory(args, problem, coupling, sched, stats)
     return EXIT_OK
@@ -141,7 +141,8 @@ def cmd_ablate(args) -> int:
                           workers=args.workers)
     _emit(args, json.dumps({"table": table,
                             "stats": {k: json.loads(v.to_json())
-                                      for k, v in stats.items()}}))
+                                      for k, v in stats.items()}},
+                           allow_nan=False))
     return EXIT_OK
 
 
@@ -172,10 +173,12 @@ def _signal(spec: str, m: int) -> ga.PeriodicSignal:
 def cmd_genadler(args) -> int:
     p = _signal(args.ppv, args.samples)
     b = _signal(args.perturbation, args.samples)
+    if not np.isfinite([args.detuning_min, args.detuning_max]).all():
+        raise ValueError("--detuning-min and --detuning-max must be finite")
     c = ga.shil_profile(p, b) if args.second_harmonic else ga.cross_correlate(p, b)
     detunings = np.linspace(args.detuning_min, args.detuning_max, args.detuning_steps)
     table = ga.detuning_sweep(c, detunings, phi_in=args.phi_in)
-    _emit(args, json.dumps(table))
+    _emit(args, json.dumps(table, allow_nan=False))
     return EXIT_OK
 
 
@@ -187,7 +190,7 @@ def cmd_scaling(args) -> int:
     doc = [{"n": tr.n, "t": tr.t.tolist(), "mean_H": tr.mean_H.tolist(),
             "normalized": tr.normalized().tolist(),
             "settling_time": tr.settling_time()} for tr in traces]
-    _emit(args, json.dumps(doc))
+    _emit(args, json.dumps(doc, allow_nan=False))
     return EXIT_OK
 
 

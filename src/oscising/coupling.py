@@ -48,7 +48,7 @@ class CouplingFunction:
         there without a temporary.
         """
         if self.kind == "sine":
-            return s if out is None else np.positive(s, out=out)
+            return s if out is None or out is s else np.positive(s, out=out)
         return np.tanh(np.multiply(self.beta, s, out=out), out=out)
 
     def g(self, x) -> np.ndarray:

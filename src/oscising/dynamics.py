@@ -10,15 +10,23 @@ with g the coupling function, which also shapes the second-harmonic locking
 term.  With uniform unit frequencies and g = sin this is the sine-coupled
 network with a sin(2 phi) locking term.
 
-Every coupling has the form g(x) = f(sin x), so the coupling sum never
-takes a sine per edge.  With s = sin phi and c = cos phi evaluated once per
-oscillator, sin(phi_i - phi_j) = s_i c_j - c_i s_j.  For the sine kind
-(f(s) = s) the sum is linear in the products:
+Every coupling has the form g(x) = f(sin x), so a step needs only
+s = sin phi and c = cos phi, once per oscillator.  They come from one
+half-angle tangent, which numpy evaluates vectorised where sin and cos are
+scalar loops:
 
-    sum_j J_ij sin(phi_i - phi_j) = s_i (J c)_i - c_i (J s)_i,
+    t = tan(phi / 2),  u = 2 / (1 + t^2),  s = t u,  c = u - 1.
 
-one sparse product of the symmetric J with [s | c].  The smoothed square
-applies its f to s_i c_j - c_i s_j per edge.
+The same s and c then serve every term:
+  coupling sum  sin(phi_i - phi_j) = s_i c_j - c_i s_j.  For the sine kind
+                (f(s) = s) the sum is linear in the products,
+
+                    sum_j J_ij sin(phi_i - phi_j) = s_i (J c)_i - c_i (J s)_i,
+
+                one sparse product of the symmetric J with [s | c]; the
+                smoothed square applies its f to s_i c_j - c_i s_j per edge;
+  self term     g(phi_i) = f(s_i);
+  SHIL term     g(2 phi_i) = f(2 s_i c_i).
 
 Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1), one i.i.d.
 draw per oscillator per step, from a Philox stream keyed by the seed.
@@ -115,11 +123,39 @@ class Trajectory:
         return len(self.t)
 
 
-def _coupling_sum(problem: IsingProblem, coupling: CouplingFunction,
-                  phi: np.ndarray) -> np.ndarray:
-    """sum_{j != i} J_ij g(phi_i - phi_j) for each i; phi is (n,) or (B, n).
+# 0-d arrays: a Python float operand is converted on every ufunc call, which
+# dominates a step on a few nodes.
+_HALF, _ONE, _TWO = np.array(0.5), np.array(1.0), np.array(2.0)
 
-    With s = sin phi and c = cos phi computed once per node, and g = f(sin):
+
+def _sin_cos(phi: np.ndarray, s: np.ndarray, c: np.ndarray,
+             t: np.ndarray) -> None:
+    """Write s = sin phi and c = cos phi through t = tan(phi / 2).
+
+    With u = 2 / (1 + t^2), sin phi = t u and cos phi = u - 1: one
+    vectorised tan per node where sin and cos would each take a scalar
+    evaluation.  |t| stays below about 1.6e16 for finite phi, so t^2 does
+    not overflow; NaN and inf give NaN.  t is scratch shaped like phi.
+    """
+    np.multiply(phi, _HALF, out=t)
+    np.tan(t, out=t)
+    np.multiply(t, t, out=c)
+    np.add(c, _ONE, out=c)
+    np.divide(_TWO, c, out=c)
+    np.multiply(t, c, out=s)
+    np.subtract(c, _ONE, out=c)
+
+
+def _coupling_sum(problem: IsingProblem, coupling: CouplingFunction,
+                  sc: np.ndarray) -> np.ndarray:
+    """sum_{j != i} J_ij g(phi_i - phi_j) for each i, from the [s | c] block
+    sc = [sin phi, cos phi] of (n,) or (B, n) phases, shaped (2,) + phi.shape.
+
+    _drift fills sc once per step from the half-angle tangent t = tan(phi/2):
+    s = 2t / (1 + t^2), c = (1 - t^2) / (1 + t^2).  The same block then
+    gives the self term f(s) and the SHIL term f(2 s c) there.
+
+    With g = f(sin):
       sine             f is linear: s_i (J c)_i - c_i (J s)_i, one product of
                        the symmetric J with the node-major [s | c] block;
       smoothed_square  f(s_i c_j - c_i s_j) per edge, summed by the signed
@@ -127,12 +163,10 @@ def _coupling_sum(problem: IsingProblem, coupling: CouplingFunction,
     A sparse product sums each column in the same order at every batch
     size, so a row's sum does not depend on the rows beside it.
     """
+    shape = sc.shape[1:]
     if problem.m == 0:
-        return np.zeros_like(phi)
-    n = phi.shape[-1]
-    sc = np.empty((2,) + phi.shape)
-    np.sin(phi, sc[0])
-    np.cos(phi, sc[1])
+        return np.zeros(shape)
+    n = shape[-1]
     node_major = np.ascontiguousarray(sc.reshape(-1, n).T)     # (n, 2B)
     if coupling.kind == "sine":
         jsc = (problem.adjacency @ node_major).T.reshape(sc.shape)
@@ -149,19 +183,43 @@ def _coupling_sum(problem: IsingProblem, coupling: CouplingFunction,
     x -= y
     del y
     coupling.g_of_sin(x, out=x)
-    return np.ascontiguousarray((problem.incidence @ x).T).reshape(phi.shape)
+    return np.ascontiguousarray((problem.incidence @ x).T).reshape(shape)
+
+
+def _buffers(shape: tuple) -> tuple:
+    """The drift kernel's arrays for phases of this shape: the [s | c] block
+    with its two halves, the drift and a scratch array."""
+    sc = np.empty((2,) + shape)
+    return sc, sc[0], sc[1], np.empty(shape), np.empty(shape)
 
 
 def _drift(problem: IsingProblem, coupling: CouplingFunction,
            omega: np.ndarray, wdelta: np.ndarray, phi: np.ndarray,
-           K: float, Ks: float) -> np.ndarray:
-    """Unchecked drift of (n,) or (B, n) phases; wdelta is omega - omega_star."""
-    pull = -K * _coupling_sum(problem, coupling, phi)
+           K: float, Ks: float, buffers: tuple) -> np.ndarray:
+    """Unchecked drift of (n,) or (B, n) phases; wdelta is omega - omega_star.
+
+    buffers is _buffers(phi.shape); the drift is written to its fourth
+    array and returned.  s and c from the one half-angle evaluation feed the
+    coupling sum, the self term f(s) and the SHIL term f(sin 2 phi) =
+    f(2 s c).
+    """
+    sc, s, c, d, tmp = buffers
+    _sin_cos(phi, s, c, tmp)
+    np.multiply(_coupling_sum(problem, coupling, sc), -K, out=d)
     if problem.has_self_terms:
-        pull -= K * problem.h * coupling.g(phi)
+        coupling.g_of_sin(s, out=tmp)
+        np.multiply(tmp, problem.h, out=tmp)
+        np.multiply(tmp, K, out=tmp)
+        np.subtract(d, tmp, out=d)
     if Ks != 0.0:
-        pull -= Ks * coupling.g(2.0 * phi)
-    return wdelta + omega * pull
+        np.multiply(s, c, out=tmp)
+        np.add(tmp, tmp, out=tmp)
+        coupling.g_of_sin(tmp, out=tmp)
+        np.multiply(tmp, Ks, out=tmp)
+        np.subtract(d, tmp, out=d)
+    np.multiply(d, omega, out=d)
+    np.add(d, wdelta, out=d)
+    return d
 
 
 def drift(problem: IsingProblem, coupling: CouplingFunction,
@@ -173,7 +231,7 @@ def drift(problem: IsingProblem, coupling: CouplingFunction,
     if not np.isfinite(phi).all():
         raise IntegrationError("non-finite phase passed to drift")
     return _drift(problem, coupling, bank.omega, bank.omega - bank.omega_star,
-                  phi, K, Ks)
+                  phi, K, Ks, _buffers(phi.shape))
 
 
 def _n_steps(t_end: float, dt: float) -> int:
@@ -200,36 +258,49 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
 
     Returns (phi_final, records).  records is None when record_every is 0,
     else the (S, B, n) snapshots at _record_grid(n_steps, record_every).
+    The input phi is left as it is; the state, the drift kernel's buffers,
+    the noise and the records are allocated once and updated in place.
     Row b consumes exactly one standard_normal(n) per step from rngs[b], so
     batched and one-at-a-time runs are bit-equal.  Rows never mix, and NaN
     and inf propagate through every term, so a row that goes non-finite
     stays non-finite to the end while the other rows step on unchanged;
     with fail_fast the first non-finite step raises IntegrationError.
     """
-    bsz, n = phi.shape
     t_grid = np.arange(n_steps) * dt
     k_arr, ks_arr, kn_arr = schedule.eval_arrays(t_grid)
     wdelta = omega - omega_star
-    sqdt = np.sqrt(dt)
-    records = None
-    want = set()
-    if record_every:
-        want = set(_record_grid(n_steps, record_every).tolist())
-        records = [phi.copy()]
+    dt_0d = np.array(dt)
+    noise = kn_arr * np.sqrt(dt)
+    phi = phi.copy()
+    buffers = _buffers(phi.shape)
     zeta = np.empty_like(phi)
+    zeta_rows = list(zeta)
+    finite = np.empty(phi.shape, dtype=bool)
+    records = None
+    slots = {}                      # step -> row of records
+    if record_every:
+        grid = _record_grid(n_steps, record_every)
+        slots = {int(k): r for r, k in enumerate(grid)}
+        records = np.empty((len(grid),) + phi.shape)
+        records[0] = phi
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_steps):
-            d = _drift(problem, coupling, omega, wdelta, phi, k_arr[k], ks_arr[k])
-            for b in range(bsz):
-                zeta[b] = rngs[b].standard_normal(n)
-            phi = phi + d * dt + (kn_arr[k] * sqdt) * zeta
-            if fail_fast and not np.isfinite(phi).all():
-                _, i_bad = np.argwhere(~np.isfinite(phi))[0]
+            d = _drift(problem, coupling, omega, wdelta, phi, k_arr[k], ks_arr[k],
+                       buffers)
+            for rng, row in zip(rngs, zeta_rows):
+                rng.standard_normal(out=row)
+            # phi + d*dt + (Kn*sqrt(dt))*zeta, in place, rounded the same way
+            np.multiply(d, dt_0d, out=d)
+            np.add(phi, d, out=phi)
+            np.multiply(zeta, noise[k], out=zeta)
+            np.add(phi, zeta, out=phi)
+            if fail_fast and not np.isfinite(phi, out=finite).all():
+                _, i_bad = np.argwhere(~finite)[0]
                 raise IntegrationError(f"non-finite phase at index {int(i_bad)} "
                                        f"(t={(k + 1) * dt:g})")
-            if (k + 1) in want:
-                records.append(phi.copy())
-    return phi, None if records is None else np.stack(records)
+            if (k + 1) in slots:
+                records[slots[k + 1]] = phi
+    return phi, records
 
 
 def simulate(problem: IsingProblem, coupling: CouplingFunction,

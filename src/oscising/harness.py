@@ -79,8 +79,8 @@ class AblationVariant:
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown variant kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.kind == "variability" and self.sigma == 0.0:
             raise ValueError("variability variant needs sigma > 0")
 
@@ -149,6 +149,9 @@ class TrialStats:
             wall=self.wall_time_total + other.wall_time_total)
 
     def to_json(self) -> str:
+        """RFC 8259 JSON: failed trials are left out of median_objective."""
+        objectives = self.objectives()
+        finite = objectives[np.isfinite(objectives)]
         return json.dumps({
             "n_trials": self.n_trials,
             "best_H": self.best_H,
@@ -157,13 +160,13 @@ class TrialStats:
             "target": self.target,
             "n_max": self.n_max,
             "n_0999": self.n_0999,
-            "median_objective": float(np.median(self.objectives())),
+            "median_objective": float(np.median(finite)) if len(finite) else None,
             "histogram": {"edges": self.hist_edges.tolist(),
                           "counts": self.hist_counts.tolist()},
             "n_failed": self.n_failed,
             "wall_time_total": self.wall_time_total,
             "wall_time_per_trial": self.wall_time_per_trial,
-        })
+        }, allow_nan=False)
 
 
 def _best_trial(h: np.ndarray, cut: np.ndarray | None) -> int:
@@ -258,6 +261,8 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
     """
     if n_trials < 1:
         raise ValueError("need n_trials >= 1")
+    if target is not None and not np.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     coupling = coupling or variant.coupling()
     sched = variant.apply_to_schedule(schedule)
     n_steps = _n_steps(sched.t_end, dt)
@@ -345,7 +350,7 @@ class BoltzmannReport:
             "oracle": fmt(self.basin_probs_oracle),
             "tv_distance": self.tv_distance,
             "n_samples": self.n_samples,
-        })
+        }, allow_nan=False)
 
 
 def _basin_keys(phis: np.ndarray) -> np.ndarray:

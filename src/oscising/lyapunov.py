@@ -87,7 +87,7 @@ class DescentReport:
             "max_increase": self.max_increase,
             "passed": self.passed,
             "first_violation": self.first_violation,
-        })
+        }, allow_nan=False)
 
 
 def check_monotone(trajectory: Trajectory, coupling: CouplingFunction,

@@ -91,7 +91,7 @@ class Schedule:
             "Ks": [[t, v] for t, v in self.ks_points],
             "Kn": [[t, v] for t, v in self.kn_points],
         }
-        return json.dumps(doc)
+        return json.dumps(doc, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":

@@ -77,11 +77,12 @@ def test_solve_maxcut_rejects_out_of_range_seed(gset_file, capsys, command, seed
 
 
 def test_solve_maxcut_exits_3_when_every_trial_fails(tmp_path, capsys):
-    # an enormous coupling with long steps overflows every trial
-    path = tmp_path / "huge.txt"
-    path.write_text("2 1\n1 2 1e308\n")
-    assert main(["solve-maxcut", str(path), "--trials", "2", "--dt", "0.5",
-                 "--t-end", "20"]) == 3
+    # enormous noise with long steps overflows every trial's phases,
+    # whatever form the drift kernel takes
+    path = tmp_path / "pair.txt"
+    path.write_text("2 1\n1 2 1\n")
+    assert main(["solve-maxcut", str(path), "--trials", "2", "--kn-high", "1e308",
+                 "--dt", "0.5", "--t-end", "20"]) == 3
     assert "all trials failed" in capsys.readouterr().err
 
 
@@ -129,6 +130,34 @@ def test_solve_maxcut_rejects_nonfinite_numbers(gset_file, capsys, monkeypatch,
     monkeypatch.setattr("oscising.harness._integrate", no_trials)
     assert main(["solve-maxcut", str(gset_file), flag, value]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["solve-maxcut", "GSET", "--target", "nan"],
+                 "target must be finite", id="solve-maxcut-target-nan"),
+    pytest.param(["ablate", "GSET", "--target", "nan"],
+                 "target must be finite", id="ablate-target-nan"),
+    pytest.param(["ablate", "GSET", "--target=-inf"],
+                 "target must be finite", id="ablate-target-minus-inf"),
+    pytest.param(["ablate", "GSET", "--variants", "variability:nan"],
+                 "sigma must be finite and >= 0", id="ablate-sigma-nan"),
+    pytest.param(["genadler", "--detuning-min", "nan"], "must be finite",
+                 id="genadler-min-nan"),
+    pytest.param(["genadler", "--detuning-max", "nan"], "must be finite",
+                 id="genadler-max-nan"),
+    pytest.param(["genadler", "--detuning-max", "inf"], "must be finite",
+                 id="genadler-max-inf"),
+])
+def test_rejects_nonfinite_target_detuning_and_sigma(gset_file, capsys, monkeypatch,
+                                                     argv, message):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr("oscising.harness._integrate", no_trials)
+    argv = [str(gset_file) if a == "GSET" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_solve_coloring_us_states(tmp_path):

@@ -155,6 +155,23 @@ def test_nonfinite_row_stays_nonfinite_and_leaves_others_alone():
     assert not np.isfinite(both[1]).all()
 
 
+def test_integrate_steps_a_copy_and_records_snapshots():
+    """The integrator updates its own copy of the phases in place: the input
+    is left alone and each record is a snapshot, not a view of the state."""
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    phi0 = np.array([[0.3, 2.0]])
+    kept = phi0.copy()
+    final, records = _integrate(p, sine(), np.ones(2), 1.0,
+                                constant_schedule(1.0, 1.0, 0.5, 0.2), 0.1, 10,
+                                phi0, [make_rng(0)], record_every=5)
+    assert np.array_equal(phi0, kept)
+    assert records.shape == (3, 1, 2)
+    assert np.array_equal(records[0], kept)
+    assert np.array_equal(records[-1], final)
+    assert not np.array_equal(records[1], final)
+    assert not np.shares_memory(records, final)
+
+
 def test_read_spins_mapping():
     s = read_spins(np.array([0.0, np.pi, np.pi / 2, 2 * np.pi, -np.pi]))
     assert s.s.tolist() == [1.0, -1.0, 1.0, 1.0, -1.0]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from oscising.graphs import cubic_ring_graph, random_graph
 from oscising.harness import (AblationVariant, BoltzmannReport, ablate,
                               boltzmann_check, gset_targets, run_trials,
                               scaling_study, trial_seed)
-from oscising.ising import IsingProblem, cut_value, hamiltonian, maxcut_to_ising
+from oscising.ising import (IsingProblem, SpinConfig, cut_value, hamiltonian,
+                            maxcut_to_ising)
 from oscising.schedule import baseline_schedule, constant_schedule
 
 
@@ -128,8 +131,36 @@ def test_variant_validation():
         AblationVariant("unknown")
     with pytest.raises(ValueError):
         AblationVariant("variability")           # needs sigma > 0
+    for sigma in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            AblationVariant("variability", sigma=sigma)
     v = AblationVariant("variability", sigma=0.05)
     assert v.label == "variability_5%"
+
+
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf")])
+def test_run_trials_rejects_nonfinite_target(target, monkeypatch):
+    monkeypatch.setattr(harness, "_integrate", None)     # no trial may run
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    with pytest.raises(ValueError, match="target must be finite"):
+        run_trials(p, AblationVariant("baseline"), baseline_schedule(5.0), 2, 0,
+                   target=target)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_stats_json_is_strict_with_failed_trials():
+    """A failed trial's NaN objective stays out of the JSON: median_objective
+    is the median of the finite objectives."""
+    h = np.array([-3.0, np.nan, -1.0])
+    cut = np.array([3.0, np.nan, 1.0])
+    stats = harness._finalize_stats(np.arange(3), h, cut, SpinConfig(np.ones(2)),
+                                    3.0, n_failed=1, wall=1.0)
+    doc = json.loads(stats.to_json(), parse_constant=_reject_constant)
+    assert doc["median_objective"] == 2.0
+    assert doc["n_failed"] == 1 and doc["best_cut"] == 3.0
 
 
 def test_variant_schedule_overrides():

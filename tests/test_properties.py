@@ -3,12 +3,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oscising.coupling import sine, smoothed_square
-from oscising.dynamics import OscillatorBank, _coupling_sum, _integrate, drift, make_rng
+from oscising.dynamics import (OscillatorBank, _buffers, _coupling_sum, _drift,
+                               _integrate, _sin_cos, drift, make_rng, simulate)
 from oscising.graphs import WeightedGraph
 from oscising.harness import trial_seed
 from oscising.ising import (IsingProblem, cut_batch, cut_value, hamiltonian,
                             hamiltonian_batch, maxcut_to_ising)
-from oscising.lyapunov import energy, energy_total_batch
+from oscising.lyapunov import check_monotone, energy, energy_total_batch
 from oscising.schedule import constant_schedule
 
 FEW = settings(max_examples=25, deadline=None)
@@ -107,7 +108,9 @@ def test_factorised_drift_matches_edge_sum(p, seed, coupling, bsz, K, Ks):
     phi = rng.uniform(-20.0, 20.0, size=(bsz, p.n))
     scale = np.abs(p.jval).sum()
     ref_sum = edge_coupling_sum(p, coupling, phi)
-    assert np.abs(_coupling_sum(p, coupling, phi) - ref_sum).max() <= 1e-12 * scale
+    sc, s, c, _, t = _buffers(phi.shape)
+    _sin_cos(phi, s, c, t)
+    assert np.abs(_coupling_sum(p, coupling, sc) - ref_sum).max() <= 1e-12 * scale
     ref = bank.omega * (-K * ref_sum - K * p.h * coupling.g(phi)
                         - Ks * coupling.g(2.0 * phi)) + (bank.omega - bank.omega_star)
     d = drift(p, coupling, bank, phi, K, Ks)
@@ -137,3 +140,45 @@ def test_integrate_rows_do_not_depend_on_chunking(p, seed, coupling, cuts):
     parts = [run(idx) for idx in np.split(np.arange(rows), sorted(cuts))]
     assert np.array_equal(whole, np.concatenate([q[0] for q in parts]))
     assert np.array_equal(whole_rec, np.concatenate([q[1] for q in parts], axis=1))
+
+
+@FEW
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=64))
+def test_half_angle_sin_cos_match_numpy(values):
+    """The kernel's s and c, from one tan(phi / 2), are sin and cos."""
+    phi = np.array(values)
+    _, s, c, _, t = _buffers(phi.shape)
+    _sin_cos(phi, s, c, t)
+    assert np.abs(s - np.sin(phi)).max() <= 1e-15
+    assert np.abs(c - np.cos(phi)).max() <= 1e-15
+
+
+@FEW
+@given(problems(), seeds, couplings, st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.floats(0.0, 2.0), st.floats(0.1, 2.0))
+def test_nonfinite_phase_gives_nonfinite_drift(p, seed, coupling, bad, K, Ks):
+    """A non-finite phase makes its own drift non-finite (the SHIL term reads
+    it whatever the couplings) and leaves the other rows finite."""
+    phi = make_rng(seed).uniform(-20.0, 20.0, size=(3, p.n))
+    node = seed % p.n
+    phi[1, node] = bad
+    omega = np.ones(p.n)
+    with np.errstate(invalid="ignore"):
+        d = _drift(p, coupling, omega, omega - 1.0, phi, K, Ks, _buffers(phi.shape))
+    assert not np.isfinite(d[1, node])
+    assert np.isfinite(d[[0, 2]]).all()
+
+
+@FEW
+@given(problems(), seeds, couplings, st.booleans(),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_energy_never_rises_on_noiseless_constant_runs(p, seed, coupling, uniform,
+                                                       K, Ks):
+    """E never rises along a short noiseless run under constant controls, with
+    steps well inside the explicit Euler stability limit."""
+    bank = (OscillatorBank.uniform(p.n) if uniform
+            else OscillatorBank.gaussian_spread(p.n, 0.01, make_rng(seed)))
+    traj = simulate(p, coupling, bank, constant_schedule(0.2, K, Ks, 0.0),
+                    dt=1e-3, seed=seed)
+    report = check_monotone(traj, coupling, p, bank)
+    assert report.passed, f"E rose at sample {report.first_violation}"

@@ -38,12 +38,10 @@ def _load_schedule(args, t_end: float) -> Schedule:
                              kn_high=args.kn_high)
 
 
-def _add_run_options(sp, trials_default=200):
+def _add_run_options(sp, trials_default):
     sp.add_argument("--schedule", help="schedule JSON file (overrides shape flags)")
     sp.add_argument("--trials", type=int, default=trials_default)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--coupling", default="sqsmooth",
-                    help="sine | sqsmooth | sqsmooth:BETA")
     sp.add_argument("--dt", type=float, default=0.01)
     sp.add_argument("--t-end", type=float, default=20.0)
     sp.add_argument("--k-max", type=float, default=1.0)
@@ -51,6 +49,13 @@ def _add_run_options(sp, trials_default=200):
     sp.add_argument("--kn-high", type=float, default=1.0)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--out", help="write stats JSON here (default: stdout)")
+
+
+def _add_solve_options(sp, trials_default):
+    """Run options plus the coupling and trajectory of one machine (not ablate)."""
+    _add_run_options(sp, trials_default)
+    sp.add_argument("--coupling", default="sqsmooth",
+                    help="sine | sqsmooth | sqsmooth:BETA")
     sp.add_argument("--traj", help="re-run the best trial and write its trajectory CSV")
 
 
@@ -70,9 +75,7 @@ def _write_best_trajectory(args, problem, coupling, sched, stats):
                     record_every=max(1, int(round(0.1 / args.dt))))
     e = energy_total_batch(problem, coupling, bank, traj.phi,
                            traj.controls[:, 0], traj.controls[:, 1])
-    trajectory_to_csv(
-        type(traj)(t=traj.t, phi=traj.phi, controls=traj.controls, energy=e),
-        args.traj)
+    trajectory_to_csv(traj, e, args.traj)
 
 
 def cmd_solve_maxcut(args) -> int:
@@ -171,10 +174,10 @@ def _signal(spec: str, m: int) -> ga.PeriodicSignal:
 
 
 def cmd_genadler(args) -> int:
+    if not np.isfinite([args.detuning_min, args.detuning_max, args.phi_in]).all():
+        raise ValueError("--detuning-min, --detuning-max and --phi-in must be finite")
     p = _signal(args.ppv, args.samples)
     b = _signal(args.perturbation, args.samples)
-    if not np.isfinite([args.detuning_min, args.detuning_max]).all():
-        raise ValueError("--detuning-min and --detuning-max must be finite")
     c = ga.shil_profile(p, b) if args.second_harmonic else ga.cross_correlate(p, b)
     detunings = np.linspace(args.detuning_min, args.detuning_max, args.detuning_steps)
     table = ga.detuning_sweep(c, detunings, phi_in=args.phi_in)
@@ -202,14 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve-maxcut", help="anneal a MAX-CUT benchmark file")
     sp.add_argument("gset_file")
     sp.add_argument("--target", type=float, help="best-known cut (default: table lookup)")
-    _add_run_options(sp)
+    _add_solve_options(sp, trials_default=200)
     sp.set_defaults(func=cmd_solve_maxcut)
 
     sp = sub.add_parser("solve-coloring", help="colour a graph ('us-states' for the packaged map)")
     sp.add_argument("adjacency_file")
     sp.add_argument("--colors", type=int, default=4)
     sp.add_argument("--format", choices=("gset", "pairs"), default="gset")
-    _add_run_options(sp, trials_default=20)
+    _add_solve_options(sp, trials_default=20)
     sp.set_defaults(func=cmd_solve_coloring)
 
     sp = sub.add_parser("ablate", help="compare machine variants on one problem")

@@ -2,13 +2,14 @@
 
 The drift of oscillator i is
 
-    dphi_i/dt = (w_i - w*) + w_i * ( -K * sum_{j != i} J_ij g(phi_i - phi_j)
-                                     -K * h_i * g(phi_i)
-                                     -Ks * g(2 phi_i) )
+    dphi_i/dt = (w_i - 1) + w_i * ( -K * sum_{j != i} J_ij g(phi_i - phi_j)
+                                    -K * h_i * g(phi_i)
+                                    -Ks * g(2 phi_i) )
 
 with g the coupling function, which also shapes the second-harmonic locking
-term.  With uniform unit frequencies and g = sin this is the sine-coupled
-network with a sin(2 phi) locking term.
+term.  Frequencies w_i are in units of the network's central frequency
+w* = 1, and time in units of 1/w*.  With uniform unit frequencies and
+g = sin this is the sine-coupled network with a sin(2 phi) locking term.
 
 Every coupling has the form g(x) = f(sin x), so a step needs only
 s = sin phi and c = cos phi, once per oscillator.  They come from one
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 class IntegrationError(RuntimeError):
-    """A step produced a non-finite phase."""
+    """A run produced a non-finite phase."""
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -65,40 +66,37 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class OscillatorBank:
-    """Natural frequencies w_i and the network's central frequency w*."""
+    """Natural frequencies w_i, in units of the central frequency w* = 1."""
 
-    n: int
     omega: np.ndarray
-    omega_star: float = 1.0
 
     def __post_init__(self):
         w = np.asarray(self.omega, dtype=np.float64)
-        if w.shape != (self.n,):
-            raise ValueError(f"omega must have shape ({self.n},), got {w.shape}")
-        if not (w > 0).all() or self.omega_star <= 0:
+        if w.ndim != 1:
+            raise ValueError(f"omega must be one-dimensional, got shape {w.shape}")
+        if not (w > 0).all():
             raise ValueError("frequencies must be positive")
         w.setflags(write=False)
         object.__setattr__(self, "omega", w)
 
     @classmethod
-    def uniform(cls, n: int, omega_star: float = 1.0) -> "OscillatorBank":
-        return cls(n=n, omega=np.full(n, omega_star), omega_star=omega_star)
+    def uniform(cls, n: int) -> "OscillatorBank":
+        return cls(np.ones(n))
 
     @classmethod
-    def gaussian_spread(cls, n: int, rel_std: float, rng: np.random.Generator,
-                        omega_star: float = 1.0) -> "OscillatorBank":
-        """w_i ~ Normal(w*, rel_std * w*), the variability model."""
-        w = omega_star * (1.0 + rel_std * rng.standard_normal(n))
-        return cls(n=n, omega=w, omega_star=omega_star)
+    def gaussian_spread(cls, n: int, rel_std: float,
+                        rng: np.random.Generator) -> "OscillatorBank":
+        """w_i ~ Normal(1, rel_std), the variability model."""
+        return cls(1.0 + rel_std * rng.standard_normal(n))
 
     @cached_property
     def detuning(self) -> np.ndarray:
-        """(w_i - w*) / w_i, the coefficient of the linear energy tilt."""
-        return (self.omega - self.omega_star) / self.omega
+        """(w_i - 1) / w_i, the coefficient of the linear energy tilt."""
+        return (self.omega - 1.0) / self.omega
 
     @cached_property
     def is_uniform(self) -> bool:
-        return bool(np.all(self.omega == self.omega_star))
+        return bool(np.all(self.omega == 1.0))
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,6 @@ class Trajectory:
     t: np.ndarray            # (S,)
     phi: np.ndarray          # (S, n)
     controls: np.ndarray     # (S, 3) columns K, Ks, Kn
-    energy: np.ndarray | None = None   # (S,) optional
 
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0):
@@ -196,7 +193,7 @@ def _buffers(shape: tuple) -> tuple:
 def _drift(problem: IsingProblem, coupling: CouplingFunction,
            omega: np.ndarray, wdelta: np.ndarray, phi: np.ndarray,
            K: float, Ks: float, buffers: tuple) -> np.ndarray:
-    """Unchecked drift of (n,) or (B, n) phases; wdelta is omega - omega_star.
+    """Unchecked drift of (n,) or (B, n) phases; wdelta is omega - 1.
 
     buffers is _buffers(phi.shape); the drift is written to its fourth
     array and returned.  s and c from the one half-angle evaluation feed the
@@ -230,7 +227,7 @@ def drift(problem: IsingProblem, coupling: CouplingFunction,
         raise ValueError(f"phi has {phi.shape[-1]} phases, problem has n={problem.n}")
     if not np.isfinite(phi).all():
         raise IntegrationError("non-finite phase passed to drift")
-    return _drift(problem, coupling, bank.omega, bank.omega - bank.omega_star,
+    return _drift(problem, coupling, bank.omega, bank.omega - 1.0,
                   phi, K, Ks, _buffers(phi.shape))
 
 
@@ -253,7 +250,7 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
                omega: np.ndarray, omega_star: float,
                schedule: Schedule, dt: float, n_steps: int,
                phi: np.ndarray, rngs: list[np.random.Generator],
-               record_every: int = 0, fail_fast: bool = False):
+               record_every: int = 0):
     """Shared fixed-step core; phi is (B, n), one RNG stream per row.
 
     Returns (phi_final, records).  records is None when record_every is 0,
@@ -261,10 +258,13 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     The input phi is left as it is; the state, the drift kernel's buffers,
     the noise and the records are allocated once and updated in place.
     Row b consumes exactly one standard_normal(n) per step from rngs[b], so
-    batched and one-at-a-time runs are bit-equal.  Rows never mix, and NaN
-    and inf propagate through every term, so a row that goes non-finite
-    stays non-finite to the end while the other rows step on unchanged;
-    with fail_fast the first non-finite step raises IntegrationError.
+    batched and one-at-a-time runs are bit-equal.
+
+    One failure rule: nothing is checked while stepping.  Rows never mix and
+    NaN and inf propagate through every term, so a row that goes non-finite
+    stays so to the end (callers check the final phases or the records)
+    while the other rows step on unchanged.  omega_star is 1.0 at every
+    caller; it stays because perfbench/layertrace.py wraps this signature.
     """
     t_grid = np.arange(n_steps) * dt
     k_arr, ks_arr, kn_arr = schedule.eval_arrays(t_grid)
@@ -275,7 +275,6 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     buffers = _buffers(phi.shape)
     zeta = np.empty_like(phi)
     zeta_rows = list(zeta)
-    finite = np.empty(phi.shape, dtype=bool)
     records = None
     slots = {}                      # step -> row of records
     if record_every:
@@ -294,13 +293,17 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
             np.add(phi, d, out=phi)
             np.multiply(zeta, noise[k], out=zeta)
             np.add(phi, zeta, out=phi)
-            if fail_fast and not np.isfinite(phi, out=finite).all():
-                _, i_bad = np.argwhere(~finite)[0]
-                raise IntegrationError(f"non-finite phase at index {int(i_bad)} "
-                                       f"(t={(k + 1) * dt:g})")
             if (k + 1) in slots:
                 records[slots[k + 1]] = phi
     return phi, records
+
+
+def _raise_if_nonfinite(records: np.ndarray, t: np.ndarray) -> None:
+    """Name the first non-finite phase of (S, B, n) records taken at times t."""
+    bad = ~np.isfinite(records)
+    if bad.any():
+        r, _, i = np.argwhere(bad)[0]
+        raise IntegrationError(f"non-finite phase at index {int(i)} (t={t[r]:g})")
 
 
 def simulate(problem: IsingProblem, coupling: CouplingFunction,
@@ -312,20 +315,20 @@ def simulate(problem: IsingProblem, coupling: CouplingFunction,
     uniformly on [0, pi) by the Philox stream `seed`, which then supplies
     the step noise.  Controls are evaluated at the start of each step.
     Samples are recorded at step 0, every record_every steps, and always at
-    the final step.  A non-finite phase raises IntegrationError.
+    the final step.  A non-finite record raises IntegrationError after the run.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    if bank.n != problem.n:
+    if len(bank.omega) != problem.n:
         raise ValueError("bank size does not match problem size")
     n_steps = _n_steps(schedule.t_end, dt)
     rng = make_rng(seed)
     phi0 = rng.uniform(0.0, np.pi, size=problem.n)
-    _, records = _integrate(
-        problem, coupling, bank.omega, bank.omega_star, schedule,
-        dt, n_steps, phi0[None, :], [rng],
-        record_every=record_every, fail_fast=True)
+    _, records = _integrate(problem, coupling, bank.omega, 1.0, schedule,
+                            dt, n_steps, phi0[None, :], [rng],
+                            record_every=record_every)
     ts = _record_grid(n_steps, record_every) * dt
+    _raise_if_nonfinite(records, ts)
     ctrl = np.stack(schedule.eval_arrays(np.minimum(ts, schedule.t_end)), axis=1)
     return Trajectory(t=ts.astype(np.float64), phi=records[:, 0, :], controls=ctrl)
 
@@ -353,15 +356,13 @@ def binarisation_residual(phi: np.ndarray) -> float:
     return float(np.minimum(frac, np.pi - frac).max())
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """CSV columns: t, phi_0..phi_{n-1}, K, Ks, Kn, E (17 significant digits)."""
+def trajectory_to_csv(traj: Trajectory, energy: np.ndarray, path) -> None:
+    """CSV columns: t, phi_0..phi_{n-1}, K, Ks, Kn and E = energy (17 digits)."""
     n = traj.n
     header = ",".join(["t"] + [f"phi_{k}" for k in range(n)] + ["K", "Ks", "Kn", "E"])
     with open(path, "w", encoding="utf-8") as f:
         f.write(header + "\n")
         for k in range(traj.n_samples):
-            cells = [traj.t[k], *traj.phi[k], *traj.controls[k]]
-            row = ",".join(f"{c:.17g}" for c in cells)
-            row += "," + ("" if traj.energy is None else f"{traj.energy[k]:.17g}")
-            f.write(row + "\n")
+            cells = [traj.t[k], *traj.phi[k], *traj.controls[k], energy[k]]
+            f.write(",".join(f"{c:.17g}" for c in cells) + "\n")
 

@@ -136,6 +136,8 @@ def lock_equilibria(c: PeriodicSignal, detuning_ratio: float,
     """
     if c.channels != 1:
         raise ValueError("locking profile must be scalar")
+    if not np.isfinite([detuning_ratio, phi_in]).all():
+        raise ValueError("detuning_ratio and phi_in must be finite")
     m = c.m
     grid = np.arange(m) * (TWO_PI / m)
 

@@ -2,8 +2,9 @@
 
 Trial k draws everything (frequency spread, initial phases, step noise)
 from its own Philox stream keyed by base_seed * 2**64 + k, so trials are
-independent, order-free and mergeable: running them serially, in one
-vectorized batch or across worker processes produces identical results.
+independent and order-free: running them serially, in one vectorized batch
+or across worker processes produces identical results, and runs over
+disjoint trial_offset ranges reproduce the single run.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ import numpy as np
 from . import coupling as cpl
 from .coupling import CouplingFunction
 from .dynamics import (IntegrationError, OscillatorBank, _integrate, _n_steps,
-                       _record_grid, _spins_batch, make_rng)
+                       _raise_if_nonfinite, _record_grid, _spins_batch,
+                       make_rng)
 from .graphs import WeightedGraph, random_graph
 from .ising import (IsingProblem, SpinConfig, cut_batch, hamiltonian_batch,
                     maxcut_to_ising)
@@ -43,7 +45,6 @@ VARIANT_KINDS = ("baseline", "no_noise", "no_sync_threshold",
 HIST_BINS = 32
 SEED_LIMIT = 1 << 64
 BOLTZMANN_BURN_IN = 0.1      # leading fraction of the chain discarded
-BOLTZMANN_BATCHES = 16       # slices for the occupancy error estimate
 SCALING_RECORD_EVERY = 20    # steps between scaling_study samples
 
 
@@ -127,27 +128,6 @@ class TrialStats:
         """Achieved objective per trial: cut in MAX-CUT mode, else -H."""
         return self.trial_cut if self.trial_cut is not None else -self.trial_H
 
-    def merge(self, other: "TrialStats") -> "TrialStats":
-        """Combine runs over disjoint trial-index ranges."""
-        if set(self.trial_index.tolist()) & set(other.trial_index.tolist()):
-            raise ValueError("trial index ranges overlap")
-        if (self.trial_cut is None) != (other.trial_cut is None):
-            raise ValueError("cannot merge MAX-CUT stats with plain stats")
-        if self.target != other.target:
-            raise ValueError("targets differ")
-        order = np.argsort(np.concatenate([self.trial_index, other.trial_index]))
-        idx = np.concatenate([self.trial_index, other.trial_index])[order]
-        h = np.concatenate([self.trial_H, other.trial_H])[order]
-        cut = None
-        if self.trial_cut is not None:
-            cut = np.concatenate([self.trial_cut, other.trial_cut])[order]
-        best = idx[_best_trial(h, cut)]
-        pick = self if best in self.trial_index else other
-        return _finalize_stats(
-            idx, h, cut, pick.best_spins, self.target,
-            n_failed=self.n_failed + other.n_failed,
-            wall=self.wall_time_total + other.wall_time_total)
-
     def to_json(self) -> str:
         """RFC 8259 JSON: failed trials are left out of median_objective."""
         objectives = self.objectives()
@@ -180,6 +160,7 @@ def _best_trial(h: np.ndarray, cut: np.ndarray | None) -> int:
 
 
 def _finalize_stats(idx, h, cut, best_spins, target, n_failed, wall) -> TrialStats:
+    """Aggregates of trials of which at least one finished (_best_trial)."""
     objectives = cut if cut is not None else -h
     ok = np.isfinite(objectives)
     n_trials = len(idx)
@@ -189,26 +170,18 @@ def _finalize_stats(idx, h, cut, best_spins, target, n_failed, wall) -> TrialSta
         n_max = int(np.sum(objectives[ok] >= target - tol))
         n_0999 = int(np.sum(objectives[ok] >= 0.999 * target - tol))
     finite = objectives[ok]
-    if len(finite):
-        lo, hi = float(finite.min()), float(finite.max())
-        if hi - lo <= 0.0:
-            pad = max(0.5, abs(lo) * 1e-9)
-            lo, hi = lo - pad, hi + pad
-        counts, edges = np.histogram(finite, bins=HIST_BINS, range=(lo, hi))
-    else:
-        edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
-        counts = np.zeros(HIST_BINS, dtype=np.int64)
-    best_cut = None
-    best_h_val = float(np.nanmin(h)) if len(h) else np.nan
-    if cut is not None:
-        best_cut = float(np.nanmax(cut))
+    lo, hi = float(finite.min()), float(finite.max())
+    if hi - lo <= 0.0:
+        pad = max(0.5, abs(lo) * 1e-9)
+        lo, hi = lo - pad, hi + pad
+    counts, edges = np.histogram(finite, bins=HIST_BINS, range=(lo, hi))
     return TrialStats(
         n_trials=n_trials, trial_index=idx, trial_H=h, trial_cut=cut,
-        best_H=best_h_val, best_cut=best_cut, best_spins=best_spins,
-        target=target, n_max=n_max, n_0999=n_0999,
+        best_H=float(np.nanmin(h)),
+        best_cut=float(np.nanmax(cut)) if cut is not None else None,
+        best_spins=best_spins, target=target, n_max=n_max, n_0999=n_0999,
         hist_edges=edges, hist_counts=counts, n_failed=n_failed,
-        wall_time_total=wall,
-        wall_time_per_trial=wall / n_trials if n_trials else 0.0)
+        wall_time_total=wall, wall_time_per_trial=wall / n_trials)
 
 
 def _run_chunk(problem: IsingProblem, variant: AblationVariant,
@@ -256,8 +229,8 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
     graph switches on MAX-CUT accounting (per-trial cut values, best_cut,
     and target counting against the best-known cut).  Failed trials are
     counted and excluded from the aggregates.  trial_offset shifts the
-    global trial numbering so disjoint ranges can run separately and be
-    merged without changing any stream.
+    global trial numbering: runs over disjoint ranges, concatenated,
+    reproduce the single run's per-trial results.
     """
     if n_trials < 1:
         raise ValueError("need n_trials >= 1")
@@ -274,7 +247,7 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
     t0 = time.perf_counter()
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_chunk_star, args))
+            results = list(pool.map(_run_chunk, *zip(*args)))
     else:
         results = [_run_chunk(*a) for a in args]
     wall = time.perf_counter() - t0
@@ -288,14 +261,10 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
     return _finalize_stats(idx, h, cut, best_spins, target, n_failed, wall)
 
 
-def _run_chunk_star(args):
-    return _run_chunk(*args)
-
-
 def ablate(problem: IsingProblem, variants: list[AblationVariant],
            schedule: Schedule, n_trials: int, base_seed: int, *,
            graph: WeightedGraph | None = None, target: float | None = None,
-           dt: float = 0.01, batch_size: int = 64,
+           dt: float = 0.01,
            workers: int = 1) -> tuple[dict[str, TrialStats], list[dict]]:
     """Run every variant on the same problem and seeds; return stats and a
     comparison table (one row per variant, sorted as given)."""
@@ -305,8 +274,7 @@ def ablate(problem: IsingProblem, variants: list[AblationVariant],
     table = []
     for v in variants:
         st = run_trials(problem, v, schedule, n_trials, base_seed,
-                        target=target, graph=graph, dt=dt,
-                        batch_size=batch_size, workers=workers)
+                        target=target, graph=graph, dt=dt, workers=workers)
         stats[v.label] = st
         table.append({
             "variant": v.label,
@@ -321,27 +289,12 @@ def ablate(problem: IsingProblem, variants: list[AblationVariant],
 
 @dataclass(frozen=True)
 class BoltzmannReport:
-    """Empirical occupancy vs the exp(-E/Kn^2) stationary density.
-
-    batch_basin_probs holds the same basin occupancies over consecutive
-    equal slices of the trajectory; their spread estimates the sampling
-    error of the (autocorrelated) empirical probabilities.
-    """
+    """Empirical occupancy vs the exp(-E/Kn^2) stationary density."""
 
     basin_probs_empirical: dict[tuple[int, ...], float]
     basin_probs_oracle: dict[tuple[int, ...], float]
-    batch_basin_probs: tuple[dict[tuple[int, ...], float], ...]
     tv_distance: float
     n_samples: int
-
-    def basin_stderr(self, key: tuple[int, ...]) -> float:
-        vals = np.array([b[key] for b in self.batch_basin_probs])
-        return float(vals.std(ddof=1) / np.sqrt(len(vals)))
-
-    def preference(self, which: str = "empirical") -> list[tuple[int, ...]]:
-        probs = (self.basin_probs_empirical if which == "empirical"
-                 else self.basin_probs_oracle)
-        return sorted(probs, key=probs.get, reverse=True)
 
     def to_json(self) -> str:
         fmt = lambda d: {"".join(map(str, k)): v for k, v in d.items()}
@@ -368,7 +321,8 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
     `grid`-per-dimension mesh of [0, 2*pi)^n and compared (total-variation
     distance) with the stationary density proportional to exp(-E/Kn^2)
     integrated on the same mesh.  Basins are labelled by the componentwise
-    nearest binary point.  Limited to n <= 3 (quadrature oracle cost).
+    nearest binary point.  Limited to n <= 3 (quadrature oracle cost).  A
+    chain with a non-finite phase raises IntegrationError.
     """
     n = problem.n
     if n > 3:
@@ -381,8 +335,8 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
     rng = make_rng(seed)
     phi0 = rng.uniform(0.0, 2.0 * np.pi, size=n)
     _, records = _integrate(problem, coupling, np.ones(n), 1.0, sched, dt,
-                            duration, phi0[None, :], [rng],
-                            record_every=1, fail_fast=True)
+                            duration, phi0[None, :], [rng], record_every=1)
+    _raise_if_nonfinite(records, _record_grid(duration, 1) * dt)
     samples = records[int(BOLTZMANN_BURN_IN * duration):, 0, :]
     step = 2.0 * np.pi / grid
     cells = np.floor(np.mod(samples, 2.0 * np.pi) / step).astype(np.int64) % grid
@@ -407,19 +361,13 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
     basin_emp: dict[tuple[int, ...], float] = {}
     basin_ora: dict[tuple[int, ...], float] = {}
     flat_keys = keys @ (2 ** np.arange(n))
-    sample_codes = _basin_keys(samples) @ (2 ** np.arange(n))
-    batches = np.array_split(sample_codes, BOLTZMANN_BATCHES)
-    batch_probs = [{} for _ in batches]
     for code in range(2 ** n):
         key = tuple(int((code >> b) & 1) for b in range(n))
         mask = flat_keys == code
         basin_ora[key] = float(dens[mask].sum())
         basin_emp[key] = float(flat_emp[idx[mask] @ mult].sum())
-        for bp, batch in zip(batch_probs, batches):
-            bp[key] = float(np.mean(batch == code))
     return BoltzmannReport(basin_probs_empirical=basin_emp,
                            basin_probs_oracle=basin_ora,
-                           batch_basin_probs=tuple(batch_probs),
                            tv_distance=tv,
                            n_samples=len(samples))
 
@@ -449,6 +397,7 @@ def scaling_study(sizes: list[int], density_percent: float, n_trials: int,
 
     All sizes run under the same fixed controls so the settling speeds are
     directly comparable.  Graphs use stream 2**64 - 1 - n, which no trial uses.
+    A non-finite phase in any record raises IntegrationError.
     """
     if len(sizes) < 2:
         raise ValueError("need at least two sizes")
@@ -464,7 +413,8 @@ def scaling_study(sizes: list[int], density_percent: float, n_trials: int,
         _, recs = _integrate(problem, cpl.smoothed_square(), np.ones(size), 1.0,
                              sched, dt, n_steps, phi0, rngs,
                              record_every=SCALING_RECORD_EVERY)
-        hs = np.stack([hamiltonian_batch(problem, _spins_batch(r)) for r in recs])
         t = _record_grid(n_steps, SCALING_RECORD_EVERY) * dt
+        _raise_if_nonfinite(recs, t)
+        hs = np.stack([hamiltonian_batch(problem, _spins_batch(r)) for r in recs])
         out.append(ScalingTrace(n=size, t=t, mean_H=hs.mean(axis=1)))
     return out

@@ -6,7 +6,9 @@ with constants fixed so that for sine coupling and uniform frequencies
     E = -K sum_{i != j} J_ij cos(phi_i - phi_j)
         - Ks sum_i cos(2 phi_i)
         - 2K sum_i h_i cos(phi_i)
-        - 2 sum_i ((w_i - w*)/w_i) phi_i.
+        - 2 sum_i ((w_i - 1)/w_i) phi_i,
+
+with frequencies in units of the central frequency w* = 1.
 
 General couplings replace cos by the pair kernel 1 - G with G the
 antiderivative of g (G(0) = 0).  At binary phases (0/pi) with K = 1/2 the
@@ -44,7 +46,7 @@ def _terms(problem: IsingProblem, coupling: CouplingFunction,
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape[-1] != problem.n:
         raise ValueError(f"phi has {phi.shape[-1]} phases, problem has n={problem.n}")
-    if bank.n != problem.n:
+    if len(bank.omega) != problem.n:
         raise ValueError("bank size does not match problem size")
     zero = np.zeros(phi.shape[:-1])
     self_term = tilt_term = zero
@@ -77,7 +79,6 @@ class DescentReport:
 
     energies: np.ndarray
     max_increase: float
-    tolerances: np.ndarray
     passed: bool
     first_violation: int | None
 
@@ -112,7 +113,6 @@ def check_monotone(trajectory: Trajectory, coupling: CouplingFunction,
     return DescentReport(
         energies=e,
         max_increase=float(inc.max()) if len(inc) else 0.0,
-        tolerances=tol,
         passed=len(bad) == 0,
         first_violation=int(bad[0]) if len(bad) else None,
     )

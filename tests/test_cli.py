@@ -147,6 +147,10 @@ def test_solve_maxcut_rejects_nonfinite_numbers(gset_file, capsys, monkeypatch,
                  id="genadler-max-nan"),
     pytest.param(["genadler", "--detuning-max", "inf"], "must be finite",
                  id="genadler-max-inf"),
+    pytest.param(["genadler", "--phi-in", "nan"], "must be finite",
+                 id="genadler-phi-in-nan"),
+    pytest.param(["genadler", "--phi-in=-inf"], "must be finite",
+                 id="genadler-phi-in-minus-inf"),
 ])
 def test_rejects_nonfinite_target_detuning_and_sigma(gset_file, capsys, monkeypatch,
                                                      argv, message):
@@ -190,6 +194,20 @@ def test_ablate_cli(gset_file, tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert [r["variant"] for r in doc["table"]] == ["baseline", "no_noise"]
+
+
+@pytest.mark.parametrize("flag, value", [("--coupling", "sine"),
+                                         ("--traj", "best.csv")])
+def test_ablate_rejects_single_machine_flags(gset_file, tmp_path, capsys,
+                                             monkeypatch, flag, value):
+    """ablate's variants choose the coupling and it has no single best
+    trial, so it does not take --coupling or --traj."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", str(gset_file), "--variants", "baseline", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "best.csv").exists()
 
 
 def test_boltzmann_cli(tmp_path):

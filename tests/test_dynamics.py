@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import (IntegrationError, OscillatorBank, _integrate,
@@ -126,20 +127,51 @@ def test_simulate_matches_manual_stepping():
         assert np.array_equal(traj.phi[k + 1], phi)
 
 
+@pytest.mark.parametrize("coupling", [sine(), smoothed_square(4.0)],
+                         ids=["sine", "smoothed_square"])
+def test_euler_error_halves_with_dt_against_reference_solver(coupling):
+    """Noiseless constant-control runs at dt, dt/2 and dt/4 against DOP853
+    at rtol 1e-10: each halving of dt halves the final-phase error, the
+    first order of Euler's method."""
+    g = random_graph(6, 60, "pm_one", seed=3)
+    q = maxcut_to_ising(g)
+    p = IsingProblem(n=6, i=q.i, j=q.j, jval=q.jval, h=make_rng(3).normal(size=6))
+    bank = OscillatorBank.gaussian_spread(6, 0.05, make_rng(4))
+    K, Ks = 0.8, 0.6
+    errors = []
+    for dt in (0.02, 0.01, 0.005):
+        traj = simulate(p, coupling, bank, constant_schedule(1.0, K, Ks, 0.0),
+                        dt=dt, seed=7, record_every=1000)
+        ref = solve_ivp(lambda t, y: drift(p, coupling, bank, y, K, Ks),
+                        (0.0, 1.0), traj.phi[0], method="DOP853",
+                        rtol=1e-10, atol=1e-12)
+        assert ref.success and traj.t[-1] == 1.0
+        errors.append(np.abs(traj.phi[-1] - ref.y[:, -1]).max())
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert ((1.7 <= ratios) & (ratios <= 2.3)).all(), (errors, ratios)
+
+
 def test_simulate_raises_on_nonfinite_phase():
-    """omega = 1e308 with no coupling or noise: the phase overflows to inf
-    within four steps, whatever form the coupling kernel takes."""
+    """omega = 1e308 with no coupling or noise: phase 1 overflows to inf at
+    the fourth step (t = 2), whatever form the coupling kernel takes.  The
+    run goes on to the end; the error names the first non-finite record."""
     p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
-    bank = OscillatorBank(n=2, omega=np.array([1.0, 1e308]))
-    with pytest.raises(IntegrationError, match="non-finite phase"):
+    bank = OscillatorBank(np.array([1.0, 1e308]))
+    with pytest.raises(IntegrationError, match=r"non-finite phase at index 1 \(t=2\)"):
         simulate(p, sine(), bank, constant_schedule(20.0, 0.0, 0.0, 0.0),
                  dt=0.5, seed=0)
 
 
+def test_bank_rejects_bad_frequencies():
+    for omega in ([1.0, 0.0], [1.0, -1.0], [1.0, np.nan], [[1.0, 1.0]]):
+        with pytest.raises(ValueError):
+            OscillatorBank(np.array(omega))
+
+
 def test_nonfinite_row_stays_nonfinite_and_leaves_others_alone():
-    """Without fail_fast a row that starts at an infinite phase ends
-    non-finite, and every other row is bit-equal to its run alone: rows
-    never mix."""
+    """The integrator checks nothing while stepping: a row that starts at an
+    infinite phase ends non-finite, and every other row is bit-equal to its
+    run alone, because rows never mix."""
     p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
     sched = constant_schedule(20.0, 1.0, 0.0, 0.0)   # Kn = 0
     one = np.ones(2)
@@ -195,12 +227,14 @@ def test_trajectory_csv_format(tmp_path):
     p = empty_problem(2)
     traj = simulate(p, sine(), OscillatorBank.uniform(2),
                     constant_schedule(0.3, 1.0, 2.0, 0.0), dt=0.1, seed=1)
+    energy = -np.pi * (1.0 + np.arange(traj.n_samples))
     path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
+    trajectory_to_csv(traj, energy, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,phi_0,phi_1,K,Ks,Kn,E"
     assert len(lines) == 1 + traj.n_samples
     cells = lines[1].split(",")
     assert float(cells[3]) == 1.0 and float(cells[4]) == 2.0
-    # phases round-trip exactly through the 17-significant-digit format
+    # phases and E round-trip exactly through the 17-significant-digit format
     assert float(cells[1]) == traj.phi[0, 0]
+    assert [float(line.split(",")[-1]) for line in lines[1:]] == energy.tolist()

@@ -117,6 +117,14 @@ def test_lock_root_residuals():
             assert e.residual < 1e-9
 
 
+@pytest.mark.parametrize("detuning, phi_in", [(np.nan, 0.0), (np.inf, 0.0),
+                                              (0.0, np.nan), (0.0, -np.inf)])
+def test_lock_rejects_nonfinite_detuning_and_phase(detuning, phi_in):
+    c = PeriodicSignal.from_function(lambda x: -np.sin(x))
+    with pytest.raises(ValueError, match="must be finite"):
+        lock_equilibria(c, detuning, phi_in=phi_in)
+
+
 def test_lock_respects_input_phase():
     c = PeriodicSignal.from_function(lambda x: -np.sin(x))
     shift = 0.7

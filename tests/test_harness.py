@@ -74,31 +74,32 @@ def test_histogram_mass_and_target_counters(small_run):
     assert stats.n_max == int(np.sum(stats.trial_cut >= target - 1e-9))
 
 
-def test_merge_of_disjoint_ranges_equals_single_run(small_run):
+def test_disjoint_offset_runs_concatenate_to_single_run(small_run):
     g, p, sched, _ = small_run
     full = run_trials(p, AblationVariant("baseline"), sched, 24, 99,
                       graph=g, dt=0.02)
-    first = run_trials(p, AblationVariant("baseline"), sched, 16, 99,
-                       graph=g, dt=0.02)
-    second = run_trials(p, AblationVariant("baseline"), sched, 8, 99,
-                        graph=g, dt=0.02, trial_offset=16)
-    merged = first.merge(second)
-    assert stats_equal(merged, full)
-    with pytest.raises(ValueError):
-        first.merge(first)
+    parts = [run_trials(p, AblationVariant("baseline"), sched, count, 99,
+                        graph=g, dt=0.02, trial_offset=first)
+             for first, count in ((0, 16), (16, 5), (21, 3))]
+    for field in ("trial_index", "trial_H", "trial_cut"):
+        joined = np.concatenate([getattr(s, field) for s in parts])
+        assert np.array_equal(joined, getattr(full, field))
+    assert np.array_equal(full.trial_index, np.arange(24))
 
 
-def test_merge_is_order_independent_on_ties():
-    """Both halves reach the same best cut; the lower trial index wins."""
+def test_best_spins_come_from_lowest_tied_trial():
+    """Several trials, in different batches, reach the best cut with
+    different spins; best_spins is the lowest such trial's."""
     g = cubic_ring_graph(8)
     p = maxcut_to_ising(g)
     args = (p, AblationVariant("baseline"), baseline_schedule(5.0))
-    full = run_trials(*args, 16, 1, graph=g)
-    a = run_trials(*args, 8, 1, graph=g)
-    b = run_trials(*args, 8, 1, graph=g, trial_offset=8)
-    assert a.best_cut == b.best_cut == full.best_cut
-    assert stats_equal(a.merge(b), full)
-    assert stats_equal(b.merge(a), full)
+    full = run_trials(*args, 16, 1, graph=g, batch_size=4)
+    tied = full.trial_index[full.trial_cut == full.best_cut]
+    alone = [run_trials(*args, 1, 1, graph=g, trial_offset=int(k)).best_spins.s
+             for k in tied]
+    assert any(not np.array_equal(s, alone[0]) for s in alone[1:])
+    assert tied[-1] // 4 > tied[0] // 4
+    assert np.array_equal(full.best_spins.s, alone[0])
 
 
 def test_trial_seed_injective():
@@ -236,8 +237,7 @@ def test_boltzmann_symmetric_single_oscillator():
     rep = boltzmann_check(p, sine(), Kn=0.5, K=0.5, Ks=0.3,
                           duration=40_000, seed=5, dt=0.05)
     p0, p1 = rep.basin_probs_empirical[(0,)], rep.basin_probs_empirical[(1,)]
-    se = rep.basin_stderr((0,))
-    assert abs(p0 - 0.5) < 3 * se
+    assert abs(p0 - 0.5) < 0.23
     assert p0 + p1 == pytest.approx(1.0)
     assert rep.basin_probs_oracle[(0,)] == pytest.approx(0.5, abs=1e-12)
 
@@ -250,7 +250,17 @@ def test_boltzmann_prefers_aligned_pair():
     aligned = emp[(0, 0)] + emp[(1, 1)]
     anti = emp[(0, 1)] + emp[(1, 0)]
     assert aligned > anti
-    assert rep.preference("oracle")[0] in ((0, 0), (1, 1))
+    oracle = rep.basin_probs_oracle
+    assert max(oracle, key=oracle.get) in ((0, 0), (1, 1))
+
+
+def test_boltzmann_raises_on_nonfinite_phase():
+    """Noise of 1e308 overflows the chain.  The error comes before the
+    histogram, whose integer cast of NaN would warn (an error here)."""
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    with pytest.raises(IntegrationError, match="non-finite phase at index"):
+        boltzmann_check(p, sine(), Kn=1e308, K=0.5, Ks=0.5, duration=200,
+                        seed=0, dt=1.0)
 
 
 def test_boltzmann_rejects_large_n():
@@ -274,6 +284,13 @@ def test_scaling_study_bookkeeping():
     assert np.array_equal(traces[0].mean_H, again[0].mean_H)
     with pytest.raises(ValueError):
         scaling_study([20], 10.0, 4, 0)
+
+
+def test_scaling_study_raises_on_nonfinite_phase():
+    """Noise of 1e308 overflows the phases; no mean H is read from them."""
+    with pytest.raises(IntegrationError, match="non-finite phase at index"):
+        scaling_study([20, 40], 10.0, n_trials=4, seed=0, Kn=1e308, dt=0.05,
+                      t_end=1.0)
 
 
 def test_scaling_study_graph_and_trial_streams_are_disjoint(monkeypatch):

@@ -112,12 +112,32 @@ def test_factorised_drift_matches_edge_sum(p, seed, coupling, bsz, K, Ks):
     _sin_cos(phi, s, c, t)
     assert np.abs(_coupling_sum(p, coupling, sc) - ref_sum).max() <= 1e-12 * scale
     ref = bank.omega * (-K * ref_sum - K * p.h * coupling.g(phi)
-                        - Ks * coupling.g(2.0 * phi)) + (bank.omega - bank.omega_star)
+                        - Ks * coupling.g(2.0 * phi)) + (bank.omega - 1.0)
     d = drift(p, coupling, bank, phi, K, Ks)
     tol = 1e-12 * (scale + np.abs(p.h).sum() + Ks + 1.0) * bank.omega.max()
     assert np.abs(d - ref).max() <= tol
     assert all(np.array_equal(drift(p, coupling, bank, row, K, Ks), drow)
                for row, drow in zip(phi, d))
+
+
+@FEW
+@given(problems(), seeds, couplings, st.booleans(),
+       st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+def test_drift_is_minus_half_omega_gradient(p, seed, coupling, uniform, K, Ks):
+    """drift = -(w/2) grad E: central differences of E along random unit
+    directions equal -(2/w) * drift projected on them."""
+    rng = make_rng(seed)
+    bank = (OscillatorBank.uniform(p.n) if uniform
+            else OscillatorBank.gaussian_spread(p.n, 0.05, rng))
+    phi = rng.uniform(-6.0, 6.0, size=(4, p.n))
+    u = rng.standard_normal((4, p.n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    eps = 1e-5
+    fd = (energy_total_batch(p, coupling, bank, phi + eps * u, K, Ks)
+          - energy_total_batch(p, coupling, bank, phi - eps * u, K, Ks)) / (2 * eps)
+    grad = -2.0 / bank.omega * drift(p, coupling, bank, phi, K, Ks)
+    scale = np.abs(p.jval).sum() + np.abs(p.h).sum() + Ks + 1.0
+    assert np.abs((grad * u).sum(axis=1) - fd).max() <= 1e-6 * scale
 
 
 @FEW

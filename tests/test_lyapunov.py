@@ -94,6 +94,22 @@ def test_gradient_matches_finite_differences(coupling, uniform, with_h):
                 assert g[i] == pytest.approx(fd, abs=1e-5)
 
 
+@pytest.mark.parametrize("coupling", [sine(), smoothed_square()])
+def test_gradient_is_minus_two_over_omega_drift(coupling):
+    """Directional derivatives of E along random unit vectors, wide spread."""
+    p = random_problem(with_h=True)
+    bank = spread_bank(10, sigma=0.05)
+    rng = make_rng(12)
+    h = 1e-5
+    for _ in range(20):
+        phi = rng.uniform(-6, 6, 10)
+        u = rng.standard_normal(10)
+        u /= np.linalg.norm(u)
+        fd = (energy(p, coupling, bank, phi + h * u, 0.9, 0.3).total
+              - energy(p, coupling, bank, phi - h * u, 0.9, 0.3).total) / (2 * h)
+        assert grad(p, coupling, bank, phi, 0.9, 0.3) @ u == pytest.approx(fd, abs=1e-5)
+
+
 def test_binary_point_energy_equals_hamiltonian_shift():
     """At 0/pi phases with K = 1/2 the energy is H - n*Ks, exactly."""
     p = random_problem(n=8, seed=5)

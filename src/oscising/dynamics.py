@@ -161,8 +161,6 @@ def _coupling_sum(problem: IsingProblem, coupling: CouplingFunction,
     size, so a row's sum does not depend on the rows beside it.
     """
     shape = sc.shape[1:]
-    if problem.m == 0:
-        return np.zeros(shape)
     n = shape[-1]
     node_major = np.ascontiguousarray(sc.reshape(-1, n).T)     # (n, 2B)
     if coupling.kind == "sine":

@@ -2,6 +2,8 @@
 
 Graphs are immutable: edges are stored canonically as parallel numpy
 arrays (i, j, w) with i < j, no self loops and no duplicate pairs.
+_check_edges is the one validator of that edge list; ising.IsingProblem
+stores its couplings the same way and calls it too.
 """
 from __future__ import annotations
 
@@ -27,9 +29,43 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph files or inconsistent edge lists."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _check_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
+                 label: str) -> None:
+    """Raise GraphFormatError unless i, j and the weights w (called label in
+    messages) have equal lengths, w is finite, every index lies in [0, n),
+    i < j and no pair appears twice; then make the three arrays read-only."""
+    if not len(i) == len(j) == len(w):
+        raise GraphFormatError(f"i, j and {label} must have equal lengths, got "
+                               f"{len(i)}, {len(j)} and {len(w)}")
+    if not np.isfinite(w).all():
+        raise GraphFormatError(f"{label} must be finite")
+    for name, idx in (("i", i), ("j", j)):
+        if len(idx) and (idx.min() < 0 or idx.max() >= n):
+            raise GraphFormatError(f"{name} holds an index outside [0, n={n})")
+    if not (i < j).all():
+        raise GraphFormatError("edges must be stored with i < j")
+    # int64 keys: in int32, i * n + j wraps once n exceeds 46,340
+    key = np.sort(i.astype(np.int64) * n + j)
+    dup = key[1:][key[1:] == key[:-1]]
+    if len(dup):
+        a, b = divmod(int(dup[0]), n)
+        raise GraphFormatError(f"duplicate pair ({a}, {b})")
+    for a in (i, j, w):
+        a.setflags(write=False)
+
+
+def _canonical_edges(edges: Iterable[tuple[int, int, float]]) -> tuple:
+    """(a, b, w) triples as int64 i, int64 j and float64 w arrays with i < j,
+    in the order given; a self loop raises GraphFormatError."""
+    ii, jj, ww = [], [], []
+    for a, b, wt in edges:
+        if a == b:
+            raise GraphFormatError(f"self loop at vertex {a}")
+        ii.append(min(a, b))
+        jj.append(max(a, b))
+        ww.append(float(wt))
+    return (np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64),
+            np.asarray(ww, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -45,35 +81,14 @@ class WeightedGraph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphFormatError(f"negative vertex count {self.n}")
-        if not (len(self.i) == len(self.j) == len(self.w)):
-            raise GraphFormatError("edge arrays have mismatched lengths")
-        if len(self.i) and not (self.i < self.j).all():
-            raise GraphFormatError("edges must satisfy i < j (canonical order)")
-        if len(self.i) and (self.i.min() < 0 or self.j.max() >= self.n):
-            raise GraphFormatError("edge endpoint out of range")
-        if len(self.i) != len(set(zip(self.i.tolist(), self.j.tolist()))):
-            raise GraphFormatError("duplicate edge")
-        if len(self.w) and not np.isfinite(self.w).all():
-            raise GraphFormatError("non-finite edge weight")
-        _freeze(self.i), _freeze(self.j), _freeze(self.w)
+        _check_edges(self.n, self.i, self.j, self.w, "w")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]],
                    name: str = "") -> "WeightedGraph":
         """Build a graph from (i, j, w) triples, canonicalizing i < j."""
-        ii, jj, ww = [], [], []
-        for a, b, wt in edges:
-            if a == b:
-                raise GraphFormatError(f"self loop at vertex {a}")
-            lo, hi = (a, b) if a < b else (b, a)
-            ii.append(lo)
-            jj.append(hi)
-            ww.append(float(wt))
-        return cls(n=n,
-                   i=np.asarray(ii, dtype=np.int64),
-                   j=np.asarray(jj, dtype=np.int64),
-                   w=np.asarray(ww, dtype=np.float64),
-                   name=name)
+        ii, jj, ww = _canonical_edges(edges)
+        return cls(n=n, i=ii, j=jj, w=ww, name=name)
 
     @property
     def m(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -46,6 +46,7 @@ HIST_BINS = 32
 SEED_LIMIT = 1 << 64
 BOLTZMANN_BURN_IN = 0.1      # leading fraction of the chain discarded
 SCALING_RECORD_EVERY = 20    # steps between scaling_study samples
+SETTLING_LEVEL = 0.95        # settling: mean H reaches this share of its final value
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
@@ -98,9 +99,9 @@ class AblationVariant:
 
     def apply_to_schedule(self, schedule: Schedule) -> Schedule:
         if self.kind == "no_noise":
-            return schedule.override(kn_points=((0.0, 0.0),))
+            return replace(schedule, kn_points=((0.0, 0.0),))
         if self.kind == "no_sync_threshold":
-            return schedule.override(ks_points=((0.0, 0.0),))
+            return replace(schedule, ks_points=((0.0, 0.0),))
         return schedule
 
 
@@ -128,10 +129,14 @@ class TrialStats:
         """Achieved objective per trial: cut in MAX-CUT mode, else -H."""
         return self.trial_cut if self.trial_cut is not None else -self.trial_H
 
-    def to_json(self) -> str:
-        """RFC 8259 JSON: failed trials are left out of median_objective."""
+    def median_objective(self) -> float | None:
+        """Median objective over the trials that finished."""
         objectives = self.objectives()
         finite = objectives[np.isfinite(objectives)]
+        return float(np.median(finite)) if len(finite) else None
+
+    def to_json(self) -> str:
+        """RFC 8259 JSON: failed trials are left out of median_objective."""
         return json.dumps({
             "n_trials": self.n_trials,
             "best_H": self.best_H,
@@ -140,7 +145,7 @@ class TrialStats:
             "target": self.target,
             "n_max": self.n_max,
             "n_0999": self.n_0999,
-            "median_objective": float(np.median(finite)) if len(finite) else None,
+            "median_objective": self.median_objective(),
             "histogram": {"edges": self.hist_edges.tolist(),
                           "counts": self.hist_counts.tolist()},
             "n_failed": self.n_failed,
@@ -267,7 +272,7 @@ def ablate(problem: IsingProblem, variants: list[AblationVariant],
            dt: float = 0.01,
            workers: int = 1) -> tuple[dict[str, TrialStats], list[dict]]:
     """Run every variant on the same problem and seeds; return stats and a
-    comparison table (one row per variant, sorted as given)."""
+    table with one row per variant, as given: median and best objective."""
     if not variants:
         raise ValueError("need at least one variant")
     stats: dict[str, TrialStats] = {}
@@ -278,8 +283,8 @@ def ablate(problem: IsingProblem, variants: list[AblationVariant],
         stats[v.label] = st
         table.append({
             "variant": v.label,
-            "median": float(np.nanmedian(st.objectives())),
-            "best": st.best_cut if st.trial_cut is not None else st.best_H,
+            "median": st.median_objective(),
+            "best": float(np.nanmax(st.objectives())),
             "n_max": st.n_max,
             "n_0999": st.n_0999,
             "failed": st.n_failed,
@@ -382,9 +387,9 @@ class ScalingTrace:
         final = abs(self.mean_H[-1])
         return self.mean_H / (final if final > 0 else 1.0)
 
-    def settling_time(self, level: float = 0.95) -> float:
-        """First recorded time when mean H reaches level * final value."""
-        thresh = level * self.mean_H[-1]
+    def settling_time(self) -> float:
+        """First recorded time when mean H reaches SETTLING_LEVEL * final value."""
+        thresh = SETTLING_LEVEL * self.mean_H[-1]
         hit = np.nonzero(self.mean_H <= thresh)[0]
         return float(self.t[hit[0]]) if len(hit) else float(self.t[-1])
 

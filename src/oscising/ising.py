@@ -1,6 +1,7 @@
 """Ising problems: H = -sum_{i<j} J_ij s_i s_j - sum_i h_i s_i + offset.
 
-Couplings are sparse and symmetric, stored once per pair with i < j.
+Couplings are sparse and symmetric, stored once per pair with i < j, and
+checked by the one edge-list validator, graphs._check_edges.
 The constant offset carries terms dropped by problem encoders so that
 encoded Hamiltonians are exact, not merely equal up to a constant.
 """
@@ -12,7 +13,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _canonical_edges, _check_edges
 
 __all__ = [
     "IsingProblem",
@@ -68,20 +69,8 @@ class IsingProblem:
             raise ValueError("h must be finite")
         if not np.isfinite(self.constant_offset):
             raise ValueError("constant_offset must be finite")
-        if not len(self.i) == len(self.j) == len(self.jval):
-            raise ValueError(f"i, j and jval must have equal lengths, got "
-                             f"{len(self.i)}, {len(self.j)} and {len(self.jval)}")
-        if not np.isfinite(self.jval).all():
-            raise ValueError("jval must be finite")
-        for name, idx in (("i", self.i), ("j", self.j)):
-            if len(idx) and (idx.min() < 0 or idx.max() >= self.n):
-                raise ValueError(f"{name} holds an index outside [0, n={self.n})")
-        if len(self.i) and not (self.i < self.j).all():
-            raise ValueError("couplings must be stored with i < j")
-        if len(self.i) != len(set(zip(self.i.tolist(), self.j.tolist()))):
-            raise ValueError("duplicate coupling pair")
-        for a in (self.i, self.j, self.jval, h):
-            a.setflags(write=False)
+        _check_edges(self.n, self.i, self.j, self.jval, "jval")
+        h.setflags(write=False)
         object.__setattr__(self, "h", h)
 
     @classmethod
@@ -89,20 +78,10 @@ class IsingProblem:
                        h=None, constant_offset: float = 0.0,
                        name: str = "") -> "IsingProblem":
         """Build from a {(i, j): J} map; (i, j) and (j, i) refer to the same pair."""
-        canon: dict[tuple[int, int], float] = {}
-        for (a, b), v in couplings.items():
-            if a == b:
-                raise ValueError(f"diagonal coupling at {a}")
-            key = (a, b) if a < b else (b, a)
-            if key in canon:
-                raise ValueError(f"pair {key} given twice")
-            canon[key] = float(v)
-        keys = sorted(canon)
-        ii = np.array([k[0] for k in keys], dtype=np.int64)
-        jj = np.array([k[1] for k in keys], dtype=np.int64)
-        vv = np.array([canon[k] for k in keys], dtype=np.float64)
+        ii, jj, vv = _canonical_edges((a, b, v) for (a, b), v in couplings.items())
+        order = np.lexsort((jj, ii))
         hv = np.zeros(n) if h is None else np.asarray(h, dtype=np.float64)
-        return cls(n=n, i=ii, j=jj, jval=vv, h=hv,
+        return cls(n=n, i=ii[order], j=jj[order], jval=vv[order], h=hv,
                    constant_offset=constant_offset, name=name)
 
     @property

@@ -17,7 +17,6 @@ problem's constant offset), so descending E minimises H.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,8 @@ from .dynamics import OscillatorBank, Trajectory
 from .ising import IsingProblem, _row_sum
 
 __all__ = ["EnergyBreakdown", "energy", "check_monotone", "DescentReport"]
+
+DESCENT_REL_TOL = 1e-8      # allowed rise per record, relative to 1 + |E|
 
 
 @dataclass(frozen=True)
@@ -82,21 +83,12 @@ class DescentReport:
     passed: bool
     first_violation: int | None
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "energies": self.energies.tolist(),
-            "max_increase": self.max_increase,
-            "passed": self.passed,
-            "first_violation": self.first_violation,
-        }, allow_nan=False)
-
 
 def check_monotone(trajectory: Trajectory, coupling: CouplingFunction,
-                   problem: IsingProblem, bank: OscillatorBank,
-                   rel_tol: float = 1e-8) -> DescentReport:
+                   problem: IsingProblem, bank: OscillatorBank) -> DescentReport:
     """Verify E never rises along a noiseless, constant-control trajectory.
 
-    Each recorded increment must satisfy E_{k+1} - E_k <= rel_tol*(1 + |E_k|);
+    Each recorded increment must satisfy E_{k+1} - E_k <= DESCENT_REL_TOL*(1 + |E_k|);
     trajectories recorded with noise or time-varying controls are rejected
     because descent is not guaranteed there.
     """
@@ -108,7 +100,7 @@ def check_monotone(trajectory: Trajectory, coupling: CouplingFunction,
     K, Ks = float(ctrl[0, 0]), float(ctrl[0, 1])
     e = energy_total_batch(problem, coupling, bank, trajectory.phi, K, Ks)
     inc = np.diff(e)
-    tol = rel_tol * (1.0 + np.abs(e[:-1]))
+    tol = DESCENT_REL_TOL * (1.0 + np.abs(e[:-1]))
     bad = np.nonzero(inc > tol)[0]
     return DescentReport(
         energies=e,

@@ -7,7 +7,7 @@ point.  Steps are encoded with two points an epsilon apart.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -74,15 +74,6 @@ class Schedule:
         if len(t) and (t.min() < 0.0 or t.max() > self.t_end):
             raise ValueError("time grid outside [0, t_end]")
         return tuple(np.interp(t, ts, vs) for ts, vs in self._arrays)
-
-    def override(self, *, k_points=None, ks_points=None, kn_points=None) -> "Schedule":
-        """Copy with some channels replaced (ablation plumbing)."""
-        return replace(
-            self,
-            k_points=self.k_points if k_points is None else k_points,
-            ks_points=self.ks_points if ks_points is None else ks_points,
-            kn_points=self.kn_points if kn_points is None else kn_points,
-        )
 
     def to_json(self) -> str:
         doc = {

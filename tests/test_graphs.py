@@ -3,6 +3,7 @@ import pytest
 
 from oscising.graphs import (GraphFormatError, WeightedGraph, cubic_ring_graph,
                              parse_gset, random_graph, serialize_gset)
+from oscising.ising import IsingProblem
 
 
 def test_parse_minimal():
@@ -88,5 +89,15 @@ def test_cubic_ring_graph_degrees():
 
 
 def test_graph_rejects_duplicate_edges():
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=r"duplicate pair \(0, 1\)"):
         WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 0, 2.0)])
+
+
+def test_pair_keys_do_not_wrap_in_int32():
+    """At n = 70,000, (0, 20000) and (61356, 67296) share the key 20000 when
+    i * n + j is formed in int32; they are different pairs."""
+    n = 70_000
+    i = np.array([0, 61356], dtype=np.int32)
+    j = np.array([20000, 67296], dtype=np.int32)
+    assert WeightedGraph(n=n, i=i, j=j, w=np.ones(2)).m == 2
+    assert IsingProblem(n=n, i=i, j=j, jval=np.ones(2), h=np.zeros(n)).m == 2

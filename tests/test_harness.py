@@ -191,6 +191,17 @@ def test_ablate_returns_all_variants():
         ablate(p, [], baseline_schedule(5.0), 8, 5)
 
 
+def test_ablate_row_without_graph_reads_minus_h():
+    """Without a graph the objective is -H: a row's best is the highest -H,
+    and its median is the stats JSON's median_objective."""
+    p = maxcut_to_ising(cubic_ring_graph(8))
+    stats, table = ablate(p, [AblationVariant("baseline")],
+                          baseline_schedule(5.0), 8, 5, dt=0.02)
+    st, row = stats["baseline"], table[0]
+    assert row["best"] == -st.best_H > 0
+    assert row["median"] == json.loads(st.to_json())["median_objective"]
+
+
 def test_variability_draws_differ_per_trial():
     g = cubic_ring_graph(8)
     p = maxcut_to_ising(g)

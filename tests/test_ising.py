@@ -64,6 +64,15 @@ def test_problem_rejects_index_at_or_above_n():
         IsingProblem.from_couplings(3, {(0, 3): 1.0})
 
 
+@pytest.mark.parametrize("couplings,message", [
+    ({(0, 1): 1.0, (1, 0): 2.0}, r"duplicate pair \(0, 1\)"),
+    ({(2, 2): 1.0}, "self loop at vertex 2"),
+])
+def test_from_couplings_rejects_repeated_and_self_pairs(couplings, message):
+    with pytest.raises(ValueError, match=message):
+        IsingProblem.from_couplings(3, couplings)
+
+
 def test_adjacency_is_the_symmetric_coupling_matrix():
     p = IsingProblem.from_couplings(4, {(0, 1): 1.5, (1, 3): -2.0})
     dense = np.zeros((4, 4))

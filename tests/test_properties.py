@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import (OscillatorBank, _buffers, _coupling_sum, _drift,
                                _integrate, _sin_cos, drift, make_rng, simulate)
-from oscising.graphs import WeightedGraph
+from oscising.graphs import GraphFormatError, WeightedGraph
 from oscising.harness import trial_seed
 from oscising.ising import (IsingProblem, cut_batch, cut_value, hamiltonian,
                             hamiltonian_batch, maxcut_to_ising)
@@ -37,6 +37,39 @@ def problems(draw, field=False):
     elif not draw(st.booleans()):
         h = np.zeros(g.n)
     return IsingProblem(n=g.n, i=g.i, j=g.j, jval=g.w.copy(), h=h)
+
+
+@st.composite
+def edge_arrays(draw):
+    """(n, i, j, w) arrays that are valid, or broken by any mix of reversed or
+    repeated pairs, self pairs, indices outside [0, n) and non-finite weights."""
+    n = draw(st.integers(0, 6))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    anywhere = st.integers(-2, n + 1)
+    edges += draw(st.lists(st.tuples(anywhere, anywhere), max_size=2))
+    if edges and draw(st.booleans()):
+        a, b = draw(st.sampled_from(edges))
+        edges.append(draw(st.sampled_from([(a, b), (b, a)])))
+    edges = draw(st.permutations(edges))
+    w = draw(st.lists(weights, min_size=len(edges), max_size=len(edges)))
+    if w and draw(st.booleans()):
+        w[draw(st.integers(0, len(w) - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    i = np.array([a for a, _ in edges], dtype=dtype)
+    j = np.array([b for _, b in edges], dtype=dtype)
+    return n, i, j, np.array(w, dtype=np.float64)
+
+
+def edges_accepted(n, i, j, w):
+    """The edge-list invariant, one pair at a time against a set."""
+    seen = set()
+    for a, b, x in zip(i.tolist(), j.tolist(), w.tolist()):
+        if not (0 <= a < b < n and np.isfinite(x)) or (a, b) in seen:
+            return False
+        seen.add((a, b))
+    return True
 
 
 couplings = st.one_of(st.just(sine()),
@@ -202,3 +235,18 @@ def test_energy_never_rises_on_noiseless_constant_runs(p, seed, coupling, unifor
                     dt=1e-3, seed=seed)
     report = check_monotone(traj, coupling, p, bank)
     assert report.passed, f"E rose at sample {report.first_violation}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_arrays())
+def test_graph_and_problem_accept_exactly_the_valid_edge_lists(case):
+    n, i, j, w = case
+    builds = (lambda: WeightedGraph(n=n, i=i, j=j, w=w),
+              lambda: IsingProblem(n=n, i=i, j=j, jval=w, h=np.zeros(n)))
+    for build in builds:
+        try:
+            build()
+            accepted = True
+        except GraphFormatError:
+            accepted = False
+        assert accepted == edges_accepted(n, i, j, w)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -106,7 +108,7 @@ def test_json_roundtrip_exact():
 
 
 def test_override_channels():
-    s = baseline_schedule(20.0).override(kn_points=((0.0, 0.0),))
+    s = replace(baseline_schedule(20.0), kn_points=((0.0, 0.0),))
     assert s.eval(20.0)[2] == 0.0
     assert s.eval(20.0)[0] == 1.0
 

@@ -68,7 +68,7 @@ def _emit(args, payload: str):
 
 
 def _write_best_trajectory(args, problem, coupling, sched, stats):
-    best_idx = int(stats.trial_index[_best_trial(stats.trial_H, stats.trial_cut)])
+    best_idx = int(stats.trial_index[_best_trial(stats.objectives())])
     bank = OscillatorBank.uniform(problem.n)
     traj = simulate(problem, coupling, bank, sched, dt=args.dt,
                     seed=trial_seed(args.seed, best_idx),

@@ -259,9 +259,10 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     batched and one-at-a-time runs are bit-equal.
 
     One failure rule: nothing is checked while stepping.  Rows never mix and
-    NaN and inf propagate through every term, so a row that goes non-finite
-    stays so to the end (callers check the final phases or the records)
-    while the other rows step on unchanged.  omega_star is 1.0 at every
+    NaN and inf propagate, so a non-finite row stays so to the end while the
+    others step on unchanged.  Without records the caller reads failure from
+    the final phases; with them, IntegrationError names the first non-finite
+    record in (S, B, n) order after the run.  omega_star is 1.0 at every
     caller; it stays because perfbench/layertrace.py wraps this signature.
     """
     t_grid = np.arange(n_steps) * dt
@@ -293,15 +294,11 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
             np.add(phi, zeta, out=phi)
             if (k + 1) in slots:
                 records[slots[k + 1]] = phi
+    bad = np.argwhere(~np.isfinite(records)) if record_every else ()
+    if len(bad):
+        r, _, i = bad[0]
+        raise IntegrationError(f"non-finite phase at index {i} (t={grid[r] * dt:g})")
     return phi, records
-
-
-def _raise_if_nonfinite(records: np.ndarray, t: np.ndarray) -> None:
-    """Name the first non-finite phase of (S, B, n) records taken at times t."""
-    bad = ~np.isfinite(records)
-    if bad.any():
-        r, _, i = np.argwhere(bad)[0]
-        raise IntegrationError(f"non-finite phase at index {int(i)} (t={t[r]:g})")
 
 
 def simulate(problem: IsingProblem, coupling: CouplingFunction,
@@ -326,7 +323,6 @@ def simulate(problem: IsingProblem, coupling: CouplingFunction,
                             dt, n_steps, phi0[None, :], [rng],
                             record_every=record_every)
     ts = _record_grid(n_steps, record_every) * dt
-    _raise_if_nonfinite(records, ts)
     ctrl = np.stack(schedule.eval_arrays(np.minimum(ts, schedule.t_end)), axis=1)
     return Trajectory(t=ts.astype(np.float64), phi=records[:, 0, :], controls=ctrl)
 

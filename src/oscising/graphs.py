@@ -32,14 +32,18 @@ class GraphFormatError(ValueError):
 def _check_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
                  label: str) -> None:
     """Raise GraphFormatError unless i, j and the weights w (called label in
-    messages) have equal lengths, w is finite, every index lies in [0, n),
-    i < j and no pair appears twice; then make the three arrays read-only."""
+    messages) have equal lengths, w is finite, i and j are integer numpy
+    arrays with every index in [0, n), i < j and no pair appears twice; then
+    make the three arrays read-only."""
     if not len(i) == len(j) == len(w):
         raise GraphFormatError(f"i, j and {label} must have equal lengths, got "
                                f"{len(i)}, {len(j)} and {len(w)}")
     if not np.isfinite(w).all():
         raise GraphFormatError(f"{label} must be finite")
     for name, idx in (("i", i), ("j", j)):
+        if not (isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"):
+            got = getattr(idx, "dtype", type(idx).__name__)
+            raise GraphFormatError(f"{name} must be an integer array, got {got}")
         if len(idx) and (idx.min() < 0 or idx.max() >= n):
             raise GraphFormatError(f"{name} holds an index outside [0, n={n})")
     if not (i < j).all():

@@ -4,7 +4,12 @@ Trial k draws everything (frequency spread, initial phases, step noise)
 from its own Philox stream keyed by base_seed * 2**64 + k, so trials are
 independent and order-free: running them serially, in one vectorized batch
 or across worker processes produces identical results, and runs over
-disjoint trial_offset ranges reproduce the single run.
+disjoint trial_offset ranges reproduce the single run.  A failed trial has
+non-finite final phases; its H and cut are NaN.
+
+boltzmann_check numbers its mesh cells [k step, (k + 1) step) little-endian,
+k_0 + grid k_1 + ..., in the histogram, the oracle and the basins alike, and
+_basin_keys labels a cell by its left edge on half-open intervals, as cut.
 """
 from __future__ import annotations
 
@@ -19,8 +24,7 @@ import numpy as np
 from . import coupling as cpl
 from .coupling import CouplingFunction
 from .dynamics import (IntegrationError, OscillatorBank, _integrate, _n_steps,
-                       _raise_if_nonfinite, _record_grid, _spins_batch,
-                       make_rng)
+                       _record_grid, _spins_batch, make_rng)
 from .graphs import WeightedGraph, random_graph
 from .ising import (IsingProblem, SpinConfig, cut_batch, hamiltonian_batch,
                     maxcut_to_ising)
@@ -154,27 +158,26 @@ class TrialStats:
         }, allow_nan=False)
 
 
-def _best_trial(h: np.ndarray, cut: np.ndarray | None) -> int:
+def _best_trial(objectives: np.ndarray) -> int:
     """Position of the best trial: the highest finite objective (cut, else
     -H), and the first, so the lowest trial index, on ties."""
-    objectives = cut if cut is not None else -h
     ok = np.isfinite(objectives)
     if not ok.any():
         raise IntegrationError("all trials failed")
     return int(np.argmax(np.where(ok, objectives, -np.inf)))
 
 
-def _finalize_stats(idx, h, cut, best_spins, target, n_failed, wall) -> TrialStats:
-    """Aggregates of trials of which at least one finished (_best_trial)."""
+def _finalize_stats(idx, h, cut, spins, target, wall) -> TrialStats:
+    """Aggregates of trials idx; every best_* field is the _best_trial's."""
     objectives = cut if cut is not None else -h
-    ok = np.isfinite(objectives)
+    best = _best_trial(objectives)
+    finite = objectives[np.isfinite(objectives)]
     n_trials = len(idx)
     n_max = n_0999 = None
     if target is not None:
         tol = 1e-9 * max(1.0, abs(target))
-        n_max = int(np.sum(objectives[ok] >= target - tol))
-        n_0999 = int(np.sum(objectives[ok] >= 0.999 * target - tol))
-    finite = objectives[ok]
+        n_max = int(np.sum(finite >= target - tol))
+        n_0999 = int(np.sum(finite >= 0.999 * target - tol))
     lo, hi = float(finite.min()), float(finite.max())
     if hi - lo <= 0.0:
         pad = max(0.5, abs(lo) * 1e-9)
@@ -182,10 +185,11 @@ def _finalize_stats(idx, h, cut, best_spins, target, n_failed, wall) -> TrialSta
     counts, edges = np.histogram(finite, bins=HIST_BINS, range=(lo, hi))
     return TrialStats(
         n_trials=n_trials, trial_index=idx, trial_H=h, trial_cut=cut,
-        best_H=float(np.nanmin(h)),
-        best_cut=float(np.nanmax(cut)) if cut is not None else None,
-        best_spins=best_spins, target=target, n_max=n_max, n_0999=n_0999,
-        hist_edges=edges, hist_counts=counts, n_failed=n_failed,
+        best_H=float(h[best]),
+        best_cut=float(cut[best]) if cut is not None else None,
+        best_spins=SpinConfig(spins[best]), target=target, n_max=n_max,
+        n_0999=n_0999, hist_edges=edges, hist_counts=counts,
+        n_failed=n_trials - len(finite),
         wall_time_total=wall, wall_time_per_trial=wall / n_trials)
 
 
@@ -193,7 +197,7 @@ def _run_chunk(problem: IsingProblem, variant: AblationVariant,
                schedule: Schedule, coupling: CouplingFunction,
                trial_indices: np.ndarray, base_seed: int, dt: float,
                n_steps: int, graph: WeightedGraph | None):
-    """Integrate one batch of trials; returns per-trial results."""
+    """Integrate one batch of trials; returns their final H, cut and spins."""
     n = problem.n
     bsz = len(trial_indices)
     rngs = [make_rng(trial_seed(base_seed, int(k))) for k in trial_indices]
@@ -213,13 +217,9 @@ def _run_chunk(problem: IsingProblem, variant: AblationVariant,
                         dt, n_steps, phi0, rngs)
     done = np.isfinite(phi).all(axis=1)
     spins = _spins_batch(np.where(done[:, None], phi, 0.0))
-    h = hamiltonian_batch(problem, spins)
-    h[~done] = np.nan
-    cut = None
-    if graph is not None:
-        cut = cut_batch(graph, spins)
-        cut[~done] = np.nan
-    return trial_indices, h, cut, spins, done
+    h = np.where(done, hamiltonian_batch(problem, spins), np.nan)
+    cut = None if graph is None else np.where(done, cut_batch(graph, spins), np.nan)
+    return h, cut, spins
 
 
 def run_trials(problem: IsingProblem, variant: AblationVariant,
@@ -257,13 +257,9 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
         results = [_run_chunk(*a) for a in args]
     wall = time.perf_counter() - t0
 
-    idx = np.concatenate([r[0] for r in results])
-    h = np.concatenate([r[1] for r in results])
-    cut = np.concatenate([r[2] for r in results]) if graph is not None else None
-    spins = np.concatenate([r[3] for r in results])
-    n_failed = int(sum((~r[4]).sum() for r in results))
-    best_spins = SpinConfig(spins[_best_trial(h, cut)])
-    return _finalize_stats(idx, h, cut, best_spins, target, n_failed, wall)
+    h, cut, spins = (None if col[0] is None else np.concatenate(col)
+                     for col in zip(*results))
+    return _finalize_stats(np.arange(lo, hi), h, cut, spins, target, wall)
 
 
 def ablate(problem: IsingProblem, variants: list[AblationVariant],
@@ -284,7 +280,7 @@ def ablate(problem: IsingProblem, variants: list[AblationVariant],
         table.append({
             "variant": v.label,
             "median": st.median_objective(),
-            "best": float(np.nanmax(st.objectives())),
+            "best": st.best_cut if st.best_cut is not None else -st.best_H,
             "n_max": st.n_max,
             "n_0999": st.n_0999,
             "failed": st.n_failed,
@@ -312,7 +308,9 @@ class BoltzmannReport:
 
 
 def _basin_keys(phis: np.ndarray) -> np.ndarray:
-    """Componentwise nearest binary point: 0 on [-pi/2, pi/2), else pi."""
+    """Componentwise nearest binary point: 0 on [-pi/2, pi/2), else pi.
+    Half-open like the cells [phi, phi + step) keyed by their left edge phi:
+    the readout's cos(phi) >= 0 would put the cell at pi/2 into basin 0."""
     wrapped = np.mod(phis, 2.0 * np.pi)
     return ((wrapped >= np.pi / 2) & (wrapped < 3 * np.pi / 2)).astype(np.int64)
 
@@ -341,40 +339,25 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
     phi0 = rng.uniform(0.0, 2.0 * np.pi, size=n)
     _, records = _integrate(problem, coupling, np.ones(n), 1.0, sched, dt,
                             duration, phi0[None, :], [rng], record_every=1)
-    _raise_if_nonfinite(records, _record_grid(duration, 1) * dt)
     samples = records[int(BOLTZMANN_BURN_IN * duration):, 0, :]
     step = 2.0 * np.pi / grid
     cells = np.floor(np.mod(samples, 2.0 * np.pi) / step).astype(np.int64) % grid
     mult = grid ** np.arange(n)
-    flat_emp = np.zeros(grid ** n)
-    np.add.at(flat_emp, cells @ mult, 1.0)
-    flat_emp /= flat_emp.sum()
+    emp = np.bincount(cells @ mult, minlength=grid ** n) / len(samples)
 
-    idx = np.stack(np.meshgrid(*[np.arange(grid)] * n, indexing="ij"),
-                   axis=-1).reshape(-1, n)
-    mesh = idx * step
-    bank = OscillatorBank.uniform(n)
-    e = energy_total_batch(problem, coupling, bank, mesh, K, Ks)
+    mesh = (np.arange(grid ** n)[:, None] // mult % grid) * step
+    e = energy_total_batch(problem, coupling, OscillatorBank.uniform(n), mesh,
+                           K, Ks)
     dens = np.exp(-(e - e.min()) / Kn ** 2)
     dens /= dens.sum()
-    flat_ora = np.zeros(grid ** n)
-    flat_ora[idx @ mult] = dens
+    tv = 0.5 * float(np.abs(emp - dens).sum())
 
-    tv = 0.5 * float(np.abs(flat_emp - flat_ora).sum())
-
-    keys = _basin_keys(mesh)
-    basin_emp: dict[tuple[int, ...], float] = {}
-    basin_ora: dict[tuple[int, ...], float] = {}
-    flat_keys = keys @ (2 ** np.arange(n))
-    for code in range(2 ** n):
-        key = tuple(int((code >> b) & 1) for b in range(n))
-        mask = flat_keys == code
-        basin_ora[key] = float(dens[mask].sum())
-        basin_emp[key] = float(flat_emp[idx[mask] @ mult].sum())
-    return BoltzmannReport(basin_probs_empirical=basin_emp,
-                           basin_probs_oracle=basin_ora,
-                           tv_distance=tv,
-                           n_samples=len(samples))
+    codes = _basin_keys(mesh) @ (2 ** np.arange(n))
+    basins = lambda p: {tuple(int((c >> b) & 1) for b in range(n)):
+                        float(p[codes == c].sum()) for c in range(2 ** n)}
+    return BoltzmannReport(basin_probs_empirical=basins(emp),
+                           basin_probs_oracle=basins(dens),
+                           tv_distance=tv, n_samples=len(samples))
 
 
 @dataclass(frozen=True)
@@ -406,6 +389,8 @@ def scaling_study(sizes: list[int], density_percent: float, n_trials: int,
     """
     if len(sizes) < 2:
         raise ValueError("need at least two sizes")
+    if n_trials < 1:
+        raise ValueError("need n_trials >= 1")
     out = []
     for size in sizes:
         g = random_graph(size, density_percent, "pm_one",
@@ -419,7 +404,6 @@ def scaling_study(sizes: list[int], density_percent: float, n_trials: int,
                              sched, dt, n_steps, phi0, rngs,
                              record_every=SCALING_RECORD_EVERY)
         t = _record_grid(n_steps, SCALING_RECORD_EVERY) * dt
-        _raise_if_nonfinite(recs, t)
         hs = np.stack([hamiltonian_batch(problem, _spins_batch(r)) for r in recs])
         out.append(ScalingTrace(n=size, t=t, mean_H=hs.mean(axis=1)))
     return out

@@ -253,3 +253,8 @@ def test_scaling_cli(tmp_path):
     rows = json.loads(out.read_text())
     assert [r["n"] for r in rows] == [16, 24]
     assert all("settling_time" in r for r in rows)
+
+
+def test_scaling_cli_rejects_zero_trials(capsys):
+    assert main(["scaling", "--sizes", "16,24", "--trials", "0"]) == 2
+    assert "need n_trials >= 1" in capsys.readouterr().err

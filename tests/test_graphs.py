@@ -93,6 +93,22 @@ def test_graph_rejects_duplicate_edges():
         WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 0, 2.0)])
 
 
+@pytest.mark.parametrize("i, j, got", [
+    (np.array([0.0]), np.array([1.5]), "i must be an integer array, got float64"),
+    (np.array([0.5, 0.0]), np.array([1.0, 1.0]), "i must be an integer array, got float64"),
+    ([0], [1], "i must be an integer array, got list"),
+    (np.array([0]), np.array([True]), "j must be an integer array, got bool"),
+])
+def test_edge_indices_must_be_integer_arrays(i, j, got):
+    """Float indices would pass the range and order checks, truncate in the
+    pair keys (a false duplicate for the second case) and fail only later,
+    as array indices."""
+    with pytest.raises(GraphFormatError, match=got):
+        WeightedGraph(n=3, i=i, j=j, w=np.ones(len(i)))
+    with pytest.raises(GraphFormatError, match=got):
+        IsingProblem(n=3, i=i, j=j, jval=np.ones(len(i)), h=np.zeros(3))
+
+
 def test_pair_keys_do_not_wrap_in_int32():
     """At n = 70,000, (0, 20000) and (61356, 67296) share the key 20000 when
     i * n + j is formed in int32; they are different pairs."""

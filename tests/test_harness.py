@@ -1,17 +1,20 @@
+import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from oscising import harness
 from oscising.coupling import sine
-from oscising.dynamics import IntegrationError, make_rng
+from oscising.dynamics import IntegrationError, OscillatorBank, make_rng
 from oscising.graphs import cubic_ring_graph, random_graph
 from oscising.harness import (AblationVariant, BoltzmannReport, ablate,
                               boltzmann_check, gset_targets, run_trials,
                               scaling_study, trial_seed)
-from oscising.ising import (IsingProblem, SpinConfig, cut_value, hamiltonian,
+from oscising.ising import (IsingProblem, cut_value, hamiltonian,
                             maxcut_to_ising)
+from oscising.lyapunov import energy_total_batch
 from oscising.schedule import baseline_schedule, constant_schedule
 
 
@@ -157,11 +160,32 @@ def test_stats_json_is_strict_with_failed_trials():
     is the median of the finite objectives."""
     h = np.array([-3.0, np.nan, -1.0])
     cut = np.array([3.0, np.nan, 1.0])
-    stats = harness._finalize_stats(np.arange(3), h, cut, SpinConfig(np.ones(2)),
-                                    3.0, n_failed=1, wall=1.0)
+    stats = harness._finalize_stats(np.arange(3), h, cut, np.ones((3, 2)),
+                                    3.0, wall=1.0)
     doc = json.loads(stats.to_json(), parse_constant=_reject_constant)
     assert doc["median_objective"] == 2.0
     assert doc["n_failed"] == 1 and doc["best_cut"] == 3.0
+
+
+SPINS4 = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+@pytest.mark.parametrize("cut, best", [
+    (np.array([6.0, np.nan, 4.0, 6.0]), 0),   # highest cut, first on the tie
+    (None, 2),                                 # no graph: lowest H
+])
+def test_best_fields_come_from_one_trial(cut, best):
+    """The lowest H (trial 2) and the highest cut (trials 0 and 3) belong to
+    different trials; best_H, best_cut and best_spins all describe the one
+    _best_trial trial, and n_failed counts the NaN rows."""
+    h = np.array([-3.0, np.nan, -5.0, -1.0])
+    stats = harness._finalize_stats(np.arange(10, 14), h, cut, SPINS4, None,
+                                    wall=1.0)
+    assert best == harness._best_trial(stats.objectives())
+    assert stats.best_H == h[best]
+    assert stats.best_cut == (None if cut is None else cut[best])
+    assert np.array_equal(stats.best_spins.s, SPINS4[best])
+    assert stats.n_failed == 1
 
 
 def test_variant_schedule_overrides():
@@ -274,6 +298,51 @@ def test_boltzmann_raises_on_nonfinite_phase():
                         seed=0, dt=1.0)
 
 
+def test_boltzmann_matches_cell_by_cell_reference(monkeypatch):
+    """An asymmetric 3-spin problem and a known chain at cell centres
+    (unwrapped by whole turns): the histogram, the oracle and both basin
+    tables must agree cell by cell with a reference built here on the
+    itertools.product mesh, so a cell-order mix-up between them shows."""
+    grid, duration, K, Ks, Kn = 8, 400, 0.5, 0.3, 0.8
+    p = IsingProblem.from_couplings(3, {(0, 1): 1.0, (1, 2): -0.4},
+                                    h=np.array([0.6, 0.0, -0.2]))
+    step = 2.0 * np.pi / grid
+    rng = make_rng(7)
+    cells = rng.integers(0, grid, size=(duration + 1, 3))
+    cells[:, 0] //= 2                       # uneven marginals per spin
+    cells[:, 2] = np.minimum(cells[:, 2], grid - 3)
+    chain = (cells + 0.5) * step + 2.0 * np.pi * rng.integers(-1, 2, cells.shape)
+
+    def fake_integrate(problem, coupling, omega, omega_star, schedule, dt,
+                       n_steps, phi, rngs, record_every=0):
+        assert n_steps == duration and record_every == 1
+        return None, chain[:, None, :]
+
+    monkeypatch.setattr(harness, "_integrate", fake_integrate)
+    rep = boltzmann_check(p, sine(), Kn, K, Ks, duration, seed=0, grid=grid)
+
+    samples = [tuple(c) for c in cells[duration // 10:].tolist()]
+    emp = {c: k / len(samples) for c, k in Counter(samples).items()}
+    mesh = list(itertools.product(range(grid), repeat=3))
+    e = energy_total_batch(p, sine(), OscillatorBank.uniform(3),
+                           np.array(mesh) * step, K, Ks)
+    dens = np.exp(-(e - e.min()) / Kn ** 2)
+    ora = dict(zip(mesh, dens / dens.sum()))
+    tv = 0.5 * sum(abs(emp.get(c, 0.0) - ora[c]) for c in mesh)
+    basin = lambda c: tuple(int(grid // 4 <= k < 3 * grid // 4) for k in c)
+    basin_emp, basin_ora = Counter(), Counter()
+    for c in mesh:
+        basin_emp[basin(c)] += emp.get(c, 0.0)
+        basin_ora[basin(c)] += ora[c]
+
+    assert rep.n_samples == len(samples)
+    assert rep.tv_distance == pytest.approx(tv, abs=1e-12)
+    assert rep.basin_probs_empirical.keys() == basin_emp.keys()
+    for key in basin_emp:
+        assert rep.basin_probs_empirical[key] == pytest.approx(basin_emp[key], abs=1e-12)
+        assert rep.basin_probs_oracle[key] == pytest.approx(basin_ora[key], abs=1e-12)
+
+
 def test_boltzmann_rejects_large_n():
     p = IsingProblem.from_couplings(4, {(0, 1): 1.0})
     with pytest.raises(ValueError):
@@ -295,6 +364,12 @@ def test_scaling_study_bookkeeping():
     assert np.array_equal(traces[0].mean_H, again[0].mean_H)
     with pytest.raises(ValueError):
         scaling_study([20], 10.0, 4, 0)
+
+
+def test_scaling_study_rejects_zero_trials(monkeypatch):
+    monkeypatch.setattr(harness, "random_graph", None)   # no graph may be built
+    with pytest.raises(ValueError, match=r"need n_trials >= 1"):
+        scaling_study([20, 40], 10.0, n_trials=0, seed=0)
 
 
 def test_scaling_study_raises_on_nonfinite_phase():

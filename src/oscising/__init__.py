@@ -14,13 +14,13 @@ from .coloring import (ColorAssignment, ColoringInstance, coloring_to_ising,
 from .coupling import CouplingFunction, sine, smoothed_square
 from .schedule import Schedule, baseline_schedule, constant_schedule
 from .dynamics import (IntegrationError, OscillatorBank, Trajectory,
-                       binarisation_residual, drift, read_spins, simulate,
+                       binarisation_residual, drift, read_spins,
                        trajectory_to_csv)
 from .lyapunov import DescentReport, EnergyBreakdown, check_monotone, energy
 from .genadler import (LockEquilibrium, PeriodicSignal, cross_correlate,
                        lock_equilibria, shil_bistability)
 from .harness import (AblationVariant, BoltzmannReport, TrialStats, ablate,
                       boltzmann_check, gset_targets, run_trials,
-                      scaling_study)
+                      scaling_study, simulate)
 
 __version__ = "0.1.0"

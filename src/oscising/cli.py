@@ -16,11 +16,11 @@ from . import coupling as cpl
 from . import genadler as ga
 from .coloring import ColoringInstance, decode_coloring, coloring_to_ising, \
     parse_adjacency_pairs, us_states_instance
-from .dynamics import (IntegrationError, OscillatorBank, simulate,
-                       trajectory_to_csv)
+from .dynamics import IntegrationError, OscillatorBank, trajectory_to_csv
 from .graphs import GraphFormatError, load_gset
 from .harness import (AblationVariant, _best_trial, ablate, boltzmann_check,
-                      gset_targets, run_trials, scaling_study, trial_seed)
+                      gset_targets, run_trials, scaling_study, simulate,
+                      trial_seed)
 from .ising import maxcut_to_ising
 from .lyapunov import energy_total_batch
 from .schedule import Schedule, baseline_schedule
@@ -176,6 +176,8 @@ def _signal(spec: str, m: int) -> ga.PeriodicSignal:
 def cmd_genadler(args) -> int:
     if not np.isfinite([args.detuning_min, args.detuning_max, args.phi_in]).all():
         raise ValueError("--detuning-min, --detuning-max and --phi-in must be finite")
+    if args.detuning_steps < 1:
+        raise ValueError(f"--detuning-steps must be >= 1, got {args.detuning_steps}")
     p = _signal(args.ppv, args.samples)
     b = _signal(args.perturbation, args.samples)
     c = ga.shil_profile(p, b) if args.second_harmonic else ga.cross_correlate(p, b)

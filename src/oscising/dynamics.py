@@ -29,9 +29,9 @@ The same s and c then serve every term:
   self term     g(phi_i) = f(s_i);
   SHIL term     g(2 phi_i) = f(2 s_i c_i).
 
-Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1), one i.i.d.
-draw per oscillator per step, from a Philox stream keyed by the seed.
-Phases are kept unwrapped; wrapping happens only in the readout helpers.
+Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1); every run
+starts in harness._run, which states what each stream supplies.  Phases
+are kept unwrapped; wrapping happens only in the readout helpers.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ __all__ = [
     "OscillatorBank",
     "Trajectory",
     "drift",
-    "simulate",
     "read_spins",
     "binarisation_residual",
     "trajectory_to_csv",
@@ -255,8 +254,8 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     else the (S, B, n) snapshots at _record_grid(n_steps, record_every).
     The input phi is left as it is; the state, the drift kernel's buffers,
     the noise and the records are allocated once and updated in place.
-    Row b consumes exactly one standard_normal(n) per step from rngs[b], so
-    batched and one-at-a-time runs are bit-equal.
+    Row b draws its noise from rngs[b] alone, so batched and one-at-a-time
+    runs are bit-equal.
 
     One failure rule: nothing is checked while stepping.  Rows never mix and
     NaN and inf propagate, so a non-finite row stays so to the end while the
@@ -299,32 +298,6 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
         r, _, i = bad[0]
         raise IntegrationError(f"non-finite phase at index {i} (t={grid[r] * dt:g})")
     return phi, records
-
-
-def simulate(problem: IsingProblem, coupling: CouplingFunction,
-             bank: OscillatorBank, schedule: Schedule, *, dt: float, seed: int,
-             record_every: int = 1) -> Trajectory:
-    """Fixed-step Euler-Maruyama run over the schedule's horizon.
-
-    Runs floor(schedule.t_end / dt) steps (dt <= t_end) from phases drawn
-    uniformly on [0, pi) by the Philox stream `seed`, which then supplies
-    the step noise.  Controls are evaluated at the start of each step.
-    Samples are recorded at step 0, every record_every steps, and always at
-    the final step.  A non-finite record raises IntegrationError after the run.
-    """
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    if len(bank.omega) != problem.n:
-        raise ValueError("bank size does not match problem size")
-    n_steps = _n_steps(schedule.t_end, dt)
-    rng = make_rng(seed)
-    phi0 = rng.uniform(0.0, np.pi, size=problem.n)
-    _, records = _integrate(problem, coupling, bank.omega, 1.0, schedule,
-                            dt, n_steps, phi0[None, :], [rng],
-                            record_every=record_every)
-    ts = _record_grid(n_steps, record_every) * dt
-    ctrl = np.stack(schedule.eval_arrays(np.minimum(ts, schedule.t_end)), axis=1)
-    return Trajectory(t=ts.astype(np.float64), phi=records[:, 0, :], controls=ctrl)
 
 
 def _spins_batch(phi: np.ndarray) -> np.ndarray:

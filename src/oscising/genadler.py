@@ -37,8 +37,16 @@ TWO_PI = 2.0 * np.pi
 ROOT_TOL = 1e-10
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
+def _check_m(m: int) -> int:
+    """m, if it is a sample count a PeriodicSignal takes: a power of two >= 64."""
+    if m < 64 or m & (m - 1):
+        raise ValueError(f"M must be a power of two >= 64, got {m}")
+    return m
+
+
+def _grid(m: int) -> np.ndarray:
+    """The m uniform sample points k * 2 pi / m on [0, 2 pi)."""
+    return np.arange(_check_m(m)) * (TWO_PI / m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +63,7 @@ class PeriodicSignal:
         s = np.asarray(self.samples, dtype=np.float64)
         if s.ndim not in (1, 2):
             raise ValueError("samples must be (M,) or (M, channels)")
-        if not _is_power_of_two(s.shape[0]) or s.shape[0] < 64:
-            raise ValueError(f"M must be a power of two >= 64, got {s.shape[0]}")
+        _check_m(s.shape[0])
         if not np.isfinite(s).all():
             raise ValueError("samples must be finite")
         s = s.copy()
@@ -65,8 +72,7 @@ class PeriodicSignal:
 
     @classmethod
     def from_function(cls, f, m: int = 1024) -> "PeriodicSignal":
-        grid = np.arange(m) * (TWO_PI / m)
-        return cls(np.asarray(f(grid), dtype=np.float64))
+        return cls(np.asarray(f(_grid(m)), dtype=np.float64))
 
     @property
     def m(self) -> int:
@@ -89,8 +95,7 @@ class PeriodicSignal:
     def resampled(self, m: int) -> "PeriodicSignal":
         if m == self.m:
             return self
-        grid = np.arange(m) * (TWO_PI / m)
-        return PeriodicSignal(self.eval(grid))
+        return PeriodicSignal(self.eval(_grid(m)))
 
 
 def cross_correlate(p: PeriodicSignal, b: PeriodicSignal) -> PeriodicSignal:
@@ -139,7 +144,7 @@ def lock_equilibria(c: PeriodicSignal, detuning_ratio: float,
     if not np.isfinite([detuning_ratio, phi_in]).all():
         raise ValueError("detuning_ratio and phi_in must be finite")
     m = c.m
-    grid = np.arange(m) * (TWO_PI / m)
+    grid = _grid(m)
 
     def f(phi):
         return detuning_ratio - c.eval(phi - phi_in)
@@ -211,6 +216,7 @@ def signal_from_csv(path, m: int = 1024) -> PeriodicSignal:
     tau may be any increasing coordinate covering one period; it is mapped
     affinely onto [0, 2*pi) and interpolated linearly with wraparound.
     """
+    grid = _grid(m)
     rows = np.loadtxt(path, delimiter=",", ndmin=2)
     if rows.shape[1] != 2:
         raise ValueError("expected two columns: tau, value")
@@ -221,7 +227,6 @@ def signal_from_csv(path, m: int = 1024) -> PeriodicSignal:
     if span <= 0:
         raise ValueError("need a positive tau span")
     x = (tau - tau[0]) * (TWO_PI / span)
-    grid = np.arange(m) * (TWO_PI / m)
     # wraparound: append the first point at 2*pi
     xs = np.concatenate([x, [TWO_PI]])
     vs = np.concatenate([val, [val[0]]])

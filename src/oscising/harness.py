@@ -1,11 +1,10 @@
-"""Multi-trial experiment runner, ablation variants and statistics.
+"""Runs of the machine, multi-trial statistics and ablation variants.
 
-Trial k draws everything (frequency spread, initial phases, step noise)
-from its own Philox stream keyed by base_seed * 2**64 + k, so trials are
-independent and order-free: running them serially, in one vectorized batch
-or across worker processes produces identical results, and runs over
-disjoint trial_offset ranges reproduce the single run.  A failed trial has
-non-finite final phases; its H and cut are NaN.
+Every run starts in _run, which states the stream contract.  Trial k runs
+on the stream trial_seed(base_seed, k), so serial, batched and worker-pool
+runs, runs over disjoint trial_offset ranges and simulate's replay of one
+trial all give the same results.  A failed trial has non-finite final
+phases; its H and cut are NaN.
 
 boltzmann_check numbers its mesh cells [k step, (k + 1) step) little-endian,
 k_0 + grid k_1 + ..., in the histogram, the oracle and the basins alike, and
@@ -17,14 +16,15 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 
 import numpy as np
 
 from . import coupling as cpl
 from .coupling import CouplingFunction
-from .dynamics import (IntegrationError, OscillatorBank, _integrate, _n_steps,
-                       _record_grid, _spins_batch, make_rng)
+from .dynamics import (IntegrationError, OscillatorBank, Trajectory, _integrate,
+                       _n_steps, _record_grid, _spins_batch, make_rng)
 from .graphs import WeightedGraph, random_graph
 from .ising import (IsingProblem, SpinConfig, cut_batch, hamiltonian_batch,
                     maxcut_to_ising)
@@ -41,6 +41,7 @@ __all__ = [
     "scaling_study",
     "gset_targets",
     "trial_seed",
+    "simulate",
 ]
 
 VARIANT_KINDS = ("baseline", "no_noise", "no_sync_threshold",
@@ -59,6 +60,51 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
         if not 0 <= int(value) < SEED_LIMIT:
             raise ValueError(f"{name} must be in [0, 2**64), got {value}")
     return (int(base_seed) << 64) + int(trial_index)
+
+
+def _run(problem: IsingProblem, coupling: CouplingFunction, schedule: Schedule,
+         dt: float, n_steps: int, keys: list[int], *,
+         omega: np.ndarray | None = None, sigma: float = 0.0,
+         phase_hi: float = np.pi, record_every: int = 0):
+    """One batch of runs, one per stream key.  The stream contract: row b
+    draws from make_rng(keys[b]), in order, its frequencies 1 + sigma N(0, 1)
+    if sigma > 0 (else omega, default 1), its phases uniform on
+    [0, phase_hi) and then one standard_normal(n) per step, so it depends
+    on its key alone.  A non-positive frequency raises ValueError naming
+    trial key mod 2**64.  Returns _integrate's (phi, records)."""
+    rngs = [make_rng(key) for key in keys]
+    omega = np.ones(problem.n) if omega is None else omega
+    if sigma > 0:
+        omega = np.empty((len(keys), problem.n))
+        for b, (key, rng) in enumerate(zip(keys, rngs)):
+            try:
+                omega[b] = OscillatorBank.gaussian_spread(problem.n, sigma, rng).omega
+            except ValueError as exc:
+                raise ValueError(f"trial {key % SEED_LIMIT}: {exc} "
+                                 f"(variability sigma={sigma:g})") from exc
+    phi0 = np.stack([rng.uniform(0.0, phase_hi, size=problem.n) for rng in rngs])
+    return _integrate(problem, coupling, omega, 1.0, schedule, dt, n_steps,
+                      phi0, rngs, record_every=record_every)
+
+
+def simulate(problem: IsingProblem, coupling: CouplingFunction,
+             bank: OscillatorBank, schedule: Schedule, *, dt: float, seed: int,
+             record_every: int = 1) -> Trajectory:
+    """Fixed-step Euler-Maruyama run of floor(schedule.t_end / dt) steps
+    (dt <= t_end) started by _run on stream `seed`, with controls evaluated
+    at each step's start and samples at step 0, every record_every steps and
+    the last step; trial_seed(s, k) with a uniform bank replays trial k of
+    run_trials at base seed s.  A non-finite record raises IntegrationError."""
+    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
+        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
+    if len(bank.omega) != problem.n:
+        raise ValueError("bank size does not match problem size")
+    n_steps = _n_steps(schedule.t_end, dt)
+    _, records = _run(problem, coupling, schedule, dt, n_steps, [seed],
+                      omega=bank.omega, record_every=record_every)
+    ts = _record_grid(n_steps, record_every) * dt
+    ctrl = np.stack(schedule.eval_arrays(np.minimum(ts, schedule.t_end)), axis=1)
+    return Trajectory(t=ts.astype(np.float64), phi=records[:, 0, :], controls=ctrl)
 
 
 def gset_targets() -> dict[str, int]:
@@ -194,27 +240,13 @@ def _finalize_stats(idx, h, cut, spins, target, wall) -> TrialStats:
 
 
 def _run_chunk(problem: IsingProblem, variant: AblationVariant,
-               schedule: Schedule, coupling: CouplingFunction,
-               trial_indices: np.ndarray, base_seed: int, dt: float,
-               n_steps: int, graph: WeightedGraph | None):
+               schedule: Schedule, coupling: CouplingFunction, base_seed: int,
+               dt: float, n_steps: int, graph: WeightedGraph | None,
+               trial_indices: np.ndarray):
     """Integrate one batch of trials; returns their final H, cut and spins."""
-    n = problem.n
-    bsz = len(trial_indices)
-    rngs = [make_rng(trial_seed(base_seed, int(k))) for k in trial_indices]
-    if variant.kind == "variability":
-        omega = np.empty((bsz, n))
-        for b, (k, rng) in enumerate(zip(trial_indices, rngs)):
-            try:
-                bank = OscillatorBank.gaussian_spread(n, variant.sigma, rng)
-            except ValueError as exc:
-                raise ValueError(f"trial {int(k)}: {exc} (variability sigma="
-                                 f"{variant.sigma:g})") from exc
-            omega[b] = bank.omega
-    else:
-        omega = np.ones(n)
-    phi0 = np.stack([rng.uniform(0.0, np.pi, size=n) for rng in rngs])
-    phi, _ = _integrate(problem, coupling, omega, 1.0, schedule,
-                        dt, n_steps, phi0, rngs)
+    keys = [trial_seed(base_seed, int(k)) for k in trial_indices]
+    phi, _ = _run(problem, coupling, schedule, dt, n_steps, keys,
+                  sigma=variant.sigma if variant.kind == "variability" else 0.0)
     done = np.isfinite(phi).all(axis=1)
     spins = _spins_batch(np.where(done[:, None], phi, 0.0))
     h = np.where(done, hamiltonian_batch(problem, spins), np.nan)
@@ -237,8 +269,10 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
     global trial numbering: runs over disjoint ranges, concatenated,
     reproduce the single run's per-trial results.
     """
-    if n_trials < 1:
-        raise ValueError("need n_trials >= 1")
+    for name, value in (("n_trials", n_trials), ("batch_size", batch_size),
+                        ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"need {name} >= 1, got {value}")
     if target is not None and not np.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     coupling = coupling or variant.coupling()
@@ -247,14 +281,14 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
     lo, hi = trial_offset, trial_offset + n_trials
     chunks = [np.arange(s, min(s + batch_size, hi))
               for s in range(lo, hi, batch_size)]
-    args = [(problem, variant, sched, coupling, c, base_seed, dt, n_steps,
-             graph) for c in chunks]
+    run_chunk = partial(_run_chunk, problem, variant, sched, coupling,
+                        base_seed, dt, n_steps, graph)
     t0 = time.perf_counter()
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_chunk, *zip(*args)))
+            results = list(pool.map(run_chunk, chunks))
     else:
-        results = [_run_chunk(*a) for a in args]
+        results = list(map(run_chunk, chunks))
     wall = time.perf_counter() - t0
 
     h, cut, spins = (None if col[0] is None else np.concatenate(col)
@@ -334,11 +368,8 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
         raise ValueError("needs noise: Kn > 0")
     if duration < 10:
         raise ValueError("duration too short")
-    sched = constant_schedule(duration * dt, K, Ks, Kn)
-    rng = make_rng(seed)
-    phi0 = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    _, records = _integrate(problem, coupling, np.ones(n), 1.0, sched, dt,
-                            duration, phi0[None, :], [rng], record_every=1)
+    _, records = _run(problem, coupling, constant_schedule(duration * dt, K, Ks, Kn),
+                      dt, duration, [seed], phase_hi=2.0 * np.pi, record_every=1)
     samples = records[int(BOLTZMANN_BURN_IN * duration):, 0, :]
     step = 2.0 * np.pi / grid
     cells = np.floor(np.mod(samples, 2.0 * np.pi) / step).astype(np.int64) % grid
@@ -391,19 +422,16 @@ def scaling_study(sizes: list[int], density_percent: float, n_trials: int,
         raise ValueError("need at least two sizes")
     if n_trials < 1:
         raise ValueError("need n_trials >= 1")
+    sched = constant_schedule(t_end, K, Ks, Kn)
+    n_steps = _n_steps(t_end, dt)
+    keys = [trial_seed(seed, k) for k in range(n_trials)]
+    t = _record_grid(n_steps, SCALING_RECORD_EVERY) * dt
     out = []
     for size in sizes:
-        g = random_graph(size, density_percent, "pm_one",
-                         seed=trial_seed(seed, SEED_LIMIT - 1 - size))
-        problem = maxcut_to_ising(g)
-        sched = constant_schedule(t_end, K, Ks, Kn)
-        n_steps = _n_steps(t_end, dt)
-        rngs = [make_rng(trial_seed(seed, k)) for k in range(n_trials)]
-        phi0 = np.stack([r.uniform(0.0, np.pi, size=size) for r in rngs])
-        _, recs = _integrate(problem, cpl.smoothed_square(), np.ones(size), 1.0,
-                             sched, dt, n_steps, phi0, rngs,
-                             record_every=SCALING_RECORD_EVERY)
-        t = _record_grid(n_steps, SCALING_RECORD_EVERY) * dt
+        key = trial_seed(seed, SEED_LIMIT - 1 - size)
+        problem = maxcut_to_ising(random_graph(size, density_percent, "pm_one", seed=key))
+        _, recs = _run(problem, cpl.smoothed_square(), sched, dt, n_steps, keys,
+                       record_every=SCALING_RECORD_EVERY)
         hs = np.stack([hamiltonian_batch(problem, _spins_batch(r)) for r in recs])
         out.append(ScalingTrace(n=size, t=t, mean_H=hs.mean(axis=1)))
     return out

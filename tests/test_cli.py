@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscising
 from oscising.cli import main
 from oscising.dynamics import read_spins
 from oscising.graphs import random_graph, serialize_gset
@@ -141,6 +146,10 @@ def test_solve_maxcut_rejects_nonfinite_numbers(gset_file, capsys, monkeypatch,
                  "target must be finite", id="ablate-target-minus-inf"),
     pytest.param(["ablate", "GSET", "--variants", "variability:nan"],
                  "sigma must be finite and >= 0", id="ablate-sigma-nan"),
+    pytest.param(["solve-maxcut", "GSET", "--workers", "0"],
+                 "need workers >= 1, got 0", id="solve-maxcut-workers-0"),
+    pytest.param(["ablate", "GSET", "--workers", "-2"],
+                 "need workers >= 1, got -2", id="ablate-workers-minus-2"),
     pytest.param(["genadler", "--detuning-min", "nan"], "must be finite",
                  id="genadler-min-nan"),
     pytest.param(["genadler", "--detuning-max", "nan"], "must be finite",
@@ -243,6 +252,39 @@ def test_genadler_cli_second_harmonic(tmp_path):
     locks = rows[0]["locks"]
     assert len(locks) == 2
     assert abs(abs(locks[1] - locks[0]) - np.pi) < 1e-6
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--samples", "0"], "M must be a power of two >= 64, got 0",
+                 id="samples-0"),
+    pytest.param(["--samples", "100"], "M must be a power of two >= 64, got 100",
+                 id="samples-100"),
+    pytest.param(["--ppv", "CSV", "--samples", "0"],
+                 "M must be a power of two >= 64, got 0", id="csv-samples-0"),
+    pytest.param(["--detuning-steps", "0"], "--detuning-steps must be >= 1, got 0",
+                 id="detuning-steps-0"),
+])
+def test_genadler_rejects_bad_sample_and_step_counts(tmp_path, capsys, argv, message):
+    csv = tmp_path / "wave.csv"
+    csv.write_text("0,0\n0.5,1\n1,0\n")
+    argv = [str(csv) if a == "CSV" else a for a in argv]
+    assert main(["genadler", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_module_entry_point_exits_with_main_code():
+    """python -m oscising.cli passes main()'s exit code to the shell."""
+    src = str(Path(oscising.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "oscising.cli", "genadler",
+                           "--samples", "0"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "M must be a power of two >= 64, got 0" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_scaling_cli(tmp_path):

@@ -5,8 +5,10 @@ from scipy.integrate import solve_ivp
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import (IntegrationError, OscillatorBank, _integrate,
                                binarisation_residual, drift, make_rng,
-                               read_spins, simulate, trajectory_to_csv)
+                               read_spins, trajectory_to_csv)
 from oscising.graphs import random_graph
+from oscising import harness
+from oscising.harness import simulate
 from oscising.ising import IsingProblem, maxcut_to_ising
 from oscising.schedule import constant_schedule
 
@@ -98,7 +100,8 @@ def test_simulate_deterministic_and_records_final():
     assert np.allclose(t1.t, np.append(np.arange(0, 100, 7), 100) * 0.01)
 
 
-def test_simulate_rejects_bad_step_and_record_settings():
+def test_simulate_rejects_bad_step_and_record_settings(monkeypatch):
+    monkeypatch.setattr(harness, "_integrate", None)     # nothing may run
     p = empty_problem(2)
     args = (p, sine(), OscillatorBank.uniform(2), constant_schedule(1.0, 0.0, 0.0, 0.0))
     for dt in (0.0, float("nan"), float("inf")):
@@ -106,8 +109,12 @@ def test_simulate_rejects_bad_step_and_record_settings():
             simulate(*args, dt=dt, seed=0)
     with pytest.raises(ValueError, match="t_end must be at least dt"):
         simulate(*args, dt=2.0, seed=0)
-    with pytest.raises(ValueError, match="record_every"):
-        simulate(*args, dt=0.1, seed=0, record_every=0)
+    # 1.5 would step the record times by 1.5 while phases are recorded at
+    # whole steps
+    for record_every in (0, 1.5):
+        with pytest.raises(ValueError, match=rf"record_every must be an integer >= 1, "
+                                             rf"got {record_every}"):
+            simulate(*args, dt=0.1, seed=0, record_every=record_every)
 
 
 def test_simulate_matches_manual_stepping():

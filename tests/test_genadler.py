@@ -22,6 +22,19 @@ def test_signal_validation():
         PeriodicSignal(np.full(64, np.nan))
 
 
+@pytest.mark.parametrize("m", [0, 32, 100])
+def test_grid_builders_reject_bad_sample_counts(tmp_path, m):
+    """Every builder of the sample grid checks M before dividing by it."""
+    path = tmp_path / "wave.csv"
+    path.write_text("0,0\n0.5,1\n1,0\n")
+    builders = (lambda: PeriodicSignal.from_function(np.sin, m),
+                lambda: signal_from_csv(path, m),
+                lambda: sig(np.sin).resampled(m))
+    for build in builders:
+        with pytest.raises(ValueError, match=f"M must be a power of two >= 64, got {m}"):
+            build()
+
+
 def test_signal_eval_wraps():
     s = sig(np.sin)
     x = np.array([0.3, 0.3 + 2 * np.pi, 0.3 - 2 * np.pi])

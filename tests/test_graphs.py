@@ -109,6 +109,27 @@ def test_edge_indices_must_be_integer_arrays(i, j, got):
         IsingProblem(n=3, i=i, j=j, jval=np.ones(len(i)), h=np.zeros(3))
 
 
+@pytest.mark.parametrize("w, got", [
+    ([1.0], "got list"),
+    (np.array(["1"]), "got <U1"),
+    (np.array([1.0 + 0.0j]), "got complex128"),
+    (np.array([True]), "got bool"),
+])
+def test_edge_weights_must_be_real_arrays(w, got):
+    """A list failed when frozen, a string array inside isfinite, and a
+    complex array passed; all are GraphFormatErrors naming the weights."""
+    i, j = np.array([0]), np.array([1])
+    with pytest.raises(GraphFormatError, match=f"w must be a real array, {got}"):
+        WeightedGraph(n=3, i=i, j=j, w=w)
+    with pytest.raises(GraphFormatError, match=f"jval must be a real array, {got}"):
+        IsingProblem(n=3, i=i, j=j, jval=w, h=np.zeros(3))
+
+
+def test_integer_edge_weights_are_accepted():
+    w = np.array([2])
+    assert WeightedGraph(n=3, i=np.array([0]), j=np.array([1]), w=w).total_weight == 2.0
+
+
 def test_pair_keys_do_not_wrap_in_int32():
     """At n = 70,000, (0, 20000) and (61356, 67296) share the key 20000 when
     i * n + j is formed in int32; they are different pairs."""

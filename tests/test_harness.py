@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from oscising import harness
-from oscising.coupling import sine
+from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import IntegrationError, OscillatorBank, make_rng
 from oscising.graphs import cubic_ring_graph, random_graph
 from oscising.harness import (AblationVariant, BoltzmannReport, ablate,
                               boltzmann_check, gset_targets, run_trials,
-                              scaling_study, trial_seed)
+                              scaling_study, simulate, trial_seed)
 from oscising.ising import (IsingProblem, cut_value, hamiltonian,
                             maxcut_to_ising)
 from oscising.lyapunov import energy_total_batch
@@ -149,6 +149,47 @@ def test_run_trials_rejects_nonfinite_target(target, monkeypatch):
     with pytest.raises(ValueError, match="target must be finite"):
         run_trials(p, AblationVariant("baseline"), baseline_schedule(5.0), 2, 0,
                    target=target)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"workers": 0}, "need workers >= 1, got 0"),
+    ({"workers": -2}, "need workers >= 1, got -2"),
+    ({"batch_size": 0}, "need batch_size >= 1, got 0"),
+    ({"batch_size": -3}, "need batch_size >= 1, got -3"),
+])
+def test_run_trials_rejects_nonpositive_workers_and_batch_size(kwargs, message,
+                                                               monkeypatch):
+    monkeypatch.setattr(harness, "_integrate", None)     # no trial may run
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    with pytest.raises(ValueError, match=message):
+        run_trials(p, AblationVariant("baseline"), baseline_schedule(5.0), 2, 0,
+                   **kwargs)
+
+
+@pytest.mark.parametrize("coupling", [sine(), smoothed_square()],
+                         ids=["sine", "smoothed_square"])
+def test_simulate_replays_a_trial_of_a_batch(coupling, monkeypatch):
+    """simulate on trial_seed(s, k) starts and steps trial k alone as
+    run_trials does inside a batch: its final phases are bit-equal to the
+    trial's row, captured from the batched integrator call."""
+    g = random_graph(10, 40, "pm_one", seed=5)
+    p = maxcut_to_ising(g)
+    sched = baseline_schedule(2.0)
+    real, rows = harness._integrate, []
+
+    def capture(*args, **kwargs):
+        phi, records = real(*args, **kwargs)
+        rows.extend(phi)
+        return phi, records
+
+    monkeypatch.setattr(harness, "_integrate", capture)
+    run_trials(p, AblationVariant("baseline"), sched, 6, 9, graph=g,
+               coupling=coupling, dt=0.02, batch_size=4, trial_offset=2)
+    batch = dict(zip(range(2, 8), rows))     # chunks (2, 3, 4, 5) and (6, 7)
+    for k in (2, 5, 7):
+        traj = simulate(p, coupling, OscillatorBank.uniform(p.n), sched, dt=0.02,
+                        seed=trial_seed(9, k), record_every=1000)
+        assert np.array_equal(traj.phi[-1], batch[k])
 
 
 def _reject_constant(name):

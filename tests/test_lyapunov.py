@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from oscising.coupling import sine, smoothed_square
-from oscising.dynamics import (OscillatorBank, Trajectory, drift,
-                               make_rng, simulate)
+from oscising.dynamics import OscillatorBank, Trajectory, drift, make_rng
 from oscising.graphs import random_graph
+from oscising.harness import simulate
 from oscising.ising import IsingProblem, hamiltonian, maxcut_to_ising
 from oscising.lyapunov import check_monotone, energy
 from oscising.schedule import constant_schedule

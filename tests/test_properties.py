@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import (OscillatorBank, _buffers, _coupling_sum, _drift,
-                               _integrate, _sin_cos, drift, make_rng, simulate)
+                               _integrate, _sin_cos, drift, make_rng)
 from oscising.graphs import GraphFormatError, WeightedGraph
-from oscising.harness import trial_seed
+from oscising.harness import simulate, trial_seed
 from oscising.ising import (IsingProblem, cut_batch, cut_value, hamiltonian,
                             hamiltonian_batch, maxcut_to_ising)
 from oscising.lyapunov import check_monotone, energy, energy_total_batch

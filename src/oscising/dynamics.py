@@ -29,12 +29,20 @@ The same s and c then serve every term:
   self term     g(phi_i) = f(s_i);
   SHIL term     g(2 phi_i) = f(2 s_i c_i).
 
+The smoothed square's edge sum runs over blocks of at most COUPLING_BLOCK
+trials in a workspace (_Operands) that each _integrate or drift call
+allocates once: a node-major [s | c] slab, three (m, block) edge arrays and
+the output.  A step fills them in place, gathering with np.take(...,
+mode="clip"), so it allocates no node or edge array; only the sparse
+product's (n, block) result is new.
+
 Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1); every run
 starts in harness._run, which states what each stream supplies.  Phases
 are kept unwrapped; wrapping happens only in the readout helpers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,6 +61,9 @@ __all__ = [
     "binarisation_residual",
     "trajectory_to_csv",
 ]
+
+COUPLING_BLOCK = 32     # trials per block of the smoothed-square coupling sum
+
 
 class IntegrationError(RuntimeError):
     """A run produced a non-finite phase."""
@@ -142,7 +153,43 @@ def _sin_cos(phi: np.ndarray, s: np.ndarray, c: np.ndarray,
     np.subtract(c, _ONE, out=c)
 
 
-def _coupling_sum(problem: IsingProblem, coupling: CouplingFunction,
+class _Operands:
+    """The coupling sum's operands for one run: the problem and, for the
+    smoothed square, the workspace that _coupling_sum describes, sized for
+    phases of one shape, with each trial block's views made here once.
+
+    It lives as long as one _integrate or drift call; kept on the module, a
+    problem or a coupling, it would be shared by two runs.  It is
+    _coupling_sum's first argument, and exposes .incidence, because
+    perfbench/layertrace.py wraps _coupling_sum by its three-argument
+    signature and reads that argument's incidence for its bytes model.
+    """
+
+    def __init__(self, problem: IsingProblem, coupling: CouplingFunction,
+                 shape: tuple):
+        self.problem = problem
+        self.blocks = []
+        if coupling.kind == "sine":
+            return
+        n, m = problem.n, problem.m
+        self.bsz = math.prod(shape[:-1])
+        self.out = np.empty(shape)
+        rows = self.out.reshape(self.bsz, n)
+        width = min(self.bsz, COUPLING_BLOCK)
+        nodes = np.empty(2 * n * width)
+        edges = np.empty((3, m * width))
+        for lo in range(0, self.bsz, COUPLING_BLOCK):
+            w = min(COUPLING_BLOCK, self.bsz - lo)
+            sn, cs = nodes[:2 * n * w].reshape(2, n, w)
+            self.blocks.append((slice(lo, lo + w), sn, cs, rows[lo:lo + w],
+                                *(e[:m * w].reshape(m, w) for e in edges)))
+
+    @property
+    def incidence(self):
+        return self.problem.incidence
+
+
+def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
                   sc: np.ndarray) -> np.ndarray:
     """sum_{j != i} J_ij g(phi_i - phi_j) for each i, from the [s | c] block
     sc = [sin phi, cos phi] of (n,) or (B, n) phases, shaped (2,) + phi.shape.
@@ -155,36 +202,51 @@ def _coupling_sum(problem: IsingProblem, coupling: CouplingFunction,
       sine             f is linear: s_i (J c)_i - c_i (J s)_i, one product of
                        the symmetric J with the node-major [s | c] block;
       smoothed_square  f(s_i c_j - c_i s_j) per edge, summed by the signed
-                       incidence S.
+                       incidence S.  Blocks of at most COUPLING_BLOCK trials
+                       run through the workspace in ops: np.copyto fills a
+                       node-major s and c slab, np.take gathers them into
+                       three (m, block) edge arrays, f is applied in place
+                       and (S x).T fills the block's rows of the output,
+                       which is returned.  The gathers pass mode="clip"
+                       because numpy buffers out= under mode="raise";
+                       _check_edges keeps every index in [0, n), so nothing
+                       is clipped.
     A sparse product sums each column in the same order at every batch
-    size, so a row's sum does not depend on the rows beside it.
+    size, so a row's sum does not depend on the rows beside it or on the
+    block it falls in.
     """
-    shape = sc.shape[1:]
-    n = shape[-1]
-    node_major = np.ascontiguousarray(sc.reshape(-1, n).T)     # (n, 2B)
+    problem = ops.problem
+    n = problem.n
     if coupling.kind == "sine":
+        node_major = np.ascontiguousarray(sc.reshape(-1, n).T)     # (n, 2B)
         jsc = (problem.adjacency @ node_major).T.reshape(sc.shape)
         prod = sc * jsc[::-1]       # [s (J c), c (J s)]
         return prod[0] - prod[1]
-    bsz = node_major.shape[1] // 2
-    sn, cs = node_major[:, :bsz], node_major[:, bsz:]
-    # at most three (m, B) arrays live at once
-    x = np.take(sn, problem.i, axis=0)
-    y = np.take(cs, problem.j, axis=0)
-    x *= y
-    np.take(cs, problem.i, axis=0, out=y)
-    y *= np.take(sn, problem.j, axis=0)
-    x -= y
-    del y
-    coupling.g_of_sin(x, out=x)
-    return np.ascontiguousarray((problem.incidence @ x).T).reshape(shape)
+    s_rows, c_rows = sc.reshape(2, ops.bsz, n)
+    i, j = problem.i, problem.j
+    for rows, sn, cs, out, x, y, z in ops.blocks:
+        np.copyto(sn, s_rows[rows].T)
+        np.copyto(cs, c_rows[rows].T)
+        np.take(sn, i, axis=0, out=x, mode="clip")
+        np.take(cs, j, axis=0, out=y, mode="clip")
+        x *= y
+        np.take(cs, i, axis=0, out=y, mode="clip")
+        np.take(sn, j, axis=0, out=z, mode="clip")
+        y *= z
+        x -= y
+        coupling.g_of_sin(x, out=x)
+        np.copyto(out, (problem.incidence @ x).T)
+    return ops.out
 
 
-def _buffers(shape: tuple) -> tuple:
-    """The drift kernel's arrays for phases of this shape: the [s | c] block
-    with its two halves, the drift and a scratch array."""
+def _buffers(problem: IsingProblem, coupling: CouplingFunction,
+             shape: tuple) -> tuple:
+    """The drift kernel's operands and arrays for phases of this shape: the
+    coupling sum's _Operands, the [s | c] block with its two halves, the
+    drift and a scratch array."""
     sc = np.empty((2,) + shape)
-    return sc, sc[0], sc[1], np.empty(shape), np.empty(shape)
+    return (_Operands(problem, coupling, shape), sc, sc[0], sc[1],
+            np.empty(shape), np.empty(shape))
 
 
 def _drift(problem: IsingProblem, coupling: CouplingFunction,
@@ -192,14 +254,14 @@ def _drift(problem: IsingProblem, coupling: CouplingFunction,
            K: float, Ks: float, buffers: tuple) -> np.ndarray:
     """Unchecked drift of (n,) or (B, n) phases; wdelta is omega - 1.
 
-    buffers is _buffers(phi.shape); the drift is written to its fourth
-    array and returned.  s and c from the one half-angle evaluation feed the
+    buffers is _buffers(problem, coupling, phi.shape); the drift is written
+    to its fifth array and returned.  s and c from the one half-angle evaluation feed the
     coupling sum, the self term f(s) and the SHIL term f(sin 2 phi) =
     f(2 s c).
     """
-    sc, s, c, d, tmp = buffers
+    ops, sc, s, c, d, tmp = buffers
     _sin_cos(phi, s, c, tmp)
-    np.multiply(_coupling_sum(problem, coupling, sc), -K, out=d)
+    np.multiply(_coupling_sum(ops, coupling, sc), -K, out=d)
     if problem.has_self_terms:
         coupling.g_of_sin(s, out=tmp)
         np.multiply(tmp, problem.h, out=tmp)
@@ -225,7 +287,7 @@ def drift(problem: IsingProblem, coupling: CouplingFunction,
     if not np.isfinite(phi).all():
         raise IntegrationError("non-finite phase passed to drift")
     return _drift(problem, coupling, bank.omega, bank.omega - 1.0,
-                  phi, K, Ks, _buffers(phi.shape))
+                  phi, K, Ks, _buffers(problem, coupling, phi.shape))
 
 
 def _n_steps(t_end: float, dt: float) -> int:
@@ -270,7 +332,7 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     dt_0d = np.array(dt)
     noise = kn_arr * np.sqrt(dt)
     phi = phi.copy()
-    buffers = _buffers(phi.shape)
+    buffers = _buffers(problem, coupling, phi.shape)
     zeta = np.empty_like(phi)
     zeta_rows = list(zeta)
     records = None

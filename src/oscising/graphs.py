@@ -31,15 +31,17 @@ class GraphFormatError(ValueError):
 
 def _check_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
                  label: str) -> None:
-    """Raise GraphFormatError unless i and j are integer numpy arrays and the
-    weights w (called label in messages) an integer or float one, of equal
-    lengths, w is finite, every index lies in [0, n), i < j and no pair
-    appears twice; then make the three arrays read-only."""
+    """Raise GraphFormatError unless i and j are one-dimensional integer
+    numpy arrays and the weights w (called label in messages) an integer or
+    float one, of equal lengths, w is finite, every index lies in [0, n),
+    i < j and no pair appears twice; then make the three arrays read-only."""
     for name, a, kinds, what in (("i", i, "iu", "an integer"),
                                  ("j", j, "iu", "an integer"), (label, w, "iuf", "a real")):
         if not (isinstance(a, np.ndarray) and a.dtype.kind in kinds):
             got = getattr(a, "dtype", type(a).__name__)
             raise GraphFormatError(f"{name} must be {what} array, got {got}")
+        if a.ndim != 1:
+            raise GraphFormatError(f"{name} must be one-dimensional, got shape {a.shape}")
     if not len(i) == len(j) == len(w):
         raise GraphFormatError(f"i, j and {label} must have equal lengths, got "
                                f"{len(i)}, {len(j)} and {len(w)}")

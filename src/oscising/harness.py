@@ -13,6 +13,7 @@ _basin_keys labels a cell by its left edge on half-open intervals, as cut.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -135,6 +136,9 @@ class AblationVariant:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.kind == "variability" and self.sigma == 0.0:
             raise ValueError("variability variant needs sigma > 0")
+        if self.kind != "variability" and self.sigma != 0.0:
+            raise ValueError(f"only the variability variant takes a sigma, "
+                             f"got {self.kind} with sigma={self.sigma:g}")
 
     @property
     def label(self) -> str:
@@ -246,7 +250,7 @@ def _run_chunk(problem: IsingProblem, variant: AblationVariant,
     """Integrate one batch of trials; returns their final H, cut and spins."""
     keys = [trial_seed(base_seed, int(k)) for k in trial_indices]
     phi, _ = _run(problem, coupling, schedule, dt, n_steps, keys,
-                  sigma=variant.sigma if variant.kind == "variability" else 0.0)
+                  sigma=variant.sigma)
     done = np.isfinite(phi).all(axis=1)
     spins = _spins_batch(np.where(done[:, None], phi, 0.0))
     h = np.where(done, hamiltonian_batch(problem, spins), np.nan)
@@ -267,7 +271,8 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
     and target counting against the best-known cut).  Failed trials are
     counted and excluded from the aggregates.  trial_offset shifts the
     global trial numbering: runs over disjoint ranges, concatenated,
-    reproduce the single run's per-trial results.
+    reproduce the single run's per-trial results.  The pool holds at most
+    min(workers, number of batches, CPU count) processes.
     """
     for name, value in (("n_trials", n_trials), ("batch_size", batch_size),
                         ("workers", workers)):
@@ -283,9 +288,10 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
               for s in range(lo, hi, batch_size)]
     run_chunk = partial(_run_chunk, problem, variant, sched, coupling,
                         base_seed, dt, n_steps, graph)
+    pool_size = min(workers, len(chunks), os.cpu_count() or 1)
     t0 = time.perf_counter()
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(run_chunk, chunks))
     else:
         results = list(map(run_chunk, chunks))
@@ -361,6 +367,8 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
     nearest binary point.  Limited to n <= 3 (quadrature oracle cost).  A
     chain with a non-finite phase raises IntegrationError.
     """
+    if not (isinstance(grid, (int, np.integer)) and grid >= 1):
+        raise ValueError(f"grid must be an integer >= 1, got {grid!r}")
     n = problem.n
     if n > 3:
         raise ValueError("quadrature oracle is limited to n <= 3")

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from oscising.coupling import sine, smoothed_square
-from oscising.dynamics import (IntegrationError, OscillatorBank, _integrate,
+from oscising.dynamics import (COUPLING_BLOCK, IntegrationError, OscillatorBank,
+                               _buffers, _coupling_sum, _integrate, _sin_cos,
                                binarisation_residual, drift, make_rng,
                                read_spins, trajectory_to_csv)
 from oscising.graphs import random_graph
@@ -209,6 +212,74 @@ def test_integrate_steps_a_copy_and_records_snapshots():
     assert np.array_equal(records[-1], final)
     assert not np.array_equal(records[1], final)
     assert not np.shares_memory(records, final)
+
+
+def blocked_problem():
+    """A 30-node problem with self terms, m well above a block's width."""
+    g = random_graph(30, 40, "uniform_range", seed=3)
+    h = np.linspace(-0.5, 0.5, 30)
+    return IsingProblem(n=30, i=g.i, j=g.j, jval=-g.w, h=h)
+
+
+def test_smoothed_square_blocks_match_single_rows():
+    """B = 65 is three trial blocks (32, 32, 1) of the coupling sum: every
+    row of the batch is bit-equal to its run alone, and drift on one row is
+    bit-equal to that row of the batched drift."""
+    p = blocked_problem()
+    B = 2 * COUPLING_BLOCK + 1
+    rng = make_rng(4)
+    omega = 1.0 + 0.01 * rng.standard_normal(p.n)
+    phi0 = rng.uniform(0.0, np.pi, size=(B, p.n))
+    sched = constant_schedule(1.0, 0.8, 0.4, 0.3)
+
+    def run(rows):
+        rngs = [make_rng(100 + b) for b in rows]
+        return _integrate(p, smoothed_square(), omega, 1.0, sched, 0.05, 8,
+                          phi0[rows], rngs)[0]
+
+    whole = run(list(range(B)))
+    assert all(np.array_equal(whole[b], run([b])[0]) for b in range(B))
+    bank = OscillatorBank(omega)
+    d = drift(p, smoothed_square(), bank, whole, 0.8, 0.4)
+    assert all(np.array_equal(drift(p, smoothed_square(), bank, row, 0.8, 0.4), drow)
+               for row, drow in zip(whole, d))
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 3)])
+def test_edgeless_smoothed_square_drift(shape):
+    """No edges: the coupling sum is zero and only the self and SHIL terms
+    act, for one phase vector and a batch alike."""
+    p = IsingProblem.from_couplings(3, {}, h=np.array([0.5, 0.0, -1.0]))
+    cpl = smoothed_square()
+    phi = make_rng(2).uniform(-3.0, 3.0, size=shape)
+    d = drift(p, cpl, OscillatorBank.uniform(3), phi, 0.7, 0.3)
+    ref = -0.7 * p.h * cpl.g(phi) - 0.3 * cpl.g(2.0 * phi)
+    assert d == pytest.approx(ref, abs=1e-14)
+    rows = np.atleast_2d(phi)
+    final, _ = _integrate(p, cpl, np.ones(3), 1.0, constant_schedule(1.0, 0.7, 0.3, 0.1),
+                          0.1, 10, rows, [make_rng(b) for b in range(len(rows))])
+    assert np.isfinite(final).all()
+
+
+def test_smoothed_square_sum_allocates_only_the_product():
+    """Once the workspace exists, a smoothed-square coupling sum allocates
+    no edge or node array: only the (n, block) sparse products, one at a
+    time."""
+    p = blocked_problem()
+    cpl = smoothed_square()
+    phi = make_rng(5).uniform(-3.0, 3.0, size=(2 * COUPLING_BLOCK + 1, p.n))
+    ops, sc, s, c, _, t = _buffers(p, cpl, phi.shape)
+    _sin_cos(phi, s, c, t)
+    first = _coupling_sum(ops, cpl, sc).copy()   # builds the incidence
+    tracemalloc.start()
+    try:
+        again = _coupling_sum(ops, cpl, sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first, again)
+    assert again is ops.out
+    assert peak <= 8 * p.n * COUPLING_BLOCK + 4096 < 8 * p.m * phi.shape[0]
 
 
 def test_read_spins_mapping():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,21 @@ def test_edge_weights_must_be_real_arrays(w, got):
     with pytest.raises(GraphFormatError, match=f"w must be a real array, {got}"):
         WeightedGraph(n=3, i=i, j=j, w=w)
     with pytest.raises(GraphFormatError, match=f"jval must be a real array, {got}"):
+        IsingProblem(n=3, i=i, j=j, jval=w, h=np.zeros(3))
+
+
+@pytest.mark.parametrize("i, j, w, name, shape", [
+    (np.array([[0, 1]]), np.array([[1, 2]]), np.ones((1, 2)), "i", "(1, 2)"),
+    (np.array([0]), np.array([[1]]), np.ones(1), "j", "(1, 1)"),
+    (np.array([0]), np.array([1]), np.ones((1, 1)), "w", "(1, 1)"),
+    (np.array(0), np.array(1), np.array(1.0), "i", "()"),
+])
+def test_edge_arrays_must_be_one_dimensional(i, j, w, name, shape):
+    """A (1, 2) edge list was accepted as one edge, listed as ([0, 1], [1, 2])."""
+    message = f"must be one-dimensional, got shape {re.escape(shape)}"
+    with pytest.raises(GraphFormatError, match=f"{name} {message}"):
+        WeightedGraph(n=3, i=i, j=j, w=w)
+    with pytest.raises(GraphFormatError, match=message):
         IsingProblem(n=3, i=i, j=j, jval=w, h=np.zeros(3))
 
 

@@ -60,6 +60,43 @@ def test_worker_pool_matches_serial(small_run):
     assert stats_equal(stats, pooled)
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker starts."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, n_trials, cpus, size", [
+    (8, 12, 16, 3),          # three batches of 4
+    (8, 16, 2, 2),           # the CPU count
+    (3, 16, None, None),     # unknown CPU count: one, so no pool
+    (2, 4, 16, None),        # one batch: no pool
+])
+def test_pool_is_capped_by_batches_and_cpus(small_run, monkeypatch, workers,
+                                             n_trials, cpus, size):
+    g, p, sched, stats = small_run
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    pooled = run_trials(p, AblationVariant("baseline"), sched, n_trials, 99,
+                        graph=g, dt=0.02, batch_size=4, workers=workers)
+    assert RecordingPool.sizes == ([] if size is None else [size])
+    assert np.array_equal(pooled.trial_H, stats.trial_H[:n_trials])
+
+
 def test_best_fields_consistent(small_run):
     g, p, _, stats = small_run
     assert stats.best_H == hamiltonian(p, stats.best_spins)
@@ -140,6 +177,16 @@ def test_variant_validation():
             AblationVariant("variability", sigma=sigma)
     v = AblationVariant("variability", sigma=0.05)
     assert v.label == "variability_5%"
+
+
+@pytest.mark.parametrize("kind", [k for k in harness.VARIANT_KINDS
+                                  if k != "variability"])
+def test_only_variability_takes_a_sigma(kind):
+    """A sigma on another kind used to be accepted and ignored."""
+    with pytest.raises(ValueError, match=f"only the variability variant takes "
+                                         f"a sigma, got {kind} with sigma=0.5"):
+        AblationVariant(kind, sigma=0.5)
+    assert AblationVariant(kind).sigma == 0.0
 
 
 @pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf")])
@@ -382,6 +429,15 @@ def test_boltzmann_matches_cell_by_cell_reference(monkeypatch):
     for key in basin_emp:
         assert rep.basin_probs_empirical[key] == pytest.approx(basin_emp[key], abs=1e-12)
         assert rep.basin_probs_oracle[key] == pytest.approx(basin_ora[key], abs=1e-12)
+
+
+@pytest.mark.parametrize("grid", [0, -4, 2.5, 8.0, "8"])
+def test_boltzmann_rejects_bad_grid(grid, monkeypatch):
+    """grid=0 used to divide by zero."""
+    monkeypatch.setattr(harness, "_integrate", None)     # nothing may run
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    with pytest.raises(ValueError, match=f"grid must be an integer >= 1, got {grid!r}"):
+        boltzmann_check(p, sine(), 0.5, 0.5, 0.5, 100, 0, grid=grid)
 
 
 def test_boltzmann_rejects_large_n():

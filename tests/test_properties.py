@@ -141,9 +141,9 @@ def test_factorised_drift_matches_edge_sum(p, seed, coupling, bsz, K, Ks):
     phi = rng.uniform(-20.0, 20.0, size=(bsz, p.n))
     scale = np.abs(p.jval).sum()
     ref_sum = edge_coupling_sum(p, coupling, phi)
-    sc, s, c, _, t = _buffers(phi.shape)
+    ops, sc, s, c, _, t = _buffers(p, coupling, phi.shape)
     _sin_cos(phi, s, c, t)
-    assert np.abs(_coupling_sum(p, coupling, sc) - ref_sum).max() <= 1e-12 * scale
+    assert np.abs(_coupling_sum(ops, coupling, sc) - ref_sum).max() <= 1e-12 * scale
     ref = bank.omega * (-K * ref_sum - K * p.h * coupling.g(phi)
                         - Ks * coupling.g(2.0 * phi)) + (bank.omega - 1.0)
     d = drift(p, coupling, bank, phi, K, Ks)
@@ -200,7 +200,8 @@ def test_integrate_rows_do_not_depend_on_chunking(p, seed, coupling, cuts):
 def test_half_angle_sin_cos_match_numpy(values):
     """The kernel's s and c, from one tan(phi / 2), are sin and cos."""
     phi = np.array(values)
-    _, s, c, _, t = _buffers(phi.shape)
+    p = IsingProblem.from_couplings(len(phi), {})
+    _, _, s, c, _, t = _buffers(p, sine(), phi.shape)
     _sin_cos(phi, s, c, t)
     assert np.abs(s - np.sin(phi)).max() <= 1e-15
     assert np.abs(c - np.cos(phi)).max() <= 1e-15
@@ -217,7 +218,8 @@ def test_nonfinite_phase_gives_nonfinite_drift(p, seed, coupling, bad, K, Ks):
     phi[1, node] = bad
     omega = np.ones(p.n)
     with np.errstate(invalid="ignore"):
-        d = _drift(p, coupling, omega, omega - 1.0, phi, K, Ks, _buffers(phi.shape))
+        d = _drift(p, coupling, omega, omega - 1.0, phi, K, Ks,
+                   _buffers(p, coupling, phi.shape))
     assert not np.isfinite(d[1, node])
     assert np.isfinite(d[[0, 2]]).all()
 

@@ -47,9 +47,6 @@ class ColoringInstance:
     def n_spins(self) -> int:
         return self.graph.n * self.n_colors
 
-    def spin_index(self, vertex: int, color: int) -> int:
-        return vertex * self.n_colors + color
-
 
 @dataclass(frozen=True)
 class ColorAssignment:
@@ -99,7 +96,7 @@ def coloring_to_ising(instance: ColoringInstance) -> IsingProblem:
 
     for u, v, _w in zip(g.i.tolist(), g.j.tolist(), g.w.tolist()):
         for c in range(k):
-            a, b = instance.spin_index(u, c), instance.spin_index(v, c)
+            a, b = u * k + c, v * k + c
             key = (a, b) if a < b else (b, a)
             couplings[key] = couplings.get(key, 0.0) - 1.0
             h[a] -= 1.0

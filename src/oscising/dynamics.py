@@ -29,12 +29,11 @@ The same s and c then serve every term:
   self term     g(phi_i) = f(s_i);
   SHIL term     g(2 phi_i) = f(2 s_i c_i).
 
-The smoothed square's edge sum runs over blocks of at most COUPLING_BLOCK
-trials in a workspace (_Operands) that each _integrate or drift call
-allocates once: a node-major [s | c] slab, three (m, block) edge arrays and
-the output.  A step fills them in place, gathering with np.take(...,
-mode="clip"), so it allocates no node or edge array; only the sparse
-product's (n, block) result is new.
+Neither coupling kind allocates per step: each _integrate or drift call
+makes one workspace (_Operands), and both sparse products call scipy's
+csr_matvecs, the kernel `matrix @ x` runs, straight into it; `@` would
+allocate its result and, on a few nodes, spend longer in dispatch than in
+the kernel.  _integrate writes each recorded step into its record row.
 
 Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1); every run
 starts in harness._run, which states what each stream supplies.  Phases
@@ -47,6 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .coupling import CouplingFunction
 from .ising import IsingProblem, SpinConfig
@@ -153,10 +153,20 @@ def _sin_cos(phi: np.ndarray, s: np.ndarray, c: np.ndarray,
     np.subtract(c, _ONE, out=c)
 
 
+def _product_args(matrix, x: np.ndarray, y: np.ndarray) -> tuple:
+    """csr_matvecs's arguments for y += matrix @ x, the call `matrix @ x`
+    makes for an (N, k > 1) x (for k = 1 it calls csr_matvec, which sums in
+    the same order); x and y must be C-contiguous, so their ravels are views."""
+    if not (x.flags.c_contiguous and y.flags.c_contiguous):
+        raise ValueError("csr_matvecs needs C-contiguous x and y")
+    return (*matrix.shape, x.shape[1], matrix.indptr, matrix.indices,
+            matrix.data, x.ravel(), y.ravel())
+
+
 class _Operands:
-    """The coupling sum's operands for one run: the problem and, for the
-    smoothed square, the workspace that _coupling_sum describes, sized for
-    phases of one shape, with each trial block's views made here once.
+    """The coupling sum's operands for one run: the problem and the
+    workspace that _coupling_sum describes, sized for phases of one shape,
+    with every view and csr_matvecs argument tuple made here once.
 
     It lives as long as one _integrate or drift call; kept on the module, a
     problem or a coupling, it would be shared by two runs.  It is
@@ -168,21 +178,30 @@ class _Operands:
     def __init__(self, problem: IsingProblem, coupling: CouplingFunction,
                  shape: tuple):
         self.problem = problem
-        self.blocks = []
-        if coupling.kind == "sine":
-            return
         n, m = problem.n, problem.m
         self.bsz = math.prod(shape[:-1])
         self.out = np.empty(shape)
+        self.blocks = []
+        if coupling.kind == "sine":
+            node_in, self.node_out = np.empty((2, n, 2 * self.bsz))
+            self.sc_in = node_in.T.reshape((2,) + shape)
+            self.jcs = self.node_out.T.reshape((2,) + shape)[::-1]
+            self.prod = node_in.reshape((2,) + shape)   # the spent input
+            self.terms = tuple(self.prod)
+            self.args = _product_args(problem.adjacency, node_in, self.node_out)
+            return
         rows = self.out.reshape(self.bsz, n)
         width = min(self.bsz, COUPLING_BLOCK)
         nodes = np.empty(2 * n * width)
         edges = np.empty((3, m * width))
+        summed = np.empty(n * width)
         for lo in range(0, self.bsz, COUPLING_BLOCK):
             w = min(COUPLING_BLOCK, self.bsz - lo)
             sn, cs = nodes[:2 * n * w].reshape(2, n, w)
-            self.blocks.append((slice(lo, lo + w), sn, cs, rows[lo:lo + w],
-                                *(e[:m * w].reshape(m, w) for e in edges)))
+            x, y, z = (e[:m * w].reshape(m, w) for e in edges)
+            sx = summed[:n * w].reshape(n, w)
+            self.blocks.append((slice(lo, lo + w), sn, cs, rows[lo:lo + w], x, y, z,
+                                sx, _product_args(problem.incidence, x, sx)))
 
     @property
     def incidence(self):
@@ -198,33 +217,36 @@ def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
     s = 2t / (1 + t^2), c = (1 - t^2) / (1 + t^2).  The same block then
     gives the self term f(s) and the SHIL term f(2 s c) there.
 
-    With g = f(sin):
-      sine             f is linear: s_i (J c)_i - c_i (J s)_i, one product of
-                       the symmetric J with the node-major [s | c] block;
+    With g = f(sin), in the workspace ops, allocating nothing; ops.out is
+    returned:
+      sine             f is linear: s_i (J c)_i - c_i (J s)_i.  csr_matvecs
+                       adds J [s | c], node-major (n, 2B), into a zeroed
+                       output; [J c, J s] is copied back trial-major over
+                       the spent input, where two ufuncs form the sum (a
+                       ufunc over mixed layouts would buffer);
       smoothed_square  f(s_i c_j - c_i s_j) per edge, summed by the signed
-                       incidence S.  Blocks of at most COUPLING_BLOCK trials
-                       run through the workspace in ops: np.copyto fills a
-                       node-major s and c slab, np.take gathers them into
-                       three (m, block) edge arrays, f is applied in place
-                       and (S x).T fills the block's rows of the output,
-                       which is returned.  The gathers pass mode="clip"
-                       because numpy buffers out= under mode="raise";
-                       _check_edges keeps every index in [0, n), so nothing
-                       is clipped.
-    A sparse product sums each column in the same order at every batch
-    size, so a row's sum does not depend on the rows beside it or on the
-    block it falls in.
+                       incidence S.  Per block of at most COUPLING_BLOCK
+                       trials, np.copyto fills a node-major s and c slab,
+                       np.take gathers them into three (m, block) edge
+                       arrays, f is applied in place, csr_matvecs adds S x
+                       into the zeroed (n, block) product and its transpose
+                       fills the block's rows.  The gathers pass mode="clip"
+                       as numpy buffers out= under mode="raise"; _check_edges
+                       keeps every index in [0, n), so nothing is clipped.
+    The kernel is the one `matrix @ x` runs (_product_args).  It sums each
+    column in the same order at every batch size, so a row's sum does not
+    depend on the rows beside it or on the block it falls in.
     """
-    problem = ops.problem
-    n = problem.n
     if coupling.kind == "sine":
-        node_major = np.ascontiguousarray(sc.reshape(-1, n).T)     # (n, 2B)
-        jsc = (problem.adjacency @ node_major).T.reshape(sc.shape)
-        prod = sc * jsc[::-1]       # [s (J c), c (J s)]
-        return prod[0] - prod[1]
-    s_rows, c_rows = sc.reshape(2, ops.bsz, n)
-    i, j = problem.i, problem.j
-    for rows, sn, cs, out, x, y, z in ops.blocks:
+        ops.sc_in[...] = sc
+        ops.node_out.fill(0.0)
+        csr_matvecs(*ops.args)
+        ops.prod[...] = ops.jcs
+        np.multiply(sc, ops.prod, out=ops.prod)
+        return np.subtract(*ops.terms, out=ops.out)
+    s_rows, c_rows = sc.reshape(2, ops.bsz, ops.problem.n)
+    i, j = ops.problem.i, ops.problem.j
+    for rows, sn, cs, out, x, y, z, sx, args in ops.blocks:
         np.copyto(sn, s_rows[rows].T)
         np.copyto(cs, c_rows[rows].T)
         np.take(sn, i, axis=0, out=x, mode="clip")
@@ -235,7 +257,9 @@ def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
         y *= z
         x -= y
         coupling.g_of_sin(x, out=x)
-        np.copyto(out, (problem.incidence @ x).T)
+        sx.fill(0.0)
+        csr_matvecs(*args)
+        np.copyto(out, sx.T)
     return ops.out
 
 
@@ -315,7 +339,9 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     Returns (phi_final, records).  records is None when record_every is 0,
     else the (S, B, n) snapshots at _record_grid(n_steps, record_every).
     The input phi is left as it is; the state, the drift kernel's buffers,
-    the noise and the records are allocated once and updated in place.
+    the noise and the records are allocated once and updated in place: a
+    recorded step writes its update straight into its record row, which
+    the next step reads, so recording copies nothing per step.
     Row b draws its noise from rngs[b] alone, so batched and one-at-a-time
     runs are bit-equal.
 
@@ -331,35 +357,37 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     wdelta = omega - omega_star
     dt_0d = np.array(dt)
     noise = kn_arr * np.sqrt(dt)
-    phi = phi.copy()
+    state = phi = phi.copy()
     buffers = _buffers(problem, coupling, phi.shape)
     zeta = np.empty_like(phi)
     zeta_rows = list(zeta)
     records = None
-    slots = {}                      # step -> row of records
+    rows = {}                       # recorded step -> its row of records
     if record_every:
         grid = _record_grid(n_steps, record_every)
-        slots = {int(k): r for r, k in enumerate(grid)}
         records = np.empty((len(grid),) + phi.shape)
         records[0] = phi
+        rows = dict(zip(grid.tolist(), records))
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_steps):
             d = _drift(problem, coupling, omega, wdelta, phi, k_arr[k], ks_arr[k],
                        buffers)
             for rng, row in zip(rngs, zeta_rows):
                 rng.standard_normal(out=row)
-            # phi + d*dt + (Kn*sqrt(dt))*zeta, in place, rounded the same way
+            # phi + d*dt + (Kn*sqrt(dt))*zeta, rounded the same way, into
+            nxt = rows.get(k + 1, state)    # step k + 1's record row or the state
             np.multiply(d, dt_0d, out=d)
-            np.add(phi, d, out=phi)
+            np.add(phi, d, out=nxt)
             np.multiply(zeta, noise[k], out=zeta)
-            np.add(phi, zeta, out=phi)
-            if (k + 1) in slots:
-                records[slots[k + 1]] = phi
+            np.add(nxt, zeta, out=nxt)
+            phi = nxt
+    if phi is not state:
+        state[...] = phi
     bad = np.argwhere(~np.isfinite(records)) if record_every else ()
     if len(bad):
         r, _, i = bad[0]
         raise IntegrationError(f"non-finite phase at index {i} (t={grid[r] * dt:g})")
-    return phi, records
+    return state, records
 
 
 def _spins_batch(phi: np.ndarray) -> np.ndarray:

@@ -63,6 +63,14 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return (int(base_seed) << 64) + int(trial_index)
 
 
+def _need_int(name: str, value, lo: int) -> None:
+    """Raise ValueError naming `name` unless value is an integer >= lo."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"need {name} >= {lo}, got {value}")
+
+
 def _run(problem: IsingProblem, coupling: CouplingFunction, schedule: Schedule,
          dt: float, n_steps: int, keys: list[int], *,
          omega: np.ndarray | None = None, sigma: float = 0.0,
@@ -274,10 +282,9 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
     reproduce the single run's per-trial results.  The pool holds at most
     min(workers, number of batches, CPU count) processes.
     """
-    for name, value in (("n_trials", n_trials), ("batch_size", batch_size),
-                        ("workers", workers)):
-        if value < 1:
-            raise ValueError(f"need {name} >= 1, got {value}")
+    for name, value, lo in (("n_trials", n_trials, 1), ("batch_size", batch_size, 1),
+                            ("workers", workers, 1), ("trial_offset", trial_offset, 0)):
+        _need_int(name, value, lo)
     if target is not None and not np.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     coupling = coupling or variant.coupling()
@@ -374,8 +381,7 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
         raise ValueError("quadrature oracle is limited to n <= 3")
     if Kn <= 0:
         raise ValueError("needs noise: Kn > 0")
-    if duration < 10:
-        raise ValueError("duration too short")
+    _need_int("duration", duration, 10)
     _, records = _run(problem, coupling, constant_schedule(duration * dt, K, Ks, Kn),
                       dt, duration, [seed], phase_hi=2.0 * np.pi, record_every=1)
     samples = records[int(BOLTZMANN_BURN_IN * duration):, 0, :]
@@ -428,8 +434,7 @@ def scaling_study(sizes: list[int], density_percent: float, n_trials: int,
     """
     if len(sizes) < 2:
         raise ValueError("need at least two sizes")
-    if n_trials < 1:
-        raise ValueError("need n_trials >= 1")
+    _need_int("n_trials", n_trials, 1)
     sched = constant_schedule(t_end, K, Ks, Kn)
     n_steps = _n_steps(t_end, dt)
     keys = [trial_seed(seed, k) for k in range(n_trials)]

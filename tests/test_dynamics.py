@@ -6,9 +6,9 @@ from scipy.integrate import solve_ivp
 
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import (COUPLING_BLOCK, IntegrationError, OscillatorBank,
-                               _buffers, _coupling_sum, _integrate, _sin_cos,
-                               binarisation_residual, drift, make_rng,
-                               read_spins, trajectory_to_csv)
+                               _buffers, _coupling_sum, _integrate,
+                               _product_args, _sin_cos, binarisation_residual,
+                               drift, make_rng, read_spins, trajectory_to_csv)
 from oscising.graphs import random_graph
 from oscising import harness
 from oscising.harness import simulate
@@ -261,25 +261,66 @@ def test_edgeless_smoothed_square_drift(shape):
     assert np.isfinite(final).all()
 
 
-def test_smoothed_square_sum_allocates_only_the_product():
-    """Once the workspace exists, a smoothed-square coupling sum allocates
-    no edge or node array: only the (n, block) sparse products, one at a
-    time."""
+def sum_twice(coupling):
+    """Two coupling sums over one workspace on a 65-row batch, which must
+    agree, the second returned in ops.out; returns the second's tracemalloc
+    peak and the phases."""
     p = blocked_problem()
-    cpl = smoothed_square()
     phi = make_rng(5).uniform(-3.0, 3.0, size=(2 * COUPLING_BLOCK + 1, p.n))
-    ops, sc, s, c, _, t = _buffers(p, cpl, phi.shape)
+    ops, sc, s, c, _, t = _buffers(p, coupling, phi.shape)
     _sin_cos(phi, s, c, t)
-    first = _coupling_sum(ops, cpl, sc).copy()   # builds the incidence
+    first = _coupling_sum(ops, coupling, sc).copy()
     tracemalloc.start()
     try:
-        again = _coupling_sum(ops, cpl, sc)
+        again = _coupling_sum(ops, coupling, sc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(first, again)
     assert again is ops.out
-    assert peak <= 8 * p.n * COUPLING_BLOCK + 4096 < 8 * p.m * phi.shape[0]
+    return peak, phi
+
+
+def test_smoothed_square_sum_allocates_nothing_per_step():
+    """Once the workspace exists, a smoothed-square coupling sum allocates
+    no edge or node array, and the sparse products write into it."""
+    peak, phi = sum_twice(smoothed_square())
+    assert peak <= 4096 < 8 * blocked_problem().n * COUPLING_BLOCK
+
+
+def test_sine_sum_allocates_nothing_per_step():
+    """Once the workspace exists, a sine coupling sum allocates no node
+    array: [s | c] is copied into it and J [s | c] is written there."""
+    peak, phi = sum_twice(sine())
+    assert peak <= 4096 < phi.nbytes
+
+
+def test_direct_product_needs_contiguous_operands():
+    """The kernel writes through y's ravel, which a strided y would copy."""
+    p = blocked_problem()
+    x, y = np.zeros((2, p.n, 4))
+    for a, b in ((x[:, ::2], y[:, :2]), (x[:, :2], y[:, ::2])):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _product_args(p.adjacency, a, b)
+
+
+def test_recording_every_step_holds_the_sparser_records():
+    """Records are written in place: every 5th row of a record_every=1 run,
+    plus its last, is bit-equal to a record_every=5 run, and both end on
+    the same final phases."""
+    p = blocked_problem()
+    phi0 = make_rng(6).uniform(0.0, np.pi, size=(3, p.n))
+
+    def run(every):
+        return _integrate(p, smoothed_square(), np.ones(p.n), 1.0,
+                          constant_schedule(2.0, 0.8, 0.4, 0.3), 0.05, 23,
+                          phi0, [make_rng(b) for b in range(3)], record_every=every)
+
+    final1, dense = run(1)
+    final5, sparse = run(5)
+    assert np.array_equal(np.concatenate([dense[::5], dense[-1:]]), sparse)
+    assert np.array_equal(final1, final5)
+    assert not np.shares_memory(final1, dense)
 
 
 def test_read_spins_mapping():

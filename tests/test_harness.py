@@ -213,6 +213,28 @@ def test_run_trials_rejects_nonpositive_workers_and_batch_size(kwargs, message,
                    **kwargs)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_trials", 2.5), ("batch_size", 2.5), ("workers", 1.5), ("trial_offset", 2.5),
+])
+def test_run_trials_rejects_non_integer_counts(name, value, monkeypatch):
+    """2.5 used to raise a bare TypeError from range or np.arange, and
+    workers=1.5 was accepted."""
+    monkeypatch.setattr(harness, "_integrate", None)     # no trial may run
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    args = {"n_trials": 2, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+        run_trials(p, AblationVariant("baseline"), baseline_schedule(5.0),
+                   base_seed=0, **args)
+
+
+def test_run_trials_rejects_negative_trial_offset(monkeypatch):
+    monkeypatch.setattr(harness, "_integrate", None)
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    with pytest.raises(ValueError, match="need trial_offset >= 0, got -1"):
+        run_trials(p, AblationVariant("baseline"), baseline_schedule(5.0), 2, 0,
+                   trial_offset=-1)
+
+
 @pytest.mark.parametrize("coupling", [sine(), smoothed_square()],
                          ids=["sine", "smoothed_square"])
 def test_simulate_replays_a_trial_of_a_batch(coupling, monkeypatch):
@@ -438,6 +460,18 @@ def test_boltzmann_rejects_bad_grid(grid, monkeypatch):
     p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
     with pytest.raises(ValueError, match=f"grid must be an integer >= 1, got {grid!r}"):
         boltzmann_check(p, sine(), 0.5, 0.5, 0.5, 100, 0, grid=grid)
+
+
+@pytest.mark.parametrize("duration, message", [
+    (2.5, "duration must be an integer, got 2.5"),
+    (9, "need duration >= 10, got 9"),
+])
+def test_boltzmann_rejects_bad_duration(duration, message, monkeypatch):
+    """duration=2.5 used to raise a bare TypeError."""
+    monkeypatch.setattr(harness, "_integrate", None)     # nothing may run
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    with pytest.raises(ValueError, match=message):
+        boltzmann_check(p, sine(), 0.5, 0.5, 0.5, duration, 0)
 
 
 def test_boltzmann_rejects_large_n():

@@ -1,10 +1,12 @@
 """Property tests of the physics quantities over random small problems."""
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.sparse._sparsetools import csr_matvecs
 
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import (OscillatorBank, _buffers, _coupling_sum, _drift,
-                               _integrate, _sin_cos, drift, make_rng)
+                               _integrate, _product_args, _sin_cos, drift,
+                               make_rng)
 from oscising.graphs import GraphFormatError, WeightedGraph
 from oscising.harness import simulate, trial_seed
 from oscising.ising import (IsingProblem, cut_batch, cut_value, hamiltonian,
@@ -128,6 +130,22 @@ def test_binary_energy_is_hamiltonian_minus_n_ks(p, seed, Ks):
     for s in random_spins(seed, p.n):
         phi = np.where(s > 0, 0.0, np.pi)
         assert energy(p, sine(), bank, phi, 0.5, Ks).total == hamiltonian(p, s) - p.n * Ks
+
+
+@FEW
+@given(problems(), seeds, st.sampled_from([1, 2, 65]))
+@example(IsingProblem.from_couplings(3, {}), 0, 2)
+def test_direct_product_is_bit_equal_to_scipy_matmul(p, seed, k):
+    """The coupling sums call scipy's private csr_matvecs through
+    _product_args.  On adjacency and incidence, m = 0 included, it is
+    bit-equal to `matrix @ x`, which runs csr_matvecs for k > 1 columns and
+    csr_matvec for one; a change to either kernel fails here."""
+    rng = make_rng(seed)
+    for matrix in (p.adjacency, p.incidence):
+        x = rng.uniform(-2.0, 2.0, size=(matrix.shape[1], k))
+        y = np.zeros((matrix.shape[0], k))
+        csr_matvecs(*_product_args(matrix, x, y))
+        assert np.array_equal(y, matrix @ x)
 
 
 @FEW

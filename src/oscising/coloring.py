@@ -38,8 +38,8 @@ class ColoringInstance:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.n_colors < 2:
-            raise ValueError(f"need at least 2 colors, got {self.n_colors}")
+        if not isinstance(self.n_colors, (int, np.integer)) or self.n_colors < 2:
+            raise ValueError(f"n_colors must be an integer >= 2, got {self.n_colors!r}")
         if self.labels and len(self.labels) != self.graph.n:
             raise ValueError("label count does not match vertex count")
 
@@ -76,36 +76,25 @@ def coloring_to_ising(instance: ColoringInstance) -> IsingProblem:
 
     Per vertex: J = -2 between every colour pair, h -= 2(k-2) on each spin,
     offset += (k-2)^2 + k.  Per edge and colour c: J(spin(u,c), spin(v,c))
-    -= 1, h -= 1 on both spins, offset += 1.
+    -= 1, h -= 1 on both spins, offset += 1.  Nothing accumulates and nothing
+    is swapped: a vertex's pairs lie inside it and an edge's join u < v, so no
+    pair gets two terms.  Spin (v, c) gets h = -2(k-2) - degree(v), and the
+    pairs are sorted as from_couplings sorts them.
     """
     g = instance.graph
     k = instance.n_colors
-    n_spins = instance.n_spins
-    h = np.zeros(n_spins)
-    offset = 0.0
-    couplings: dict[tuple[int, int], float] = {}
-
-    for v in range(g.n):
-        base = v * k
-        for c1 in range(k):
-            for c2 in range(c1 + 1, k):
-                couplings[(base + c1, base + c2)] = couplings.get(
-                    (base + c1, base + c2), 0.0) - 2.0
-        h[base:base + k] -= 2.0 * (k - 2)
-        offset += float((k - 2) ** 2 + k)
-
-    for u, v, _w in zip(g.i.tolist(), g.j.tolist(), g.w.tolist()):
-        for c in range(k):
-            a, b = u * k + c, v * k + c
-            key = (a, b) if a < b else (b, a)
-            couplings[key] = couplings.get(key, 0.0) - 1.0
-            h[a] -= 1.0
-            h[b] -= 1.0
-        offset += float(k)
-
-    name = f"{g.name or 'graph'}_coloring{k}"
-    return IsingProblem.from_couplings(n_spins, couplings, h=h,
-                                       constant_offset=offset, name=name)
+    c1, c2 = np.triu_indices(k, k=1)
+    colors = np.arange(k)
+    base = np.arange(g.n)[:, None] * k
+    ii = np.concatenate([(base + c1).ravel(), (g.i[:, None] * k + colors).ravel()])
+    jj = np.concatenate([(base + c2).ravel(), (g.j[:, None] * k + colors).ravel()])
+    jval = np.repeat([-2.0, -1.0], [g.n * len(c1), g.m * k])
+    order = np.lexsort((jj, ii))
+    h = np.repeat(-2 * (k - 2) - g.degrees(), k).astype(np.float64)
+    offset = float(g.n * ((k - 2) ** 2 + k) + g.m * k)
+    return IsingProblem(n=instance.n_spins, i=ii[order], j=jj[order],
+                        jval=jval[order], h=h, constant_offset=offset,
+                        name=f"{g.name or 'graph'}_coloring{k}")
 
 
 def decode_coloring(instance: ColoringInstance, spins) -> ColorAssignment:
@@ -117,19 +106,15 @@ def decode_coloring(instance: ColoringInstance, spins) -> ColorAssignment:
     s = spins.s if isinstance(spins, SpinConfig) else np.asarray(spins, dtype=np.float64)
     if len(s) != instance.n_spins:
         raise ValueError(f"expected {instance.n_spins} spins, got {len(s)}")
-    k = instance.n_colors
-    per_vertex = s.reshape(instance.graph.n, k)
-    up = per_vertex > 0
+    g = instance.graph
+    up = s.reshape(g.n, instance.n_colors) > 0
     counts = up.sum(axis=1)
     colors = np.where(counts == 1, np.argmax(up, axis=1), -1)
     bad = tuple(int(v) for v in np.nonzero(counts != 1)[0])
-    conflicts = []
-    for u, v in zip(instance.graph.i.tolist(), instance.graph.j.tolist()):
-        if colors[u] >= 0 and colors[u] == colors[v]:
-            conflicts.append((u, v))
-    valid = not bad and not conflicts
-    return ColorAssignment(colors=colors, valid=valid, bad_vertices=bad,
-                           conflict_edges=tuple(conflicts))
+    clash = (colors[g.i] >= 0) & (colors[g.i] == colors[g.j])
+    conflicts = tuple(zip(g.i[clash].tolist(), g.j[clash].tolist()))
+    return ColorAssignment(colors=colors, valid=not bad and not conflicts,
+                           bad_vertices=bad, conflict_edges=conflicts)
 
 
 def parse_adjacency_pairs(text: str, name: str = "") -> tuple[WeightedGraph, tuple[str, ...]]:

@@ -1,9 +1,9 @@
 """Weighted graphs, G-set file I/O and seeded random instances.
 
-Graphs are immutable: edges are stored canonically as parallel numpy
-arrays (i, j, w) with i < j, no self loops and no duplicate pairs.
-_check_edges is the one validator of that edge list; ising.IsingProblem
-stores its couplings the same way and calls it too.
+Graphs are immutable.  _check_edges holds the edge-list rules of WeightedGraph
+and ising.IsingProblem and returns the form both store: an integer n, read-only
+int64 i < j in the order given, no pair twice (reported 0-based, as "duplicate
+pair (i, j)") and read-only float64 weights; readers and encoders build arrays.
 """
 from __future__ import annotations
 
@@ -30,11 +30,15 @@ class GraphFormatError(ValueError):
 
 
 def _check_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
-                 label: str) -> None:
-    """Raise GraphFormatError unless i and j are one-dimensional integer
+                 label: str) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Return (n, i, j, w) in canonical form, or raise GraphFormatError
+    unless n is a non-negative integer, i and j one-dimensional integer
     numpy arrays and the weights w (called label in messages) an integer or
     float one, of equal lengths, w is finite, every index lies in [0, n),
-    i < j and no pair appears twice; then make the three arrays read-only."""
+    i < j and no pair appears twice."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise GraphFormatError(f"n must be a non-negative integer, got {n!r}")
+    n = int(n)
     for name, a, kinds, what in (("i", i, "iu", "an integer"),
                                  ("j", j, "iu", "an integer"), (label, w, "iuf", "a real")):
         if not (isinstance(a, np.ndarray) and a.dtype.kind in kinds):
@@ -52,14 +56,18 @@ def _check_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
             raise GraphFormatError(f"{name} holds an index outside [0, n={n})")
     if not (i < j).all():
         raise GraphFormatError("edges must be stored with i < j")
-    # int64 keys: in int32, i * n + j wraps once n exceeds 46,340
-    key = np.sort(i.astype(np.int64) * n + j)
+    # negated uint8 weights wrap (-1 is 255), int32 keys i * n + j past n = 46,340
+    i = i.astype(np.int64, copy=False)
+    j = j.astype(np.int64, copy=False)
+    w = w.astype(np.float64, copy=False)
+    key = np.sort(i * n + j)
     dup = key[1:][key[1:] == key[:-1]]
     if len(dup):
         a, b = divmod(int(dup[0]), n)
         raise GraphFormatError(f"duplicate pair ({a}, {b})")
     for a in (i, j, w):
         a.setflags(write=False)
+    return n, i, j, w
 
 
 def _canonical_edges(edges: Iterable[tuple[int, int, float]]) -> tuple:
@@ -87,9 +95,9 @@ class WeightedGraph:
     name: str = ""
 
     def __post_init__(self):
-        if self.n < 0:
-            raise GraphFormatError(f"negative vertex count {self.n}")
-        _check_edges(self.n, self.i, self.j, self.w, "w")
+        for name, value in zip(("n", "i", "j", "w"),
+                               _check_edges(self.n, self.i, self.j, self.w, "w")):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]],
@@ -111,24 +119,23 @@ class WeightedGraph:
         return list(zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.i, 1)
-        np.add.at(deg, self.j, 1)
-        return deg
+        return np.bincount(np.concatenate([self.i, self.j]), minlength=self.n)
 
 
 def parse_gset(text: str, name: str = "") -> WeightedGraph:
     """Parse the plain-text benchmark format: "n m" header then m lines "i j w".
 
     Vertex indices in the file are 1-based; they are converted to 0-based
-    and edges are canonicalized to i < j.  LF and CRLF are both accepted.
+    and each pair to i < j, in the file's order.  LF and CRLF are both
+    accepted.  The file's own rules (header, field count, number syntax,
+    1-based range, self loops) name the edge line; the rest are WeightedGraph's.
     """
     tokens = text.split()
     if len(tokens) < 2:
         raise GraphFormatError("missing 'n m' header")
     try:
-        n, m = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
+        n, m = np.array(tokens[:2], dtype=np.int64).tolist()
+    except (ValueError, OverflowError) as exc:
         raise GraphFormatError(f"bad header: {exc}") from exc
     if n < 0 or m < 0:
         raise GraphFormatError(f"bad header values n={n} m={m}")
@@ -136,27 +143,26 @@ def parse_gset(text: str, name: str = "") -> WeightedGraph:
     if len(body) != 3 * m:
         raise GraphFormatError(
             f"expected {m} edges ({3 * m} fields), found {len(body)} fields")
-    seen: set[tuple[int, int]] = set()
-    ii = np.empty(m, dtype=np.int64)
-    jj = np.empty(m, dtype=np.int64)
-    ww = np.empty(m, dtype=np.float64)
-    for e in range(m):
-        a_s, b_s, w_s = body[3 * e:3 * e + 3]
-        try:
-            a, b, wt = int(a_s), int(b_s), float(w_s)
-        except ValueError as exc:
-            raise GraphFormatError(f"bad edge line {e + 1}: {exc}") from exc
-        if a == b:
-            raise GraphFormatError(f"self loop at vertex {a} (edge {e + 1})")
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise GraphFormatError(
-                f"vertex index out of [1, {n}] in edge {e + 1}: ({a}, {b})")
-        lo, hi = (a - 1, b - 1) if a < b else (b - 1, a - 1)
-        if (lo, hi) in seen:
-            raise GraphFormatError(f"duplicate edge ({a}, {b})")
-        seen.add((lo, hi))
-        ii[e], jj[e], ww[e] = lo, hi, wt
-    return WeightedGraph(n=n, i=ii, j=jj, w=ww, name=name)
+    try:
+        a = np.array(body[0::3], dtype=np.int64)
+        b = np.array(body[1::3], dtype=np.int64)
+        w = np.array(body[2::3], dtype=np.float64)
+    except (ValueError, OverflowError):
+        for e in range(m):      # the first bad line, for the message
+            try:
+                np.array(body[3 * e:3 * e + 2], dtype=np.int64)
+                float(body[3 * e + 2])
+            except (ValueError, OverflowError) as exc:
+                raise GraphFormatError(f"bad edge line {e + 1}: {exc}") from exc
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    bad = np.flatnonzero((lo == hi) | (lo < 1) | (hi > n))
+    if len(bad):
+        e = int(bad[0])
+        if a[e] == b[e]:
+            raise GraphFormatError(f"self loop at vertex {a[e]} (edge {e + 1})")
+        raise GraphFormatError(
+            f"vertex index out of [1, {n}] in edge {e + 1}: ({a[e]}, {b[e]})")
+    return WeightedGraph(n=n, i=lo - 1, j=hi - 1, w=w, name=name)
 
 
 def serialize_gset(graph: WeightedGraph) -> str:
@@ -216,5 +222,4 @@ def random_graph(n: int, density_percent: float, weight_mode: str = "unit",
         ww = rng.uniform(-1.0, 1.0, size=m)
     if not name:
         name = f"random_n{n}_d{density_percent:g}_{weight_mode}_s{seed}"
-    return WeightedGraph(n=n, i=ii.astype(np.int64), j=jj.astype(np.int64),
-                         w=ww.astype(np.float64), name=name)
+    return WeightedGraph(n=n, i=ii, j=jj, w=ww, name=name)

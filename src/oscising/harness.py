@@ -104,8 +104,7 @@ def simulate(problem: IsingProblem, coupling: CouplingFunction,
     at each step's start and samples at step 0, every record_every steps and
     the last step; trial_seed(s, k) with a uniform bank replays trial k of
     run_trials at base seed s.  A non-finite record raises IntegrationError."""
-    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
-        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
+    _need_int("record_every", record_every, 1)
     if len(bank.omega) != problem.n:
         raise ValueError("bank size does not match problem size")
     n_steps = _n_steps(schedule.t_end, dt)
@@ -374,8 +373,7 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
     nearest binary point.  Limited to n <= 3 (quadrature oracle cost).  A
     chain with a non-finite phase raises IntegrationError.
     """
-    if not (isinstance(grid, (int, np.integer)) and grid >= 1):
-        raise ValueError(f"grid must be an integer >= 1, got {grid!r}")
+    _need_int("grid", grid, 1)
     n = problem.n
     if n > 3:
         raise ValueError("quadrature oracle is limited to n <= 3")

@@ -1,7 +1,7 @@
 """Ising problems: H = -sum_{i<j} J_ij s_i s_j - sum_i h_i s_i + offset.
 
-Couplings are sparse and symmetric, stored once per pair with i < j, and
-checked by the one edge-list validator, graphs._check_edges.
+Couplings are sparse and symmetric, stored once per pair with i < j in the
+canonical form that the one edge-list validator, graphs._check_edges, returns.
 The constant offset carries terms dropped by problem encoders so that
 encoded Hamiltonians are exact, not merely equal up to a constant.
 """
@@ -62,6 +62,9 @@ class IsingProblem:
     name: str = ""
 
     def __post_init__(self):
+        for name, value in zip(("n", "i", "j", "jval"),
+                               _check_edges(self.n, self.i, self.j, self.jval, "jval")):
+            object.__setattr__(self, name, value)
         h = np.asarray(self.h, dtype=np.float64)
         if h.shape != (self.n,):
             raise ValueError(f"h must have length n={self.n}, got {h.shape}")
@@ -69,7 +72,6 @@ class IsingProblem:
             raise ValueError("h must be finite")
         if not np.isfinite(self.constant_offset):
             raise ValueError("constant_offset must be finite")
-        _check_edges(self.n, self.i, self.j, self.jval, "jval")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
 
@@ -125,9 +127,8 @@ class IsingProblem:
 
 def maxcut_to_ising(graph: WeightedGraph) -> IsingProblem:
     """MAX-CUT encoding: J_ij = -w_ij, no self terms, no offset."""
-    return IsingProblem(n=graph.n, i=graph.i, j=graph.j,
-                        jval=(-graph.w).copy(), h=np.zeros(graph.n),
-                        constant_offset=0.0, name=graph.name)
+    return IsingProblem(n=graph.n, i=graph.i, j=graph.j, jval=-graph.w,
+                        h=np.zeros(graph.n), name=graph.name)
 
 
 def _spin_vector(spins, n: int) -> np.ndarray:

@@ -62,14 +62,8 @@ class Schedule:
             out.append((ts, vs))
         return out
 
-    def eval(self, t: float) -> tuple[float, float, float]:
-        """(K, Ks, Kn) at time t, 0 <= t <= t_end."""
-        if not 0.0 <= t <= self.t_end:
-            raise ValueError(f"t={t} outside [0, {self.t_end}]")
-        return tuple(float(np.interp(t, ts, vs)) for ts, vs in self._arrays)
-
     def eval_arrays(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized eval over a time grid inside [0, t_end]."""
+        """(K, Ks, Kn) arrays over a time grid inside [0, t_end]."""
         t = np.asarray(t, dtype=np.float64)
         if len(t) and (t.min() < 0.0 or t.max() > self.t_end):
             raise ValueError("time grid outside [0, t_end]")

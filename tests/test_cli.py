@@ -68,6 +68,17 @@ def test_solve_maxcut_rejects_malformed_file(tmp_path, capsys):
     assert main(["solve-maxcut", str(tmp_path / "missing.txt")]) == 2
 
 
+@pytest.mark.parametrize("text", ["99999999999999999999 0\n",
+                                  "3 1\n1 99999999999999999999 1\n"])
+def test_solve_maxcut_rejects_oversized_integers(tmp_path, capsys, text):
+    """An integer beyond int64 in the header or an edge line is a format
+    error (exit 2), not an OverflowError traceback."""
+    bad = tmp_path / "huge.txt"
+    bad.write_text(text)
+    assert main(["solve-maxcut", str(bad)]) == 2
+    assert "error: bad" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, seed", [
     pytest.param("solve-maxcut", "-1", id="-1"),
     pytest.param("solve-maxcut", str(2 ** 64), id=str(2 ** 64)),

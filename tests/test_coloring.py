@@ -6,8 +6,8 @@ import pytest
 from oscising.coloring import (ColoringInstance, coloring_to_ising,
                                decode_coloring, parse_adjacency_pairs,
                                us_states_instance)
-from oscising.graphs import WeightedGraph
-from oscising.ising import hamiltonian
+from oscising.graphs import WeightedGraph, random_graph
+from oscising.ising import IsingProblem, hamiltonian
 
 
 def direct_penalty(instance, s):
@@ -48,6 +48,53 @@ def test_single_edge_increments():
           for k in wired.coupling_dict()}
     cross = {k: v for k, v in dj.items() if v != 0.0}
     assert cross == {(c, 4 + c): -1.0 for c in range(4)}
+
+
+def accumulated_encoding(instance):
+    """The penalty expansion summed term by term into a coupling dict and
+    handed to from_couplings."""
+    g, k = instance.graph, instance.n_colors
+    h = np.zeros(instance.n_spins)
+    offset = 0.0
+    couplings = {}
+    for v in range(g.n):
+        for c1, c2 in itertools.combinations(range(k), 2):
+            key = (v * k + c1, v * k + c2)
+            couplings[key] = couplings.get(key, 0.0) - 2.0
+        h[v * k:(v + 1) * k] -= 2.0 * (k - 2)
+        offset += float((k - 2) ** 2 + k)
+    for u, v in zip(g.i.tolist(), g.j.tolist()):
+        for c in range(k):
+            key = (u * k + c, v * k + c)
+            couplings[key] = couplings.get(key, 0.0) - 1.0
+            h[u * k + c] -= 1.0
+            h[v * k + c] -= 1.0
+        offset += float(k)
+    return IsingProblem.from_couplings(instance.n_spins, couplings, h=h,
+                                       constant_offset=offset)
+
+
+@pytest.mark.parametrize("instance", [
+    *(us_states_instance(k) for k in (2, 3, 4, 5)),
+    ColoringInstance(random_graph(40, 15, "unit", seed=4), 3),
+    ColoringInstance(WeightedGraph.from_edges(3, [(2, 0, 1.0)]), 2),
+], ids=["us2", "us3", "us4", "us5", "random40", "isolated"])
+def test_encoder_equals_the_accumulated_expansion(instance):
+    """The array encoder stores exactly what accumulating every term into a
+    dict and from_couplings store: the same pairs in the same order, and
+    bit-equal values, h and offset."""
+    new, old = coloring_to_ising(instance), accumulated_encoding(instance)
+    for name in ("i", "j", "jval", "h"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert new.constant_offset == old.constant_offset
+
+
+@pytest.mark.parametrize("n_colors", [2.5, 4.0, "4", None, 1])
+def test_color_count_must_be_an_integer(n_colors):
+    """n_colors = 2.5 was accepted and reported 7.5 spins for 3 vertices."""
+    with pytest.raises(ValueError, match=f"n_colors must be an integer >= 2, got {n_colors!r}"):
+        ColoringInstance(WeightedGraph.from_edges(3, []), n_colors=n_colors)
 
 
 @pytest.mark.parametrize("edges,k", [

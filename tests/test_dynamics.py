@@ -114,9 +114,9 @@ def test_simulate_rejects_bad_step_and_record_settings(monkeypatch):
         simulate(*args, dt=2.0, seed=0)
     # 1.5 would step the record times by 1.5 while phases are recorded at
     # whole steps
-    for record_every in (0, 1.5):
-        with pytest.raises(ValueError, match=rf"record_every must be an integer >= 1, "
-                                             rf"got {record_every}"):
+    for record_every, message in ((0, "need record_every >= 1, got 0"),
+                                  (1.5, "record_every must be an integer, got 1.5")):
+        with pytest.raises(ValueError, match=message):
             simulate(*args, dt=0.1, seed=0, record_every=record_every)
 
 
@@ -261,11 +261,10 @@ def test_edgeless_smoothed_square_drift(shape):
     assert np.isfinite(final).all()
 
 
-def sum_twice(coupling):
-    """Two coupling sums over one workspace on a 65-row batch, which must
-    agree, the second returned in ops.out; returns the second's tracemalloc
-    peak and the phases."""
-    p = blocked_problem()
+def sum_twice(coupling, p):
+    """Two coupling sums of p over one workspace on a 65-row batch, which
+    must agree, the second returned in ops.out; returns the second's
+    tracemalloc peak and the phases."""
     phi = make_rng(5).uniform(-3.0, 3.0, size=(2 * COUPLING_BLOCK + 1, p.n))
     ops, sc, s, c, _, t = _buffers(p, coupling, phi.shape)
     _sin_cos(phi, s, c, t)
@@ -284,15 +283,39 @@ def sum_twice(coupling):
 def test_smoothed_square_sum_allocates_nothing_per_step():
     """Once the workspace exists, a smoothed-square coupling sum allocates
     no edge or node array, and the sparse products write into it."""
-    peak, phi = sum_twice(smoothed_square())
+    peak, phi = sum_twice(smoothed_square(), blocked_problem())
     assert peak <= 4096 < 8 * blocked_problem().n * COUPLING_BLOCK
 
 
 def test_sine_sum_allocates_nothing_per_step():
     """Once the workspace exists, a sine coupling sum allocates no node
     array: [s | c] is copied into it and J [s | c] is written there."""
-    peak, phi = sum_twice(sine())
+    peak, phi = sum_twice(sine(), blocked_problem())
     assert peak <= 4096 < phi.nbytes
+
+
+def test_integer_weighted_sine_sum_allocates_nothing_per_step():
+    """Integer weights are stored as float64, so the sparse product does not
+    convert a copy of J's 2m entries on every call."""
+    g = random_graph(30, 100, "unit", seed=0)
+    p = IsingProblem(n=30, i=g.i, j=g.j, jval=(-1) ** np.arange(g.m), h=np.zeros(30))
+    assert p.m >= 257
+    peak, _ = sum_twice(sine(), p)
+    assert peak <= 4096 < 16 * p.m
+
+
+def test_uint8_weights_do_not_wrap():
+    """A uint8 weight of 1 used to reach S as [1, 255], so the second
+    oscillator's drift read 252.07 instead of -0.989."""
+    args = (2, np.array([0]), np.array([1]))
+    p = IsingProblem(*args, jval=np.array([1], dtype=np.uint8), h=np.zeros(2))
+    ref = IsingProblem(*args, jval=np.array([1.0]), h=np.zeros(2))
+    assert p.incidence.data.tolist() == [1.0, -1.0]
+    phi = np.array([0.3, 1.0])
+    d = drift(p, smoothed_square(), OscillatorBank.uniform(2), phi, 1.0, 0.0)
+    assert np.array_equal(d, drift(ref, smoothed_square(), OscillatorBank.uniform(2),
+                                   phi, 1.0, 0.0))
+    assert d == pytest.approx([0.989, -0.989], abs=5e-4)
 
 
 def test_direct_product_needs_contiguous_operands():

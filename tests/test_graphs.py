@@ -25,6 +25,30 @@ def test_parse_canonicalizes_order():
     assert g.edges() == [(0, 2, 5.0)]
 
 
+def test_parse_keeps_the_line_order():
+    """Edges are stored in the file's order, which sets the incidence
+    columns and so the summation order; they are not sorted."""
+    g = parse_gset("5 4\n4 2 1.5\n1 5 -2\n3 1 0.25\n2 1 7\n")
+    assert g.edges() == [(1, 3, 1.5), (0, 4, -2.0), (0, 2, 0.25), (0, 1, 7.0)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 2\n1 2 1\n2 2 1\n", r"self loop at vertex 2 \(edge 2\)"),
+    ("3 2\n1 2 1\n2 4 1\n", r"vertex index out of \[1, 3\] in edge 2: \(2, 4\)"),
+    ("3 2\n1 2 1\n2 3 x\n", "bad edge line 2"),
+    ("3 2\n1 2 x\n2 3.0 1\n", "bad edge line 1"),
+    ("3 2\n1 2 1\n2 99999999999999999999 1\n", "bad edge line 2"),
+    ("99999999999999999999 0\n", "bad header"),
+    ("3 2\n1 2 1\n2 1 1\n", r"duplicate pair \(0, 1\)"),
+])
+def test_parse_names_the_broken_rule(text, message):
+    """The file's own rules name the edge line; an oversized integer is a
+    format error, not an OverflowError; a repeated pair is the edge-list
+    validator's, reported 0-based."""
+    with pytest.raises(GraphFormatError, match=message):
+        parse_gset(text)
+
+
 @pytest.mark.parametrize("text", [
     "2 1\n1 1 1\n",          # self loop
     "2 2\n1 2 1\n2 1 1\n",   # duplicate (reversed)
@@ -145,6 +169,34 @@ def test_edge_arrays_must_be_one_dimensional(i, j, w, name, shape):
 def test_integer_edge_weights_are_accepted():
     w = np.array([2])
     assert WeightedGraph(n=3, i=np.array([0]), j=np.array([1]), w=w).total_weight == 2.0
+
+
+@pytest.mark.parametrize("wtype", [np.uint8, np.int32, np.int64])
+@pytest.mark.parametrize("itype", [np.uint16, np.int32, np.int64])
+def test_edge_lists_are_stored_canonically(wtype, itype):
+    """Both classes store int64 indices and float64 weights, read-only,
+    whatever integer or real dtypes they were given."""
+    i, j = np.array([0, 1], dtype=itype), np.array([2, 2], dtype=itype)
+    w = np.array([1, 3], dtype=wtype)
+    for a in (WeightedGraph(n=np.int32(3), i=i, j=j, w=w),
+              IsingProblem(n=np.int32(3), i=i, j=j, jval=w, h=np.zeros(3))):
+        weights = a.w if isinstance(a, WeightedGraph) else a.jval
+        assert type(a.n) is int
+        assert (a.i.dtype, a.j.dtype, weights.dtype) == (np.int64, np.int64, np.float64)
+        assert weights.tolist() == [1.0, 3.0]
+        assert not (a.i.flags.writeable or a.j.flags.writeable or weights.flags.writeable)
+
+
+@pytest.mark.parametrize("n", [2.0, 3.5, True, "3", None, -1])
+def test_vertex_count_must_be_an_integer(n):
+    """n = 2.0 was accepted and failed only in drift, with a bare TypeError;
+    a negative n fails the same rule."""
+    i, j = np.array([0]), np.array([1])
+    message = f"n must be a non-negative integer, got {re.escape(repr(n))}"
+    with pytest.raises(GraphFormatError, match=message):
+        WeightedGraph(n=n, i=i, j=j, w=np.ones(1))
+    with pytest.raises(GraphFormatError, match=message):
+        IsingProblem(n=n, i=i, j=j, jval=np.ones(1), h=np.zeros(2))
 
 
 def test_pair_keys_do_not_wrap_in_int32():

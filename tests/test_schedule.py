@@ -6,17 +6,22 @@ import pytest
 from oscising.schedule import Schedule, baseline_schedule, constant_schedule
 
 
+def at(s, t):
+    """(K, Ks, Kn) at the single time t."""
+    return tuple(a.item() for a in s.eval_arrays([t]))
+
+
 def test_constant_channels():
     s = constant_schedule(10.0, 0.5, 3.0, 0.1)
     for t in (0.0, 4.2, 10.0):
-        assert s.eval(t) == (0.5, 3.0, 0.1)
+        assert at(s, t) == (0.5, 3.0, 0.1)
 
 
 def test_linear_interpolation():
     s = Schedule(t_end=20.0, k_points=((0.0, 0.0), (20.0, 1.0)),
                  ks_points=((0.0, 0.0),), kn_points=((0.0, 0.0),))
-    assert s.eval(10.0)[0] == pytest.approx(0.5)
-    assert s.eval(20.0)[0] == 1.0
+    assert at(s, 10.0)[0] == pytest.approx(0.5)
+    assert at(s, 20.0)[0] == 1.0
 
 
 def test_step_encoding():
@@ -24,25 +29,26 @@ def test_step_encoding():
     s = Schedule(t_end=10.0, k_points=((0.0, 0.0),),
                  ks_points=((0.0, 0.0),),
                  kn_points=((0.0, 0.0), (5.0, 0.0), (5.0 + eps, 1.0)))
-    assert s.eval(4.999)[2] == 0.0
-    assert s.eval(6.0)[2] == 1.0
+    assert at(s, 4.999)[2] == 0.0
+    assert at(s, 6.0)[2] == 1.0
 
 
 def test_eval_out_of_range():
     s = constant_schedule(5.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        s.eval(-0.1)
-    with pytest.raises(ValueError):
-        s.eval(5.1)
+    with pytest.raises(ValueError, match=r"time grid outside \[0, t_end\]"):
+        s.eval_arrays(np.array([0.0, -0.1]))
+    with pytest.raises(ValueError, match=r"time grid outside \[0, t_end\]"):
+        s.eval_arrays(np.array([5.1]))
 
 
-def test_eval_arrays_matches_eval():
+def test_eval_arrays_pointwise():
+    """A grid evaluates each time on its own: every entry equals the
+    single-time evaluation."""
     s = baseline_schedule(20.0)
     ts = np.linspace(0.0, 20.0, 173)
     karr, ksarr, knarr = s.eval_arrays(ts)
     for i, t in enumerate(ts):
-        k, ks, kn = s.eval(float(t))
-        assert (k, ks, kn) == (karr[i], ksarr[i], knarr[i])
+        assert at(s, t) == (karr[i], ksarr[i], knarr[i])
 
 
 @pytest.mark.parametrize("points", [
@@ -75,10 +81,10 @@ def test_rejects_negative_noise():
 def test_baseline_shape():
     t_end = 20.0
     s = baseline_schedule(t_end)
-    assert s.eval(t_end)[0] == 1.0                  # K ramps to 1
-    assert s.eval(0.0)[2] == 0.0                    # noise starts at 0
-    assert s.eval(t_end)[2] == 1.0                  # and steps up to 1
-    assert s.eval(0.1 * t_end)[2] == 0.0            # still off at the step time
+    assert at(s, t_end)[0] == 1.0                  # K ramps to 1
+    assert at(s, 0.0)[2] == 0.0                    # noise starts at 0
+    assert at(s, t_end)[2] == 1.0                  # and steps up to 1
+    assert at(s, 0.1 * t_end)[2] == 0.0            # still off at the step time
     # exactly five local maxima of Ks inside (0, t_end)
     ts = np.linspace(0.0, t_end, 4001)
     ks = s.eval_arrays(ts)[1]
@@ -88,8 +94,8 @@ def test_baseline_shape():
 
 def test_baseline_overrides():
     s = baseline_schedule(10.0, k_max=2.0, ks_max=0.5, kn_high=0.25)
-    assert s.eval(10.0)[0] == 2.0
-    assert s.eval(10.0)[2] == 0.25
+    assert at(s, 10.0)[0] == 2.0
+    assert at(s, 10.0)[2] == 0.25
     assert max(v for _, v in s.ks_points) == 0.5
 
 
@@ -109,8 +115,8 @@ def test_json_roundtrip_exact():
 
 def test_override_channels():
     s = replace(baseline_schedule(20.0), kn_points=((0.0, 0.0),))
-    assert s.eval(20.0)[2] == 0.0
-    assert s.eval(20.0)[0] == 1.0
+    assert at(s, 20.0)[2] == 0.0
+    assert at(s, 20.0)[0] == 1.0
 
 
 def test_monotone_channel_interpolates_monotonically():

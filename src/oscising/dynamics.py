@@ -30,10 +30,10 @@ The same s and c then serve every term:
   SHIL term     g(2 phi_i) = f(2 s_i c_i).
 
 Neither coupling kind allocates per step: each _integrate or drift call
-makes one workspace (_Operands), and both sparse products call scipy's
-csr_matvecs, the kernel `matrix @ x` runs, straight into it; `@` would
-allocate its result and, on a few nodes, spend longer in dispatch than in
-the kernel.  _integrate writes each recorded step into its record row.
+makes one workspace (_Operands) that owns its kernel state, and both sparse
+products call csr_matvecs, the kernel `matrix @ x` runs, straight into it;
+`@` would allocate its result and, on a few nodes, spend longer in dispatch
+than in the kernel.  _integrate writes each recorded step into its record row.
 
 Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1); every run
 starts in harness._run, which states what each stream supplies.  Phases
@@ -164,20 +164,28 @@ def _product_args(matrix, x: np.ndarray, y: np.ndarray) -> tuple:
 
 
 class _Operands:
-    """The coupling sum's operands for one run: the problem and the
-    workspace that _coupling_sum describes, sized for phases of one shape,
-    with every view and csr_matvecs argument tuple made here once.
+    """One run's drift-kernel workspace for phases of one shape: the problem,
+    the coupling, omega and wdelta = omega - w*, the [s | c] block sc with
+    its halves s and c, the drift d, scratch tmp and the coupling sum's
+    arrays, views and csr_matvecs argument tuples, all made here once.
 
-    It lives as long as one _integrate or drift call; kept on the module, a
-    problem or a coupling, it would be shared by two runs.  It is
-    _coupling_sum's first argument, and exposes .incidence, because
-    perfbench/layertrace.py wraps _coupling_sum by its three-argument
-    signature and reads that argument's incidence for its bytes model.
+    For the smoothed square it holds writable copies i and j of the edge
+    indices: np.take copies a read-only index array on every call (150 kB a
+    gather at G1 size).  It lives for one _integrate or drift call, so no
+    two runs share it.  It is _coupling_sum's first argument and exposes
+    .incidence: perfbench/layertrace.py wraps _coupling_sum by its
+    three-argument signature and reads that incidence for its bytes model.
     """
 
     def __init__(self, problem: IsingProblem, coupling: CouplingFunction,
-                 shape: tuple):
+                 omega: np.ndarray, wdelta: np.ndarray, shape: tuple):
         self.problem = problem
+        self.coupling = coupling
+        self.omega = omega
+        self.wdelta = wdelta
+        self.sc = np.empty((2,) + shape)
+        self.s, self.c = self.sc
+        self.d, self.tmp = np.empty((2,) + shape)
         n, m = problem.n, problem.m
         self.bsz = math.prod(shape[:-1])
         self.out = np.empty(shape)
@@ -190,6 +198,7 @@ class _Operands:
             self.terms = tuple(self.prod)
             self.args = _product_args(problem.adjacency, node_in, self.node_out)
             return
+        self.i, self.j = problem.i.copy(), problem.j.copy()
         rows = self.out.reshape(self.bsz, n)
         width = min(self.bsz, COUPLING_BLOCK)
         nodes = np.empty(2 * n * width)
@@ -213,10 +222,6 @@ def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
     """sum_{j != i} J_ij g(phi_i - phi_j) for each i, from the [s | c] block
     sc = [sin phi, cos phi] of (n,) or (B, n) phases, shaped (2,) + phi.shape.
 
-    _drift fills sc once per step from the half-angle tangent t = tan(phi/2):
-    s = 2t / (1 + t^2), c = (1 - t^2) / (1 + t^2).  The same block then
-    gives the self term f(s) and the SHIL term f(2 s c) there.
-
     With g = f(sin), in the workspace ops, allocating nothing; ops.out is
     returned:
       sine             f is linear: s_i (J c)_i - c_i (J s)_i.  csr_matvecs
@@ -226,13 +231,13 @@ def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
                        ufunc over mixed layouts would buffer);
       smoothed_square  f(s_i c_j - c_i s_j) per edge, summed by the signed
                        incidence S.  Per block of at most COUPLING_BLOCK
-                       trials, np.copyto fills a node-major s and c slab,
-                       np.take gathers them into three (m, block) edge
-                       arrays, f is applied in place, csr_matvecs adds S x
-                       into the zeroed (n, block) product and its transpose
-                       fills the block's rows.  The gathers pass mode="clip"
-                       as numpy buffers out= under mode="raise"; _check_edges
-                       keeps every index in [0, n), so nothing is clipped.
+                       trials, np.copyto fills node-major s and c slabs,
+                       np.take gathers them by ops.i and ops.j into three
+                       (m, block) edge arrays, f is applied in place and
+                       csr_matvecs adds S x into the zeroed (n, block)
+                       product, whose transpose fills the block's rows.
+                       The gathers pass mode="clip" (numpy buffers out=
+                       under "raise"); _check_edges keeps indices in [0, n).
     The kernel is the one `matrix @ x` runs (_product_args).  It sums each
     column in the same order at every batch size, so a row's sum does not
     depend on the rows beside it or on the block it falls in.
@@ -245,7 +250,7 @@ def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
         np.multiply(sc, ops.prod, out=ops.prod)
         return np.subtract(*ops.terms, out=ops.out)
     s_rows, c_rows = sc.reshape(2, ops.bsz, ops.problem.n)
-    i, j = ops.problem.i, ops.problem.j
+    i, j = ops.i, ops.j
     for rows, sn, cs, out, x, y, z, sx, args in ops.blocks:
         np.copyto(sn, s_rows[rows].T)
         np.copyto(cs, c_rows[rows].T)
@@ -263,32 +268,16 @@ def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
     return ops.out
 
 
-def _buffers(problem: IsingProblem, coupling: CouplingFunction,
-             shape: tuple) -> tuple:
-    """The drift kernel's operands and arrays for phases of this shape: the
-    coupling sum's _Operands, the [s | c] block with its two halves, the
-    drift and a scratch array."""
-    sc = np.empty((2,) + shape)
-    return (_Operands(problem, coupling, shape), sc, sc[0], sc[1],
-            np.empty(shape), np.empty(shape))
-
-
-def _drift(problem: IsingProblem, coupling: CouplingFunction,
-           omega: np.ndarray, wdelta: np.ndarray, phi: np.ndarray,
-           K: float, Ks: float, buffers: tuple) -> np.ndarray:
-    """Unchecked drift of (n,) or (B, n) phases; wdelta is omega - 1.
-
-    buffers is _buffers(problem, coupling, phi.shape); the drift is written
-    to its fifth array and returned.  s and c from the one half-angle evaluation feed the
-    coupling sum, the self term f(s) and the SHIL term f(sin 2 phi) =
-    f(2 s c).
-    """
-    ops, sc, s, c, d, tmp = buffers
+def _drift(ops: _Operands, phi: np.ndarray, K: float, Ks: float) -> np.ndarray:
+    """Unchecked drift of phases of the shape ops was made for, written to
+    ops.d and returned.  s and c from the one half-angle evaluation feed the
+    coupling sum, the self term f(s) and the SHIL term f(2 s c)."""
+    coupling, s, c, d, tmp = ops.coupling, ops.s, ops.c, ops.d, ops.tmp
     _sin_cos(phi, s, c, tmp)
-    np.multiply(_coupling_sum(ops, coupling, sc), -K, out=d)
-    if problem.has_self_terms:
+    np.multiply(_coupling_sum(ops, coupling, ops.sc), -K, out=d)
+    if ops.problem.has_self_terms:
         coupling.g_of_sin(s, out=tmp)
-        np.multiply(tmp, problem.h, out=tmp)
+        np.multiply(tmp, ops.problem.h, out=tmp)
         np.multiply(tmp, K, out=tmp)
         np.subtract(d, tmp, out=d)
     if Ks != 0.0:
@@ -297,21 +286,29 @@ def _drift(problem: IsingProblem, coupling: CouplingFunction,
         coupling.g_of_sin(tmp, out=tmp)
         np.multiply(tmp, Ks, out=tmp)
         np.subtract(d, tmp, out=d)
-    np.multiply(d, omega, out=d)
-    np.add(d, wdelta, out=d)
+    np.multiply(d, ops.omega, out=d)
+    np.add(d, ops.wdelta, out=d)
     return d
+
+
+def _check_sizes(problem: IsingProblem, bank: OscillatorBank,
+                 phi: np.ndarray | None = None) -> None:
+    """ValueError unless the bank and phi's last axis (if given) hold n."""
+    if phi is not None and phi.shape[-1] != problem.n:
+        raise ValueError(f"phi has {phi.shape[-1]} phases, problem has n={problem.n}")
+    if len(bank.omega) != problem.n:
+        raise ValueError("bank size does not match problem size")
 
 
 def drift(problem: IsingProblem, coupling: CouplingFunction,
           bank: OscillatorBank, phi: np.ndarray, K: float, Ks: float) -> np.ndarray:
     """Deterministic phase velocity; accepts (n,) or batched (B, n) phases."""
     phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape[-1] != problem.n:
-        raise ValueError(f"phi has {phi.shape[-1]} phases, problem has n={problem.n}")
+    _check_sizes(problem, bank, phi)
     if not np.isfinite(phi).all():
         raise IntegrationError("non-finite phase passed to drift")
-    return _drift(problem, coupling, bank.omega, bank.omega - 1.0,
-                  phi, K, Ks, _buffers(problem, coupling, phi.shape))
+    ops = _Operands(problem, coupling, bank.omega, bank.omega - 1.0, phi.shape)
+    return _drift(ops, phi, K, Ks)
 
 
 def _n_steps(t_end: float, dt: float) -> int:
@@ -338,10 +335,10 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
 
     Returns (phi_final, records).  records is None when record_every is 0,
     else the (S, B, n) snapshots at _record_grid(n_steps, record_every).
-    The input phi is left as it is; the state, the drift kernel's buffers,
-    the noise and the records are allocated once and updated in place: a
-    recorded step writes its update straight into its record row, which
-    the next step reads, so recording copies nothing per step.
+    The input phi is left as it is; the state, the drift kernel's workspace
+    (_Operands), the noise and the records are allocated once and updated
+    in place: a recorded step writes its update straight into its record
+    row, which the next step reads, so recording copies nothing per step.
     Row b draws its noise from rngs[b] alone, so batched and one-at-a-time
     runs are bit-equal.
 
@@ -349,16 +346,15 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     NaN and inf propagate, so a non-finite row stays so to the end while the
     others step on unchanged.  Without records the caller reads failure from
     the final phases; with them, IntegrationError names the first non-finite
-    record in (S, B, n) order after the run.  omega_star is 1.0 at every
-    caller; it stays because perfbench/layertrace.py wraps this signature.
+    record in (S, B, n) order after the run.  omega_star (1.0 at every
+    caller) sets wdelta; it stays as perfbench/layertrace.py wraps it.
     """
     t_grid = np.arange(n_steps) * dt
     k_arr, ks_arr, kn_arr = schedule.eval_arrays(t_grid)
-    wdelta = omega - omega_star
     dt_0d = np.array(dt)
     noise = kn_arr * np.sqrt(dt)
     state = phi = phi.copy()
-    buffers = _buffers(problem, coupling, phi.shape)
+    ops = _Operands(problem, coupling, omega, omega - omega_star, phi.shape)
     zeta = np.empty_like(phi)
     zeta_rows = list(zeta)
     records = None
@@ -370,8 +366,7 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
         rows = dict(zip(grid.tolist(), records))
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_steps):
-            d = _drift(problem, coupling, omega, wdelta, phi, k_arr[k], ks_arr[k],
-                       buffers)
+            d = _drift(ops, phi, k_arr[k], ks_arr[k])
             for rng, row in zip(rngs, zeta_rows):
                 rng.standard_normal(out=row)
             # phi + d*dt + (Kn*sqrt(dt))*zeta, rounded the same way, into

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import coupling as cpl
 from .coupling import CouplingFunction
-from .dynamics import (IntegrationError, OscillatorBank, Trajectory, _integrate,
-                       _n_steps, _record_grid, _spins_batch, make_rng)
+from .dynamics import (IntegrationError, OscillatorBank, Trajectory, _check_sizes,
+                       _integrate, _n_steps, _record_grid, _spins_batch, make_rng)
 from .graphs import WeightedGraph, random_graph
 from .ising import (IsingProblem, SpinConfig, cut_batch, hamiltonian_batch,
                     maxcut_to_ising)
@@ -56,10 +56,11 @@ SETTLING_LEVEL = 0.95        # settling: mean H reaches this share of its final 
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
-    """Injective per-trial stream key; both parts must lie in [0, 2**64)."""
+    """Injective per-trial stream key from two integers in [0, 2**64)."""
     for name, value in (("base_seed", base_seed), ("trial_index", trial_index)):
-        if not 0 <= int(value) < SEED_LIMIT:
+        if not 0 <= value < SEED_LIMIT:
             raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+        _need_int(name, value, 0)
     return (int(base_seed) << 64) + int(trial_index)
 
 
@@ -79,8 +80,10 @@ def _run(problem: IsingProblem, coupling: CouplingFunction, schedule: Schedule,
     draws from make_rng(keys[b]), in order, its frequencies 1 + sigma N(0, 1)
     if sigma > 0 (else omega, default 1), its phases uniform on
     [0, phase_hi) and then one standard_normal(n) per step, so it depends
-    on its key alone.  A non-positive frequency raises ValueError naming
-    trial key mod 2**64.  Returns _integrate's (phi, records)."""
+    on its integer key alone.  A non-positive frequency raises ValueError
+    naming trial key mod 2**64.  Returns _integrate's (phi, records)."""
+    for key in keys:
+        _need_int("seed", key, 0)
     rngs = [make_rng(key) for key in keys]
     omega = np.ones(problem.n) if omega is None else omega
     if sigma > 0:
@@ -105,8 +108,7 @@ def simulate(problem: IsingProblem, coupling: CouplingFunction,
     the last step; trial_seed(s, k) with a uniform bank replays trial k of
     run_trials at base seed s.  A non-finite record raises IntegrationError."""
     _need_int("record_every", record_every, 1)
-    if len(bank.omega) != problem.n:
-        raise ValueError("bank size does not match problem size")
+    _check_sizes(problem, bank)
     n_steps = _n_steps(schedule.t_end, dt)
     _, records = _run(problem, coupling, schedule, dt, n_steps, [seed],
                       omega=bank.omega, record_every=record_every)
@@ -432,6 +434,8 @@ def scaling_study(sizes: list[int], density_percent: float, n_trials: int,
     """
     if len(sizes) < 2:
         raise ValueError("need at least two sizes")
+    for size in sizes:
+        _need_int("size", size, 2)
     _need_int("n_trials", n_trials, 1)
     sched = constant_schedule(t_end, K, Ks, Kn)
     n_steps = _n_steps(t_end, dt)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingFunction
-from .dynamics import OscillatorBank, Trajectory
+from .dynamics import OscillatorBank, Trajectory, _check_sizes
 from .ising import IsingProblem, _row_sum
 
 __all__ = ["EnergyBreakdown", "energy", "check_monotone", "DescentReport"]
@@ -45,10 +45,7 @@ def _terms(problem: IsingProblem, coupling: CouplingFunction,
            bank: OscillatorBank, phi: np.ndarray, K, Ks):
     """The four EnergyBreakdown terms over rows of (..., n) phases."""
     phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape[-1] != problem.n:
-        raise ValueError(f"phi has {phi.shape[-1]} phases, problem has n={problem.n}")
-    if len(bank.omega) != problem.n:
-        raise ValueError("bank size does not match problem size")
+    _check_sizes(problem, bank, phi)
     zero = np.zeros(phi.shape[:-1])
     self_term = tilt_term = zero
     kern = coupling.pair_kernel(phi[..., problem.i] - phi[..., problem.j])

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import (COUPLING_BLOCK, IntegrationError, OscillatorBank,
-                               _buffers, _coupling_sum, _integrate,
+                               _coupling_sum, _integrate, _Operands,
                                _product_args, _sin_cos, binarisation_residual,
                                drift, make_rng, read_spins, trajectory_to_csv)
 from oscising.graphs import random_graph
@@ -63,6 +63,13 @@ def test_drift_dimension_mismatch():
     p = empty_problem(3)
     with pytest.raises(ValueError):
         drift(p, sine(), OscillatorBank.uniform(3), np.zeros(2), 1.0, 0.0)
+
+
+def test_drift_rejects_wrong_sized_bank():
+    """A one-frequency bank used to broadcast over three oscillators."""
+    p = empty_problem(3)
+    with pytest.raises(ValueError, match="bank size does not match problem size"):
+        drift(p, sine(), OscillatorBank(np.array([1.5])), np.zeros(3), 1.0, 0.5)
 
 
 def test_drift_rejects_nonfinite_phase():
@@ -266,12 +273,12 @@ def sum_twice(coupling, p):
     must agree, the second returned in ops.out; returns the second's
     tracemalloc peak and the phases."""
     phi = make_rng(5).uniform(-3.0, 3.0, size=(2 * COUPLING_BLOCK + 1, p.n))
-    ops, sc, s, c, _, t = _buffers(p, coupling, phi.shape)
-    _sin_cos(phi, s, c, t)
-    first = _coupling_sum(ops, coupling, sc).copy()
+    ops = _Operands(p, coupling, np.ones(p.n), np.zeros(p.n), phi.shape)
+    _sin_cos(phi, ops.s, ops.c, ops.tmp)
+    first = _coupling_sum(ops, coupling, ops.sc).copy()
     tracemalloc.start()
     try:
-        again = _coupling_sum(ops, coupling, sc)
+        again = _coupling_sum(ops, coupling, ops.sc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -282,9 +289,16 @@ def sum_twice(coupling, p):
 
 def test_smoothed_square_sum_allocates_nothing_per_step():
     """Once the workspace exists, a smoothed-square coupling sum allocates
-    no edge or node array, and the sparse products write into it."""
-    peak, phi = sum_twice(smoothed_square(), blocked_problem())
-    assert peak <= 4096 < 8 * blocked_problem().n * COUPLING_BLOCK
+    no edge or node array, and the sparse products write into it.  The
+    gathers read the workspace's writable index copies: np.take copies a
+    read-only index array on every call, which on the complete 30-node
+    problem (m = 435) peaked at 4,168 B."""
+    g = random_graph(30, 100, "unit", seed=0)
+    complete = IsingProblem(n=30, i=g.i, j=g.j, jval=-g.w, h=blocked_problem().h)
+    assert complete.m == 435
+    for p in (blocked_problem(), complete):
+        peak, _ = sum_twice(smoothed_square(), p)
+        assert peak <= 4096 < 8 * p.n * COUPLING_BLOCK
 
 
 def test_sine_sum_allocates_nothing_per_step():

@@ -153,6 +153,28 @@ def test_trial_seed_rejects_out_of_range(base, k):
         trial_seed(base, k)
 
 
+@pytest.mark.parametrize("base, k, name", [(2.7, 0, "base_seed"),
+                                           (0, 2.5, "trial_index")])
+def test_trial_seed_rejects_non_integer_parts(base, k, name):
+    """trial_seed(0, 2.7) used to equal trial_seed(0, 2)."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {max(base, k)}"):
+        trial_seed(base, k)
+
+
+def test_non_integer_seed_is_refused_before_any_run(monkeypatch):
+    """A float key used to be truncated: base seed 1.5 returned base seed
+    1's trials, and make_rng(2.5) drew make_rng(2)'s stream."""
+    monkeypatch.setattr(harness, "_integrate", None)     # nothing may run
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    with pytest.raises(ValueError, match="base_seed must be an integer, got 1.5"):
+        run_trials(p, AblationVariant("baseline"), baseline_schedule(5.0), 70, 1.5)
+    with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
+        simulate(p, sine(), OscillatorBank.uniform(2), baseline_schedule(5.0),
+                 dt=0.1, seed=2.5)
+    with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
+        boltzmann_check(p, sine(), 0.5, 0.5, 0.5, 100, 2.5)
+
+
 def test_all_trials_failing_raises():
     # an enormous coupling with long steps overflows every trial
     p = IsingProblem.from_couplings(2, {(0, 1): 1e308})
@@ -503,6 +525,16 @@ def test_scaling_study_rejects_zero_trials(monkeypatch):
     monkeypatch.setattr(harness, "random_graph", None)   # no graph may be built
     with pytest.raises(ValueError, match=r"need n_trials >= 1"):
         scaling_study([20, 40], 10.0, n_trials=0, seed=0)
+
+
+@pytest.mark.parametrize("size, message", [(5.5, "size must be an integer, got 5.5"),
+                                           (1, "need size >= 2, got 1")])
+def test_scaling_study_rejects_bad_sizes(size, message, monkeypatch):
+    """A size of 5.5 used to fail deep in trial_seed with a trial_index of
+    1.8e19."""
+    monkeypatch.setattr(harness, "random_graph", None)   # no graph may be built
+    with pytest.raises(ValueError, match=message):
+        scaling_study([4, size], 50.0, 2, 0)
 
 
 def test_scaling_study_raises_on_nonfinite_phase():

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse._sparsetools import csr_matvecs
 
 from oscising.coupling import sine, smoothed_square
-from oscising.dynamics import (OscillatorBank, _buffers, _coupling_sum, _drift,
-                               _integrate, _product_args, _sin_cos, drift,
+from oscising.dynamics import (OscillatorBank, _coupling_sum, _drift, _integrate,
+                               _Operands, _product_args, _sin_cos, drift,
                                make_rng)
 from oscising.graphs import GraphFormatError, WeightedGraph
 from oscising.harness import simulate, trial_seed
@@ -159,9 +159,9 @@ def test_factorised_drift_matches_edge_sum(p, seed, coupling, bsz, K, Ks):
     phi = rng.uniform(-20.0, 20.0, size=(bsz, p.n))
     scale = np.abs(p.jval).sum()
     ref_sum = edge_coupling_sum(p, coupling, phi)
-    ops, sc, s, c, _, t = _buffers(p, coupling, phi.shape)
-    _sin_cos(phi, s, c, t)
-    assert np.abs(_coupling_sum(ops, coupling, sc) - ref_sum).max() <= 1e-12 * scale
+    ops = _Operands(p, coupling, bank.omega, bank.omega - 1.0, phi.shape)
+    _sin_cos(phi, ops.s, ops.c, ops.tmp)
+    assert np.abs(_coupling_sum(ops, coupling, ops.sc) - ref_sum).max() <= 1e-12 * scale
     ref = bank.omega * (-K * ref_sum - K * p.h * coupling.g(phi)
                         - Ks * coupling.g(2.0 * phi)) + (bank.omega - 1.0)
     d = drift(p, coupling, bank, phi, K, Ks)
@@ -219,10 +219,10 @@ def test_half_angle_sin_cos_match_numpy(values):
     """The kernel's s and c, from one tan(phi / 2), are sin and cos."""
     phi = np.array(values)
     p = IsingProblem.from_couplings(len(phi), {})
-    _, _, s, c, _, t = _buffers(p, sine(), phi.shape)
-    _sin_cos(phi, s, c, t)
-    assert np.abs(s - np.sin(phi)).max() <= 1e-15
-    assert np.abs(c - np.cos(phi)).max() <= 1e-15
+    ops = _Operands(p, sine(), np.ones(p.n), np.zeros(p.n), phi.shape)
+    _sin_cos(phi, ops.s, ops.c, ops.tmp)
+    assert np.abs(ops.s - np.sin(phi)).max() <= 1e-15
+    assert np.abs(ops.c - np.cos(phi)).max() <= 1e-15
 
 
 @FEW
@@ -236,8 +236,7 @@ def test_nonfinite_phase_gives_nonfinite_drift(p, seed, coupling, bad, K, Ks):
     phi[1, node] = bad
     omega = np.ones(p.n)
     with np.errstate(invalid="ignore"):
-        d = _drift(p, coupling, omega, omega - 1.0, phi, K, Ks,
-                   _buffers(p, coupling, phi.shape))
+        d = _drift(_Operands(p, coupling, omega, omega - 1.0, phi.shape), phi, K, Ks)
     assert not np.isfinite(d[1, node])
     assert np.isfinite(d[[0, 2]]).all()
 

@@ -35,6 +35,15 @@ products call csr_matvecs, the kernel `matrix @ x` runs, straight into it;
 `@` would allocate its result and, on a few nodes, spend longer in dispatch
 than in the kernel.  _integrate writes each recorded step into its record row.
 
+The smoothed square's edge pipeline (gathers, f and the incidence product)
+runs per block of COUPLING_BLOCK trials and, within a block, per tile of
+EDGE_TILE edges (or n, if more), so that a tile's edge arrays stay in L2
+between passes where whole (m, block) arrays would stream from L3.
+csr_matvecs adds a row's entries into its output one by one in stored
+column order, so the column tiles' products, added in ascending order into
+one zeroed output, make exactly the additions of the whole product: the
+results are bit-identical to the untiled sum.
+
 Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1); every run
 starts in harness._run, which states what each stream supplies.  Phases
 are kept unwrapped; wrapping happens only in the readout helpers.
@@ -42,6 +51,7 @@ are kept unwrapped; wrapping happens only in the readout helpers.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,6 +73,7 @@ __all__ = [
 ]
 
 COUPLING_BLOCK = 32     # trials per block of the smoothed-square coupling sum
+EDGE_TILE = 1024        # edges per tile of a block: its three edge arrays fit L2
 
 
 class IntegrationError(RuntimeError):
@@ -163,18 +174,58 @@ def _product_args(matrix, x: np.ndarray, y: np.ndarray) -> tuple:
             matrix.data, x.ravel(), y.ravel())
 
 
+# a CSR column slice, in the attributes _product_args reads
+_Tile = namedtuple("_Tile", "shape indptr indices data")
+
+
+def _column_tiles(matrix, width: int) -> list:
+    """[(lo, hi, tile)]: the CSR column slices tile = matrix[:, lo:hi] of at
+    most width columns, lo = 0, width, ..., in ascending order.
+
+    A matrix of at most width columns is its own one tile.  Otherwise one
+    stable sort of the stored entries by tile splits the arrays at once,
+    where m / width scipy slices would cost milliseconds at G1 size.  The
+    sort keeps each row's entries in stored order; with sorted column
+    indices, csr_matvecs over the tiles in ascending order, into one zeroed
+    y, adds each row's entries in the order `matrix @ x` does.
+    """
+    n, m = matrix.shape
+    if m <= width:
+        return [(0, m, matrix)]
+    if not matrix.has_sorted_indices:
+        raise ValueError("column tiles need sorted column indices")
+    k = -(-m // width)
+    tile = matrix.indices // width
+    order = np.argsort(tile, kind="stable")
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    count = np.bincount(tile.astype(np.intp) * n + rows, minlength=k * n).reshape(k, n)
+    indptr = np.zeros((k, n + 1), dtype=matrix.indptr.dtype)
+    indptr[:, 1:] = count.cumsum(axis=1)
+    indices = (matrix.indices % width)[order].astype(matrix.indices.dtype, copy=False)
+    data = matrix.data[order]
+    cuts = indptr[:-1, -1].cumsum()
+    return [(lo, min(lo + width, m), _Tile((n, min(width, m - lo)), p, i, d))
+            for lo, p, i, d in zip(range(0, m, width), indptr,
+                                   np.split(indices, cuts), np.split(data, cuts))]
+
+
 class _Operands:
     """One run's drift-kernel workspace for phases of one shape: the problem,
     the coupling, omega and wdelta = omega - w*, the [s | c] block sc with
     its halves s and c, the drift d, scratch tmp and the coupling sum's
     arrays, views and csr_matvecs argument tuples, all made here once.
 
-    For the smoothed square it holds writable copies i and j of the edge
-    indices: np.take copies a read-only index array on every call (150 kB a
-    gather at G1 size).  It lives for one _integrate or drift call, so no
-    two runs share it.  It is _coupling_sum's first argument and exposes
-    .incidence: perfbench/layertrace.py wraps _coupling_sum by its
-    three-argument signature and reads that incidence for its bytes model.
+    For the smoothed square, blocks holds per trial block its rows, the
+    shared node-major s and c slabs, its output rows, its zeroed (n, block)
+    sum and its edge tiles.  Each tile holds views of writable copies of
+    the edge indices (np.take copies a read-only index array on every call,
+    150 kB a gather at G1 size), three (tile, block) views of one shared
+    edge buffer and the csr_matvecs arguments of its column slice of the
+    incidence S (_column_tiles), which add into the block's one sum.  It
+    lives for one _integrate or drift call, so no two runs share it.  It is
+    _coupling_sum's first argument and exposes .incidence:
+    perfbench/layertrace.py wraps _coupling_sum by its three-argument
+    signature and reads that incidence for its bytes model.
     """
 
     def __init__(self, problem: IsingProblem, coupling: CouplingFunction,
@@ -186,7 +237,7 @@ class _Operands:
         self.sc = np.empty((2,) + shape)
         self.s, self.c = self.sc
         self.d, self.tmp = np.empty((2,) + shape)
-        n, m = problem.n, problem.m
+        n = problem.n
         self.bsz = math.prod(shape[:-1])
         self.out = np.empty(shape)
         self.blocks = []
@@ -198,19 +249,23 @@ class _Operands:
             self.terms = tuple(self.prod)
             self.args = _product_args(problem.adjacency, node_in, self.node_out)
             return
-        self.i, self.j = problem.i.copy(), problem.j.copy()
+        i, j = problem.i.copy(), problem.j.copy()
+        # a tile of at least n edges holds more entries than row pointers
+        tiles = _column_tiles(problem.incidence, max(EDGE_TILE, n))
         rows = self.out.reshape(self.bsz, n)
         width = min(self.bsz, COUPLING_BLOCK)
         nodes = np.empty(2 * n * width)
-        edges = np.empty((3, m * width))
+        edges = np.empty((3, tiles[0][1] * width))      # the first tile is the widest
         summed = np.empty(n * width)
         for lo in range(0, self.bsz, COUPLING_BLOCK):
             w = min(COUPLING_BLOCK, self.bsz - lo)
             sn, cs = nodes[:2 * n * w].reshape(2, n, w)
-            x, y, z = (e[:m * w].reshape(m, w) for e in edges)
             sx = summed[:n * w].reshape(n, w)
-            self.blocks.append((slice(lo, lo + w), sn, cs, rows[lo:lo + w], x, y, z,
-                                sx, _product_args(problem.incidence, x, sx)))
+            block_tiles = []
+            for a, b, tile in tiles:
+                x, y, z = (e[:(b - a) * w].reshape(b - a, w) for e in edges)
+                block_tiles.append((i[a:b], j[a:b], x, y, z, _product_args(tile, x, sx)))
+            self.blocks.append((slice(lo, lo + w), sn, cs, rows[lo:lo + w], sx, block_tiles))
 
     @property
     def incidence(self):
@@ -231,13 +286,16 @@ def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
                        ufunc over mixed layouts would buffer);
       smoothed_square  f(s_i c_j - c_i s_j) per edge, summed by the signed
                        incidence S.  Per block of at most COUPLING_BLOCK
-                       trials, np.copyto fills node-major s and c slabs,
-                       np.take gathers them by ops.i and ops.j into three
-                       (m, block) edge arrays, f is applied in place and
-                       csr_matvecs adds S x into the zeroed (n, block)
-                       product, whose transpose fills the block's rows.
-                       The gathers pass mode="clip" (numpy buffers out=
-                       under "raise"); _check_edges keeps indices in [0, n).
+                       trials, np.copyto fills node-major s and c slabs and
+                       the block's (n, block) sum is zeroed.  Per edge tile,
+                       in ascending edge order, np.take gathers the slabs
+                       into three (tile, block) edge arrays, f is applied in
+                       place and csr_matvecs adds the tile's columns of S
+                       times x into that sum, which makes the additions of
+                       the whole S x (_column_tiles); its transpose fills
+                       the block's rows.  The gathers pass mode="clip"
+                       (numpy buffers out= under "raise"); _check_edges
+                       keeps indices in [0, n).
     The kernel is the one `matrix @ x` runs (_product_args).  It sums each
     column in the same order at every batch size, so a row's sum does not
     depend on the rows beside it or on the block it falls in.
@@ -250,20 +308,20 @@ def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
         np.multiply(sc, ops.prod, out=ops.prod)
         return np.subtract(*ops.terms, out=ops.out)
     s_rows, c_rows = sc.reshape(2, ops.bsz, ops.problem.n)
-    i, j = ops.i, ops.j
-    for rows, sn, cs, out, x, y, z, sx, args in ops.blocks:
+    for rows, sn, cs, out, sx, tiles in ops.blocks:
         np.copyto(sn, s_rows[rows].T)
         np.copyto(cs, c_rows[rows].T)
-        np.take(sn, i, axis=0, out=x, mode="clip")
-        np.take(cs, j, axis=0, out=y, mode="clip")
-        x *= y
-        np.take(cs, i, axis=0, out=y, mode="clip")
-        np.take(sn, j, axis=0, out=z, mode="clip")
-        y *= z
-        x -= y
-        coupling.g_of_sin(x, out=x)
         sx.fill(0.0)
-        csr_matvecs(*args)
+        for i, j, x, y, z, args in tiles:
+            np.take(sn, i, axis=0, out=x, mode="clip")
+            np.take(cs, j, axis=0, out=y, mode="clip")
+            x *= y
+            np.take(cs, i, axis=0, out=y, mode="clip")
+            np.take(sn, j, axis=0, out=z, mode="clip")
+            y *= z
+            x -= y
+            coupling.g_of_sin(x, out=x)
+            csr_matvecs(*args)
         np.copyto(out, sx.T)
     return ops.out
 

@@ -5,12 +5,13 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from oscising.coupling import sine, smoothed_square
-from oscising.dynamics import (COUPLING_BLOCK, IntegrationError, OscillatorBank,
-                               _coupling_sum, _integrate, _Operands,
-                               _product_args, _sin_cos, binarisation_residual,
-                               drift, make_rng, read_spins, trajectory_to_csv)
+from oscising.dynamics import (COUPLING_BLOCK, EDGE_TILE, IntegrationError,
+                               OscillatorBank, _coupling_sum, _integrate,
+                               _Operands, _product_args, _sin_cos,
+                               binarisation_residual, drift, make_rng,
+                               read_spins, trajectory_to_csv)
 from oscising.graphs import random_graph
-from oscising import harness
+from oscising import dynamics, harness
 from oscising.harness import simulate
 from oscising.ising import IsingProblem, maxcut_to_ising
 from oscising.schedule import constant_schedule
@@ -228,28 +229,47 @@ def blocked_problem():
     return IsingProblem(n=30, i=g.i, j=g.j, jval=-g.w, h=h)
 
 
-def test_smoothed_square_blocks_match_single_rows():
-    """B = 65 is three trial blocks (32, 32, 1) of the coupling sum: every
-    row of the batch is bit-equal to its run alone, and drift on one row is
-    bit-equal to that row of the batched drift."""
+def n_tiles(p, coupling=None):
+    """Edge tiles per trial block of a smoothed-square workspace for p."""
+    ops = _Operands(p, coupling or smoothed_square(), np.ones(p.n), np.zeros(p.n),
+                    (2, p.n))
+    return len(ops.blocks[0][-1])
+
+
+# EDGE_TILE = 1 cuts the 30-node problems into tiles of n = 30 edges, the
+# narrowest the workspace makes: several tiles and a remainder tile
+TILE_SIZES = (EDGE_TILE, 1)
+
+
+def test_smoothed_square_blocks_match_single_rows(monkeypatch):
+    """B = 65 is three trial blocks (32, 32, 1) of the coupling sum, each in
+    one or in six edge tiles: every row of the batch is bit-equal to its run
+    alone, drift on one row is bit-equal to that row of the batched drift,
+    and the runs at both tile sizes are bit-equal."""
     p = blocked_problem()
     B = 2 * COUPLING_BLOCK + 1
     rng = make_rng(4)
     omega = 1.0 + 0.01 * rng.standard_normal(p.n)
     phi0 = rng.uniform(0.0, np.pi, size=(B, p.n))
     sched = constant_schedule(1.0, 0.8, 0.4, 0.3)
+    bank = OscillatorBank(omega)
 
     def run(rows):
         rngs = [make_rng(100 + b) for b in rows]
         return _integrate(p, smoothed_square(), omega, 1.0, sched, 0.05, 8,
                           phi0[rows], rngs)[0]
 
-    whole = run(list(range(B)))
-    assert all(np.array_equal(whole[b], run([b])[0]) for b in range(B))
-    bank = OscillatorBank(omega)
-    d = drift(p, smoothed_square(), bank, whole, 0.8, 0.4)
-    assert all(np.array_equal(drift(p, smoothed_square(), bank, row, 0.8, 0.4), drow)
-               for row, drow in zip(whole, d))
+    finals = []
+    for edge_tile, tiles in zip(TILE_SIZES, (1, 6)):
+        monkeypatch.setattr(dynamics, "EDGE_TILE", edge_tile)
+        assert n_tiles(p) == tiles
+        whole = run(list(range(B)))
+        assert all(np.array_equal(whole[b], run([b])[0]) for b in range(B))
+        d = drift(p, smoothed_square(), bank, whole, 0.8, 0.4)
+        assert all(np.array_equal(drift(p, smoothed_square(), bank, row, 0.8, 0.4), drow)
+                   for row, drow in zip(whole, d))
+        finals.append(whole)
+    assert np.array_equal(*finals)
 
 
 @pytest.mark.parametrize("shape", [(3,), (4, 3)])
@@ -287,18 +307,38 @@ def sum_twice(coupling, p):
     return peak, phi
 
 
-def test_smoothed_square_sum_allocates_nothing_per_step():
+def test_smoothed_square_sum_allocates_nothing_per_step(monkeypatch):
     """Once the workspace exists, a smoothed-square coupling sum allocates
-    no edge or node array, and the sparse products write into it.  The
-    gathers read the workspace's writable index copies: np.take copies a
-    read-only index array on every call, which on the complete 30-node
-    problem (m = 435) peaked at 4,168 B."""
+    no edge or node array, and the sparse products write into it, in one
+    edge tile or in several.  The gathers read the workspace's writable
+    index copies: np.take copies a read-only index array on every call,
+    which on the complete 30-node problem (m = 435) peaked at 4,168 B."""
     g = random_graph(30, 100, "unit", seed=0)
     complete = IsingProblem(n=30, i=g.i, j=g.j, jval=-g.w, h=blocked_problem().h)
     assert complete.m == 435
-    for p in (blocked_problem(), complete):
-        peak, _ = sum_twice(smoothed_square(), p)
-        assert peak <= 4096 < 8 * p.n * COUPLING_BLOCK
+    for edge_tile, tiles in zip(TILE_SIZES, (1, 15)):
+        monkeypatch.setattr(dynamics, "EDGE_TILE", edge_tile)
+        assert n_tiles(complete) == tiles
+        for p in (blocked_problem(), complete):
+            peak, _ = sum_twice(smoothed_square(), p)
+            assert peak <= 4096 < 8 * p.n * COUPLING_BLOCK
+
+
+def test_tiled_smoothed_square_sum_is_the_untiled_product():
+    """The complete 80-node graph (m = 3,160) is four edge tiles at the
+    default size, the last a remainder.  Over three trial blocks the tiled
+    sum is bit-equal to the whole incidence times f(s_i c_j - c_i s_j)."""
+    g = random_graph(80, 100, "uniform_range", seed=6)
+    p = IsingProblem(n=80, i=g.i, j=g.j, jval=g.w.copy(), h=np.zeros(80))
+    cpl = smoothed_square(6.0)
+    assert p.m == 3160 and n_tiles(p, cpl) == 4
+    phi = make_rng(9).uniform(-3.0, 3.0, size=(2 * COUPLING_BLOCK + 1, p.n))
+    ops = _Operands(p, cpl, np.ones(p.n), np.zeros(p.n), phi.shape)
+    _sin_cos(phi, ops.s, ops.c, ops.tmp)
+    s, c = ops.s, ops.c
+    x = s[:, p.i] * c[:, p.j] - c[:, p.i] * s[:, p.j]
+    ref = (p.incidence @ cpl.g_of_sin(x).T).T
+    assert np.array_equal(_coupling_sum(ops, cpl, ops.sc), ref)
 
 
 def test_sine_sum_allocates_nothing_per_step():

@@ -4,9 +4,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse._sparsetools import csr_matvecs
 
 from oscising.coupling import sine, smoothed_square
-from oscising.dynamics import (OscillatorBank, _coupling_sum, _drift, _integrate,
-                               _Operands, _product_args, _sin_cos, drift,
-                               make_rng)
+from oscising.dynamics import (OscillatorBank, _column_tiles, _coupling_sum, _drift,
+                               _integrate, _Operands, _product_args, _sin_cos,
+                               drift, make_rng)
 from oscising.graphs import GraphFormatError, WeightedGraph
 from oscising.harness import simulate, trial_seed
 from oscising.ising import (IsingProblem, cut_batch, cut_value, hamiltonian,
@@ -146,6 +146,45 @@ def test_direct_product_is_bit_equal_to_scipy_matmul(p, seed, k):
         y = np.zeros((matrix.shape[0], k))
         csr_matvecs(*_product_args(matrix, x, y))
         assert np.array_equal(y, matrix @ x)
+
+
+def problem_with_m(m):
+    """A 9-node problem with its first m pairs in lexicographic order."""
+    pairs = [(a, b) for a in range(9) for b in range(a + 1, 9)][:m]
+    return IsingProblem.from_couplings(9, {e: 0.25 * (k % 7) - 0.8
+                                           for k, e in enumerate(pairs)})
+
+
+@FEW
+@given(problems(), seeds, st.sampled_from([1, 2, 3, 7, None]),
+       st.sampled_from([1, 2, 65]))
+@example(IsingProblem.from_couplings(3, {}), 0, 2, 2)
+@example(IsingProblem.from_couplings(3, {}), 0, None, 2)
+@example(problem_with_m(6), 0, 3, 2)           # m a multiple of the tile
+@example(problem_with_m(13), 0, 3, 65)         # a remainder tile
+@example(problem_with_m(36), 0, 7, 65)
+def test_column_tiles_sum_to_the_whole_product(p, seed, width, k):
+    """The smoothed-square sum adds the products of the incidence's column
+    tiles in ascending order into one zeroed y.  Each tile equals scipy's
+    slice S[:, lo:hi] array for array, and the summed y is bit-equal to
+    S @ x; a change to CSR slice order or to csr_matvecs fails here.
+    width None is m: one tile, the incidence itself."""
+    S = p.incidence
+    width = p.m if width is None else width
+    tiles = _column_tiles(S, width)
+    assert [(lo, hi) for lo, hi, _ in tiles] == (
+        [(lo, min(lo + width, p.m)) for lo in range(0, p.m, max(width, 1))]
+        or [(0, 0)])
+    x = make_rng(seed).uniform(-2.0, 2.0, size=(p.m, k))
+    y = np.zeros((p.n, k))
+    for lo, hi, tile in tiles:
+        ref = S[:, lo:hi]
+        assert tile.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(tile, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        csr_matvecs(*_product_args(tile, x[lo:hi], y))
+    assert np.array_equal(y, S @ x)
 
 
 @FEW

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: solve-maxcut, solve-coloring, ablate, boltzmann, genadler,
-scaling.  Exit codes: 0 success, 2 malformed input, 3 numeric failure.
+scaling.  Exit codes: 0 success, 2 malformed input or a file that cannot be
+read or written (missing, a directory, no permission), 3 numeric failure.
 All randomness is controlled by --seed.
 """
 from __future__ import annotations
@@ -268,7 +269,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (GraphFormatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (IntegrationError, FloatingPointError) as exc:

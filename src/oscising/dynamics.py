@@ -59,7 +59,7 @@ import numpy as np
 from scipy.sparse._sparsetools import csr_matvecs
 
 from .coupling import CouplingFunction
-from .ising import IsingProblem, SpinConfig
+from .ising import EDGE_TILE, IsingProblem, SpinConfig
 from .schedule import Schedule
 
 __all__ = [
@@ -73,7 +73,6 @@ __all__ = [
 ]
 
 COUPLING_BLOCK = 32     # trials per block of the smoothed-square coupling sum
-EDGE_TILE = 1024        # edges per tile of a block: its three edge arrays fit L2
 
 
 class IntegrationError(RuntimeError):

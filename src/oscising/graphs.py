@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 WEIGHT_MODES = ("unit", "pm_one", "uniform_range")
+PAIR_BLOCK = 1 << 16    # random_graph draws per block of pairs
 
 
 class GraphFormatError(ValueError):
@@ -180,17 +181,19 @@ def load_gset(path) -> WeightedGraph:
     return parse_gset(p.read_text(encoding="utf-8"), name=p.stem)
 
 
-def cubic_ring_graph(n: int = 8, weight: float = 1.0) -> WeightedGraph:
-    """Ring of n vertices plus opposite-vertex chords: every degree is 3.
-
-    The unit-weight size-8 instance is the standard small MAX-CUT example
-    (best cut 10; the even/odd split only reaches 8).
-    """
-    if n < 4 or n % 2:
-        raise ValueError("need an even n >= 4")
-    edges = [(k, (k + 1) % n, weight) for k in range(n)]
-    edges += [(k, k + n // 2, weight) for k in range(n // 2)]
-    return WeightedGraph.from_edges(n, edges, name=f"cubic_ring_{n}")
+def _kept_pairs(n: int, p: float, rng: np.random.Generator) -> tuple:
+    """(i, j) of the pairs i < j, in row-major order, whose draw is below p
+    (all pairs, and no draws, when p >= 1).  The doubles come PAIR_BLOCK at a
+    time; chunked draws continue one stream, so the pairs are those of one
+    draw over all n(n-1)/2, without an array of every pair."""
+    length = np.arange(n - 1, 0, -1)        # row r holds (r, r+1), ..., (r, n-1)
+    end = np.cumsum(length)
+    pairs = n * (n - 1) // 2
+    kept = np.arange(pairs) if p >= 1.0 else np.concatenate([
+        np.flatnonzero(rng.random(min(PAIR_BLOCK, pairs - lo)) < p) + lo
+        for lo in range(0, pairs, PAIR_BLOCK)])
+    row = np.searchsorted(end, kept, side="right")
+    return row, kept - (end[row] - length[row]) + row + 1
 
 
 def random_graph(n: int, density_percent: float, weight_mode: str = "unit",
@@ -209,10 +212,7 @@ def random_graph(n: int, density_percent: float, weight_mode: str = "unit",
     if weight_mode not in WEIGHT_MODES:
         raise ValueError(f"unknown weight_mode {weight_mode!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    iu, ju = np.triu_indices(n, k=1)
-    p = density_percent / 100.0
-    keep = np.ones(len(iu), dtype=bool) if p >= 1.0 else rng.random(len(iu)) < p
-    ii, jj = iu[keep], ju[keep]
+    ii, jj = _kept_pairs(n, density_percent / 100.0, rng)
     m = len(ii)
     if weight_mode == "unit":
         ww = np.ones(m)

@@ -4,9 +4,15 @@ Couplings are sparse and symmetric, stored once per pair with i < j in the
 canonical form that the one edge-list validator, graphs._check_edges, returns.
 The constant offset carries terms dropped by problem encoders so that
 encoded Hamiltonians are exact, not merely equal up to a constant.
+
+The per-edge sums over rows of spins or phases (the readout's H and cut,
+the Lyapunov coupling term) run through _edge_sum, tile by tile in edge
+order: no (rows, m) array is built, and a row's sum does not depend on the
+tile size or on the rows beside it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +33,7 @@ __all__ = [
 
 BRUTE_FORCE_MAX_N = 24
 BRUTE_FORCE_CHUNK = 1 << 18     # spin configurations scored per pass
+EDGE_TILE = 1024                # edges per tile of an edge sum or coupling block: fits L2
 
 
 @dataclass(frozen=True)
@@ -90,9 +97,6 @@ class IsingProblem:
     def m(self) -> int:
         return len(self.i)
 
-    def coupling_dict(self) -> dict[tuple[int, int], float]:
-        return dict(zip(zip(self.i.tolist(), self.j.tolist()), self.jval.tolist()))
-
     @cached_property
     def incidence(self) -> sparse.csr_matrix:
         """Signed coupling incidence S (n x m): S[i_e, e] = +J_e, S[j_e, e] = -J_e.
@@ -139,11 +143,54 @@ def _spin_vector(spins, n: int) -> np.ndarray:
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis in index order.  numpy's sum and matmul group the
-    additions by array shape, so a row alone and in a batch could differ."""
+    """Sum over the last axis in index order, one addition per element.
+    numpy's sum and matmul group the additions by array shape, so a row
+    alone and in a batch could differ; _edge_sum makes these same additions
+    over edge terms without building them all."""
     if x.shape[-1] == 0:
         return np.zeros(x.shape[:-1])
     return np.cumsum(x, axis=-1)[..., -1]
+
+
+def _edge_sum(i: np.ndarray, j: np.ndarray, w: np.ndarray, x: np.ndarray,
+              term) -> np.ndarray:
+    """sum_e w_e term(x_i, x_j) over the edges e = (i_e, j_e), per row of
+    (..., n) x: bit for bit _row_sum(term(x[..., i], x[..., j]) * w), without
+    its (rows, m) arrays.  term(a, b) gets (tile, rows) endpoint values,
+    may overwrite them and returns the terms.
+
+    Per tile of EDGE_TILE edges of a node-major copy of x: two np.take
+    gathers into reused buffers (mode="clip", as in dynamics), the weighted
+    terms, the previous tile's last row (the carry) added into the first,
+    and cumsum down the tile.  Each row is a column summed alone in edge
+    order, so neither the tile nor the batch size changes its sum.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    rows = x.shape[:-1]
+    xt = np.ascontiguousarray(x.reshape(math.prod(rows), x.shape[-1]).T)
+    m = len(i)
+    carry = np.zeros(xt.shape[1])
+    a, b = np.empty((2, min(EDGE_TILE, m), xt.shape[1]))
+    for lo in range(0, m, EDGE_TILE):
+        hi = min(lo + EDGE_TILE, m)
+        ta, tb = a[:hi - lo], b[:hi - lo]
+        np.take(xt, i[lo:hi], axis=0, out=ta, mode="clip")
+        np.take(xt, j[lo:hi], axis=0, out=tb, mode="clip")
+        np.multiply(term(ta, tb), w[lo:hi, None], out=ta)
+        if lo:      # the first row opens the sum: 0 + (-0.0) would lose its sign
+            ta[0] += carry
+        np.cumsum(ta, axis=0, out=ta)
+        carry[...] = ta[-1]
+    return carry.reshape(rows)
+
+
+def _spin_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.multiply(a, b, out=a)
+
+
+def _crossing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1.0 where the spins differ, else 0.0, as the bool s_i s_j < 0 weighs."""
+    return np.less(np.multiply(a, b, out=a), 0.0, out=a)
 
 
 def hamiltonian(problem: IsingProblem, spins) -> float:
@@ -154,7 +201,7 @@ def hamiltonian(problem: IsingProblem, spins) -> float:
 def hamiltonian_batch(problem: IsingProblem, spins) -> np.ndarray:
     """hamiltonian() over rows of an (batch, n) array of spins."""
     s = _spin_vector(spins, problem.n)
-    pair = _row_sum(s[..., problem.i] * s[..., problem.j] * problem.jval)
+    pair = _edge_sum(problem.i, problem.j, problem.jval, s, _spin_product)
     return -pair - _row_sum(s * problem.h) + problem.constant_offset
 
 
@@ -169,8 +216,7 @@ def cut_value(graph: WeightedGraph, spins) -> float:
 def cut_batch(graph: WeightedGraph, spins) -> np.ndarray:
     """cut_value() over rows of an (batch, n) array of spins."""
     s = _spin_vector(spins, graph.n)
-    crossing = s[..., graph.i] * s[..., graph.j] < 0
-    return _row_sum(crossing * graph.w)
+    return _edge_sum(graph.i, graph.j, graph.w, s, _crossing)
 
 
 def brute_force_ground_state(problem: IsingProblem) -> tuple[SpinConfig, float]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .coupling import CouplingFunction
 from .dynamics import OscillatorBank, Trajectory, _check_sizes
-from .ising import IsingProblem, _row_sum
+from .ising import IsingProblem, _edge_sum, _row_sum
 
 __all__ = ["EnergyBreakdown", "energy", "check_monotone", "DescentReport"]
 
@@ -48,8 +48,8 @@ def _terms(problem: IsingProblem, coupling: CouplingFunction,
     _check_sizes(problem, bank, phi)
     zero = np.zeros(phi.shape[:-1])
     self_term = tilt_term = zero
-    kern = coupling.pair_kernel(phi[..., problem.i] - phi[..., problem.j])
-    coupling_term = -2.0 * K * _row_sum(kern * problem.jval)
+    kern = lambda a, b: coupling.pair_kernel(np.subtract(a, b, out=a))
+    coupling_term = -2.0 * K * _edge_sum(problem.i, problem.j, problem.jval, phi, kern)
     if problem.has_self_terms:
         self_term = -2.0 * K * _row_sum(coupling.pair_kernel(phi) * problem.h)
     shil_term = -Ks * _row_sum(coupling.pair_kernel(2.0 * phi))

@@ -68,6 +68,16 @@ def test_solve_maxcut_rejects_malformed_file(tmp_path, capsys):
     assert main(["solve-maxcut", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_unreadable_input_paths_exit_2(gset_file, tmp_path, capsys):
+    """A directory where a file is read (the G-set file, --schedule or the
+    colouring's adjacency file) is bad input: exit 2 and an error line."""
+    for argv in (["solve-maxcut", str(tmp_path)],
+                 ["solve-maxcut", str(gset_file), "--schedule", str(tmp_path)],
+                 ["solve-coloring", str(tmp_path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("text", ["99999999999999999999 0\n",
                                   "3 1\n1 99999999999999999999 1\n"])
 def test_solve_maxcut_rejects_oversized_integers(tmp_path, capsys, text):

@@ -6,6 +6,7 @@ import pytest
 from oscising.coloring import (ColoringInstance, coloring_to_ising,
                                decode_coloring, parse_adjacency_pairs,
                                us_states_instance)
+from helpers import coupling_dict
 from oscising.graphs import WeightedGraph, random_graph
 from oscising.ising import IsingProblem, hamiltonian
 
@@ -34,7 +35,7 @@ def test_single_vertex_expansion():
     assert p.n == 4
     assert p.constant_offset == 8.0
     assert np.all(p.h == -4.0)
-    assert p.coupling_dict() == {pair: -2.0 for pair in
+    assert coupling_dict(p) == {pair: -2.0 for pair in
                                  itertools.combinations(range(4), 2)}
 
 
@@ -44,8 +45,8 @@ def test_single_edge_increments():
         WeightedGraph.from_edges(2, [(0, 1, 1.0)]), 4))
     assert wired.constant_offset - lone.constant_offset == 4.0
     assert np.all(wired.h - lone.h == -1.0)
-    dj = {k: wired.coupling_dict()[k] - lone.coupling_dict().get(k, 0.0)
-          for k in wired.coupling_dict()}
+    dj = {k: coupling_dict(wired)[k] - coupling_dict(lone).get(k, 0.0)
+          for k in coupling_dict(wired)}
     cross = {k: v for k, v in dj.items() if v != 0.0}
     assert cross == {(c, 4 + c): -1.0 for c in range(4)}
 

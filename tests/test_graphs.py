@@ -1,10 +1,13 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
-from oscising.graphs import (GraphFormatError, WeightedGraph, cubic_ring_graph,
-                             parse_gset, random_graph, serialize_gset)
+from helpers import cubic_ring_graph, same_bits
+from oscising import graphs
+from oscising.graphs import (GraphFormatError, WeightedGraph, parse_gset,
+                             random_graph, serialize_gset)
 from oscising.ising import IsingProblem
 
 
@@ -100,6 +103,52 @@ def test_random_graph_expected_edge_count():
     # binomial(npairs, 0.1): five sigma band
     sigma = np.sqrt(npairs * 0.1 * 0.9)
     assert abs(g.m - 0.1 * npairs) < 5 * sigma
+
+
+def triu_reference(n, density_percent, weight_mode, seed):
+    """random_graph's draws over all n(n-1)/2 pairs at once, then the weights."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    iu, ju = np.triu_indices(n, k=1)
+    p = density_percent / 100.0
+    keep = np.ones(len(iu), dtype=bool) if p >= 1.0 else rng.random(len(iu)) < p
+    m = int(keep.sum())
+    w = {"unit": lambda: np.ones(m),
+         "pm_one": lambda: rng.integers(0, 2, size=m) * 2.0 - 1.0,
+         "uniform_range": lambda: rng.uniform(-1.0, 1.0, size=m)}[weight_mode]()
+    return iu[keep], ju[keep], w
+
+
+# 400 nodes: 79,800 pairs, so the first block of draws ends inside a row
+@pytest.mark.parametrize("n", [2, 3, 40, 400])
+@pytest.mark.parametrize("density", [7.5, 100])
+@pytest.mark.parametrize("mode", ["unit", "pm_one", "uniform_range"])
+def test_random_graph_matches_one_draw_over_all_pairs(n, density, mode):
+    g = random_graph(n, density, mode, seed=n)
+    for got, want in zip((g.i, g.j, g.w), triu_reference(n, density, mode, n)):
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 39, 40])
+def test_random_graph_draw_blocks_make_the_same_graph(monkeypatch, block):
+    """Blocks shorter than a row, as long as one and spanning several rows
+    give the one-draw graph."""
+    monkeypatch.setattr(graphs, "PAIR_BLOCK", block)
+    for mode in ("unit", "uniform_range"):
+        g = random_graph(41, 30, mode, seed=3)
+        for got, want in zip((g.i, g.j, g.w), triu_reference(41, 30, mode, 3)):
+            assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("n, density, m, digest", [
+    (800, 6, 19_106, "44e7cd057bf9ac57"),       # the G1-shaped benchmark graph
+    (2000, 1, 19_885, "00c869186a05b591"),      # the G22-shaped one
+])
+def test_random_graph_benchmark_instances_are_pinned(n, density, m, digest):
+    g = random_graph(n, density, "unit", seed=1)
+    h = hashlib.sha256()
+    for a in (g.i, g.j, g.w):
+        h.update(a.tobytes())
+    assert (g.m, h.hexdigest()[:16]) == (m, digest)
 
 
 @pytest.mark.parametrize("n,density", [(1, 10), (5, 0), (5, 101)])

@@ -8,7 +8,8 @@ import pytest
 from oscising import harness
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import IntegrationError, OscillatorBank, make_rng
-from oscising.graphs import cubic_ring_graph, random_graph
+from helpers import cubic_ring_graph
+from oscising.graphs import random_graph
 from oscising.harness import (AblationVariant, BoltzmannReport, ablate,
                               boltzmann_check, gset_targets, run_trials,
                               scaling_study, simulate, trial_seed)

@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oscising.graphs import cubic_ring_graph, random_graph
-from oscising.ising import (IsingProblem, SpinConfig, brute_force_ground_state,
-                            cut_value, hamiltonian, hamiltonian_batch,
+from helpers import coupling_dict, cubic_ring_graph, same_bits
+from oscising import ising
+from oscising.coupling import smoothed_square
+from oscising.graphs import WeightedGraph, random_graph
+from oscising.ising import (IsingProblem, SpinConfig, _crossing, _edge_sum,
+                            _row_sum, _spin_product, brute_force_ground_state,
+                            cut_batch, cut_value, hamiltonian, hamiltonian_batch,
                             maxcut_to_ising)
 
 
@@ -21,7 +27,7 @@ def test_spin_config_validates():
 def test_maxcut_encoding_single_edge():
     g = random_graph(2, 100, "unit", seed=0)
     p = maxcut_to_ising(g)
-    assert p.coupling_dict() == {(0, 1): -1.0}
+    assert coupling_dict(p) == {(0, 1): -1.0}
     assert np.all(p.h == 0.0)
     assert p.constant_offset == 0.0
 
@@ -158,3 +164,64 @@ def test_brute_force_rejects_large_n():
 def test_constant_offset_enters_hamiltonian():
     p = IsingProblem.from_couplings(2, {(0, 1): 1.0}, constant_offset=10.0)
     assert hamiltonian(p, np.array([1.0, 1.0])) == 9.0
+
+
+SQUARE = smoothed_square()
+EDGE_TERMS = {
+    "spin product": _spin_product,
+    "crossing": _crossing,
+    "pair kernel": lambda a, b: SQUARE.pair_kernel(np.subtract(a, b, out=a)),
+}
+
+
+def untiled_edge_sum(g, x, term):
+    return _row_sum(term(x[..., g.i], x[..., g.j]) * g.w)
+
+
+@pytest.mark.parametrize("term", EDGE_TERMS.values(), ids=EDGE_TERMS.keys())
+@pytest.mark.parametrize("tile", [1, 2, 3, 7, "m"])
+def test_edge_sum_is_the_untiled_row_sum(monkeypatch, term, tile):
+    """Float weights, whose sums depend on the order of the additions; a
+    row alone, its row in a batch and the untiled sum agree bit for bit."""
+    g = random_graph(30, 40, "uniform_range", seed=4)
+    monkeypatch.setattr(ising, "EDGE_TILE", g.m if tile == "m" else tile)
+    x = np.random.default_rng(5).uniform(-3.0, 3.0, size=(6, g.n))
+    x[1] = np.where(x[1] < 0, -1.0, 1.0)        # a row of spins
+    batch = _edge_sum(g.i, g.j, g.w, x, term)
+    assert same_bits(batch, untiled_edge_sum(g, x, term))
+    for b, row in enumerate(x):
+        alone = _edge_sum(g.i, g.j, g.w, row, term)
+        assert same_bits(alone, untiled_edge_sum(g, row, term))
+        assert same_bits(alone, batch[b])
+
+
+@pytest.mark.parametrize("tile", [1, 4])
+def test_edge_sum_of_no_edges_and_of_negative_zeros(monkeypatch, tile):
+    """No edges sum to +0.0 per row; terms that are all -0.0 sum to -0.0, as
+    the untiled sum gives, in the first tile and after it."""
+    monkeypatch.setattr(ising, "EDGE_TILE", tile)
+    empty = WeightedGraph.from_edges(5, [])
+    x = np.ones((3, 5))
+    assert same_bits(_edge_sum(empty.i, empty.j, empty.w, x, _crossing), np.zeros(3))
+    assert same_bits(_edge_sum(empty.i, empty.j, empty.w, x[0], _crossing), np.zeros(()))
+    negative = WeightedGraph.from_edges(5, [(0, 1, -1.0), (1, 2, -2.0), (3, 4, -0.5)])
+    got = _edge_sum(negative.i, negative.j, negative.w, x, _crossing)
+    assert same_bits(got, untiled_edge_sum(negative, x, _crossing))
+    assert np.signbit(got).all()
+
+
+def test_readout_allocates_no_edge_by_trial_arrays():
+    """H and cut of 64 spin rows on the G1-shaped graph (m = 19,106) peak
+    far below one (64, m) float64 array, 9.8 MB."""
+    g = random_graph(800, 6, "unit", seed=1)
+    p = maxcut_to_ising(g)
+    s = np.where(np.random.default_rng(0).random((64, g.n)) < 0.5, 1.0, -1.0)
+    tracemalloc.start()
+    try:
+        h = hamiltonian_batch(p, s)
+        cut = cut_batch(g, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+    assert np.array_equal(2 * cut + h, np.full(64, g.total_weight))

@@ -3,7 +3,8 @@
 Every coupling has the form g(x) = f(sin x), which makes it odd and
 2*pi-periodic.  Two kinds:
   sine             f(s) = s,              g(x) = sin(x), G analytic
-  smoothed_square  f(s) = tanh(beta * s), G by spectral integration
+  smoothed_square  f(s) = tanh(beta * s), G by spectral integration,
+                   evaluated by cubic Hermite interpolation
 
 The energy of the dynamics uses the "pair kernel" 1 - G(x), which reduces
 to cos(x) for the sine kind.  G is normalized to G(0) = 0 and is itself
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = ["CouplingFunction", "sine", "smoothed_square", "by_name"]
 
 TWO_PI = 2.0 * np.pi
 _TABLE_SIZE = 4096
-_CHECK_POINTS = 1024
+_KNOT_STEP = TWO_PI / _TABLE_SIZE
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +60,12 @@ class CouplingFunction:
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "sine":
             return 1.0 - np.cos(x)
-        return self._antiderivative_spline(np.mod(x, TWO_PI))
+        u = np.mod(x, TWO_PI) / _KNOT_STEP   # mod may return 2*pi itself
+        with np.errstate(invalid="ignore"):    # a NaN u casts to any k; t stays NaN
+            k = np.minimum(u.astype(np.intp), _TABLE_SIZE - 1)
+        t = u - k
+        c0, c1, c2, c3 = (np.take(c, k, mode="clip") for c in self._antiderivative_table)
+        return c0 + t * (c1 + t * (c2 + t * c3))
 
     def pair_kernel(self, x) -> np.ndarray:
         """1 - G(x); equals cos(x) for the sine kind.  Peaks at x = 0."""
@@ -72,30 +77,34 @@ class CouplingFunction:
     # -- internals --------------------------------------------------------
 
     @cached_property
-    def _antiderivative_spline(self) -> CubicSpline:
-        """Spectral antiderivative of g on a uniform grid, splined periodically.
+    def _antiderivative_table(self) -> tuple[np.ndarray, ...]:
+        """Per-cell cubic coefficients of G in t = (x - x_k) / h on [x_k, x_k + h].
 
-        Spectral integration keeps the G' = g defect far below the 1e-6
-        consistency tolerance, which cumulative trapezoid sums at this table
-        size cannot guarantee for steep beta.
+        G at the knots x_k = k h is the spectral antiderivative of g: spectral
+        integration keeps the G' = g defect far below the 1e-6 consistency
+        tolerance, which cumulative trapezoid sums at this table size cannot
+        guarantee for steep beta.  Between knots G is the cubic Hermite
+        interpolant with the exact g as its slope; at t = 0 the cubic returns
+        the knot value exactly.
         """
-        grid = np.arange(_TABLE_SIZE) * (TWO_PI / _TABLE_SIZE)
-        gv = self.g(grid)
+        gv = self.g(np.arange(_TABLE_SIZE) * _KNOT_STEP)
         spec = np.fft.rfft(gv)
         freqs = np.arange(len(spec))
         integ = np.zeros_like(spec)
         integ[1:] = spec[1:] / (1j * freqs[1:])
-        table = np.fft.irfft(integ, n=len(grid))
-        table -= table[0]
-        xs = np.concatenate([grid, [TWO_PI]])
-        ys = np.concatenate([table, [table[0]]])
-        return CubicSpline(xs, ys, bc_type="periodic")
+        table = np.fft.irfft(integ, n=_TABLE_SIZE)
+        y = np.append(table - table[0], 0.0)   # with the wrap value G(2 pi) = G(0)
+        d = np.append(gv, gv[0]) * _KNOT_STEP   # slopes in t
+        y0, y1, d0, d1 = y[:-1], y[1:], d[:-1], d[1:]
+        return y0, d0, 3.0 * (y1 - y0) - 2.0 * d0 - d1, d0 + d1 - 2.0 * (y1 - y0)
 
     def _check_antiderivative(self):
         """G' = g at sampled points.  Odd symmetry and periodicity need no
         check: they follow from g = f(sin x) with f odd."""
-        # midpoints avoid the (C1) interpolation knots of G
-        x = (np.arange(_CHECK_POINTS) + 0.5) * (TWO_PI / _CHECK_POINTS)
+        # two points inside every cell, where the Hermite cubic's slope error
+        # peaks; it vanishes at the knots and at the cell midpoints
+        t = 0.5 + np.array([[-1.0], [1.0]]) * (np.sqrt(3.0) / 6.0)
+        x = ((np.arange(_TABLE_SIZE) + t) * _KNOT_STEP).ravel()
         h = 1e-5
         fd = (self.antiderivative(x + h) - self.antiderivative(x - h)) / (2 * h)
         defect = np.abs(fd - self.g(x)).max()

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "PeriodicSignal",
@@ -133,11 +132,13 @@ def lock_equilibria(c: PeriodicSignal, detuning_ratio: float,
                     phi_in: float = 0.0) -> list[LockEquilibrium]:
     """All solutions of detuning_ratio = c(phi - phi_in) on [0, 2*pi).
 
-    Roots are bracketed by sign changes of the residual on the sample grid
-    and then refined by Brent's method to 1e-10 in phi.  Stability follows
-    the sign of the local slope of c: stable iff c'(phi*) < 0; near-zero
-    slopes are flagged degenerate instead of being classified.  An empty list means the drive
-    cannot lock at this detuning.
+    Roots are bracketed by sign changes of the residual on the sample grid,
+    and exact-zero samples are roots.  All brackets are bisected together
+    until each is narrower than ROOT_TOL, and one secant step inside the
+    final bracket gives the root (exact where the residual is linear there).
+    Stability follows the sign of the local slope of c: stable iff
+    c'(phi*) < 0; near-zero slopes are flagged degenerate instead of being
+    classified.  An empty list means the drive cannot lock at this detuning.
     """
     if c.channels != 1:
         raise ValueError("locking profile must be scalar")
@@ -155,25 +156,22 @@ def lock_equilibria(c: PeriodicSignal, detuning_ratio: float,
         return []
     slope_tol = 1e-9 * scale
     dx = TWO_PI / m
-    roots: list[float] = []
-    for k in range(m):
-        a, b = grid[k], grid[k] + dx
-        fa, fb = fg[k], fg[(k + 1) % m]
-        if fa == 0.0:
-            roots.append(a)
-        elif fa * fb < 0.0:
-            roots.append(brentq(f, a, b, xtol=ROOT_TOL))
-    out = []
-    for r in roots:
-        # slope of the piecewise-linear interpolant just around the root
-        cp = float((c.eval(r - phi_in + 0.5 * dx) - c.eval(r - phi_in - 0.5 * dx)) / dx)
-        degenerate = abs(cp) <= slope_tol
-        out.append(LockEquilibrium(
-            phi_star=float(np.mod(r, TWO_PI)),
-            stable=bool(cp < 0.0) and not degenerate,
-            degenerate=degenerate,
-            residual=float(abs(f(r))),
-        ))
+    cell = np.flatnonzero(fg * np.roll(fg, -1) < 0.0)
+    a, b, fa, fb = grid[cell], grid[cell] + dx, fg[cell], fg[(cell + 1) % m]
+    while np.any(b - a > ROOT_TOL):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        left = np.sign(fm) == np.sign(fa)   # an exact zero becomes the right end
+        a, fa = np.where(left, mid, a), np.where(left, fm, fa)
+        b, fb = np.where(left, b, mid), np.where(left, fb, fm)
+    r = np.concatenate([grid[fg == 0.0], a - fa * (b - a) / (fb - fa)])
+    # slope of the piecewise-linear interpolant just around each root
+    cp = (c.eval(r - phi_in + 0.5 * dx) - c.eval(r - phi_in - 0.5 * dx)) / dx
+    degenerate = np.abs(cp) <= slope_tol
+    out = [LockEquilibrium(phi_star=float(p), stable=bool(s), degenerate=bool(d),
+                           residual=float(e))
+           for p, s, d, e in zip(np.mod(r, TWO_PI), (cp < 0.0) & ~degenerate,
+                                 degenerate, np.abs(f(r)))]
     out.sort(key=lambda e: e.phi_star)
     return out
 

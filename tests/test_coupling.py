@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from oscising.coupling import CouplingFunction, by_name, sine, smoothed_square
+from oscising.coupling import (_KNOT_STEP, _TABLE_SIZE, CouplingFunction, by_name,
+                               sine, smoothed_square)
 
 GRID = np.linspace(-7.0, 7.0, 613)
 
@@ -43,6 +47,44 @@ def test_derivative_consistency(any_coupling):
     assert np.abs(fd - any_coupling.g(x)).max() < 1e-6
 
 
+# negative, far from the origin, and just below 0 (np.mod returns exactly 2 pi)
+VALUE_POINTS = [0.3, 2.0, np.pi, 5.9, -0.4, -3.0, -6.2, 1000.3, -777.7, 1e6 + 0.25,
+                -1e-300, np.nextafter(0.0, -1.0), -2e-17]
+
+
+@pytest.mark.parametrize("beta", [0.5, 4.0, 25.0])
+def test_smoothed_square_antiderivative_matches_quadrature(beta):
+    """G(x) against adaptive quadrature of g over x reduced into [-pi, pi]
+    (G is 2 pi-periodic because g is odd and 2 pi-periodic)."""
+    c = smoothed_square(beta)
+    g = lambda s: math.tanh(beta * math.sin(s))
+    x = np.array(VALUE_POINTS)
+    assert np.mod(x[-3:], 2 * np.pi).tolist() == [2 * np.pi] * 3
+    ref = [quad(g, 0.0, math.remainder(v, 2 * math.pi), epsabs=1e-13, epsrel=1e-13,
+                limit=200)[0] for v in VALUE_POINTS]
+    assert np.abs(c.antiderivative(x) - ref).max() < 1e-9
+    assert float(c.antiderivative(x[5])) == pytest.approx(ref[5], abs=1e-9)   # 0-d x
+
+
+@pytest.mark.parametrize("beta", [0.5, 4.0, 25.0])
+def test_smoothed_square_antiderivative_at_knots_is_the_table(beta):
+    """Where x lands on a knot (u = x / h an integer) G returns the table
+    value itself; every knot k * h is within rounding of it."""
+    c = smoothed_square(beta)
+    knots = np.arange(_TABLE_SIZE)
+    x = knots * _KNOT_STEP
+    table = c._antiderivative_table[0]
+    on = np.mod(x, 2 * np.pi) / _KNOT_STEP == knots
+    assert on.sum() > _TABLE_SIZE // 2
+    assert np.array_equal(c.antiderivative(x[on]), table[on])
+    assert np.abs(c.antiderivative(x) - table).max() < 1e-14
+    assert table[0] == 0.0 and float(c.antiderivative(2 * np.pi)) == 0.0
+
+
+def test_smoothed_square_antiderivative_propagates_nan():
+    assert np.isnan(smoothed_square(4.0).antiderivative([np.nan, 0.5])).tolist() == [True, False]
+
+
 def test_smoothed_square_limits():
     c = smoothed_square(25.0)
     # steep beta approaches a square wave away from the zero crossings
@@ -66,6 +108,27 @@ def test_g_of_sin_in_place_matches_g(any_coupling):
 def test_smoothed_square_rejects_bad_beta(beta):
     with pytest.raises(ValueError, match="finite beta > 0"):
         CouplingFunction(kind="smoothed_square", beta=beta)
+
+
+@pytest.mark.parametrize("beta", [30.0, 40.0, 60.0, 100.0, 400.0])
+def test_smoothed_square_rejects_beta_too_steep_for_its_table(beta):
+    """Past beta ~ 25 the Hermite cubic's slope misses g by more than 1e-6
+    between the knots (60, 100 and 400 once slipped through a check whose
+    points fell on the knots, where the slope is g by construction)."""
+    with pytest.raises(ValueError, match="defect"):
+        smoothed_square(beta)
+    with pytest.raises(ValueError, match="defect"):
+        by_name(f"sqsmooth:{beta}")
+
+
+def test_steepest_accepted_smoothed_square_meets_the_bound_everywhere():
+    """What the check accepts has G' = g to 1e-6 on a dense grid, not just
+    at the check's own points; beta = 25 sits just below the limit."""
+    c = smoothed_square(25.0)
+    x = np.linspace(0.0, 2 * np.pi, 200_001)
+    h = 1e-6
+    fd = (c.antiderivative(x + h) - c.antiderivative(x - h)) / (2 * h)
+    assert np.abs(fd - c.g(x)).max() < 1e-6
 
 
 def test_rejects_bad_kind():

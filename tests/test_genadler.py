@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
 
-from oscising.genadler import (LockEquilibrium, PeriodicSignal,
+from oscising.genadler import (ROOT_TOL, LockEquilibrium, PeriodicSignal,
                                cross_correlate, detuning_sweep,
                                lock_equilibria, shil_bistability,
                                signal_from_csv)
@@ -161,6 +163,69 @@ def test_degenerate_profile_flagged():
         lambda x: -np.clip(np.sin(x), -0.5, 0.5))
     eq = lock_equilibria(flat_top, 0.5)
     assert any(e.degenerate for e in eq)
+
+
+def brent_locks(c, detuning, phi_in):
+    """The lock rules with each sign-change bracket refined by Brent's
+    method: (phi*, stable, degenerate) sorted by phi*."""
+    m, dx = c.m, 2 * np.pi / c.m
+    f = lambda phi: detuning - c.eval(phi - phi_in)
+    grid = np.arange(m) * dx
+    fg = f(grid)
+    scale = float(np.abs(c.samples).max())
+    if scale == 0.0:
+        return []
+    roots = []
+    for k in range(m):
+        fa, fb = fg[k], fg[(k + 1) % m]
+        if fa == 0.0:
+            roots.append(grid[k])
+        elif fa * fb < 0.0:
+            # the bracket's ends keep their sampled signs: f at grid[k] + dx
+            # can differ in the last bit from f at grid[k + 1]
+            a, b = grid[k], grid[k] + dx
+            ends = lambda x: fa if x == a else fb if x == b else f(x)
+            roots.append(brentq(ends, a, b, xtol=ROOT_TOL))
+    out = []
+    for r in roots:
+        cp = float((c.eval(r - phi_in + 0.5 * dx) - c.eval(r - phi_in - 0.5 * dx)) / dx)
+        degenerate = abs(cp) <= 1e-9 * scale
+        out.append((float(np.mod(r, 2 * np.pi)), cp < 0.0 and not degenerate, degenerate))
+    return sorted(out)
+
+
+# small integers give exact-zero samples and flat runs; floats give the rest
+sample = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
+                   st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=st.lists(sample, min_size=64, max_size=64),
+       detuning=st.one_of(st.just(0.0), st.integers(-2, 2).map(float),
+                          st.floats(-2.5, 2.5, allow_nan=False)),
+       phi_in=st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False)))
+@example(samples=[0.0] * 64, detuning=0.0, phi_in=0.0)
+@example(samples=[0.0] * 62 + [-1.0, 0.0], detuning=-1e-277, phi_in=0.0)
+# f is -6e-32 on the cell before the -1 sample and +7e-15 at its right end
+# (rounding in eval): a straight line through the cell's ends puts the root
+# at the left end, a cell away from where f changes sign
+@example(samples=[0.0] * 59 + [-1.0] + [0.0] * 4, detuning=-6.105238998560496e-32,
+         phi_in=0.0)
+@example(samples=[0.0] * 64, detuning=0.5, phi_in=0.3)
+@example(samples=[0.0, 1.0, -2.0, 1.5] * 16, detuning=0.0, phi_in=0.0)
+@example(samples=[0.0, 1.0, -2.0, 1.5] * 16, detuning=0.25, phi_in=0.5 * 2 * np.pi / 64)
+def test_lock_equilibria_match_brent_per_bracket(samples, detuning, phi_in):
+    """The batched bisection finds every root Brent's method finds, within
+    ROOT_TOL, with the same stable and degenerate flags; phi_in off the grid
+    puts a kink of the interpolant inside a cell."""
+    c = PeriodicSignal(np.array(samples))
+    got = lock_equilibria(c, detuning, phi_in)
+    want = brent_locks(c, detuning, phi_in)
+    assert len(got) == len(want)
+    for e, (phi, stable, degenerate) in zip(got, want):
+        gap = abs(e.phi_star - phi)
+        assert min(gap, 2 * np.pi - gap) <= ROOT_TOL
+        assert (e.stable, e.degenerate) == (stable, degenerate)
 
 
 def test_shil_bistability_pair():

@@ -24,25 +24,22 @@ The same s and c then serve every term:
 
                     sum_j J_ij sin(phi_i - phi_j) = s_i (J c)_i - c_i (J s)_i,
 
-                one sparse product of the symmetric J with [s | c]; the
-                smoothed square applies its f to s_i c_j - c_i s_j per edge;
+                one sparse product of diag(J, J) with [s | c]; the smoothed
+                square applies its f to s_i c_j - c_i s_j per edge;
   self term     g(phi_i) = f(s_i);
   SHIL term     g(2 phi_i) = f(2 s_i c_i).
 
-Neither coupling kind allocates per step: each _integrate or drift call
-makes one workspace (_Operands) that owns its kernel state, and both sparse
-products call csr_matvecs, the kernel `matrix @ x` runs, straight into it;
-`@` would allocate its result and, on a few nodes, spend longer in dispatch
-than in the kernel.  _integrate writes each recorded step into its record row.
-
-The smoothed square's edge pipeline (gathers, f and the incidence product)
-runs per block of COUPLING_BLOCK trials and, within a block, per tile of
-EDGE_TILE edges (or n, if more), so that a tile's edge arrays stay in L2
-between passes where whole (m, block) arrays would stream from L3.
-csr_matvecs adds a row's entries into its output one by one in stored
-column order, so the column tiles' products, added in ascending order into
-one zeroed output, make exactly the additions of the whole product: the
-results are bit-identical to the untiled sum.
+The kernel holds B trials node-major, (n, B), the layout of the sparse
+products' operands: s and c are the contiguous halves of one (2, n, B)
+block, which the sine sum multiplies, seen as (2n, B), by diag(J, J), so a
+step makes no layout copy; _integrate and drift transpose at their
+boundaries.  Each call makes one workspace (_Operands) that owns the kernel
+state, so no step allocates, and both sparse products call csr_matvecs, the
+kernel `matrix @ x` runs, straight into it (`@` would allocate its result
+and, on a few nodes, spend longer in dispatch than in the kernel).  The
+smoothed square's edge work runs per block of COUPLING_BLOCK trials and per
+tile of EDGE_TILE edges (or n, if more), so a tile's edge arrays stay in L2;
+the tiled sum is bit-identical to the untiled one (_column_tiles).
 
 Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1); every run
 starts in harness._run, which states what each stream supplies.  Phases
@@ -50,7 +47,6 @@ are kept unwrapped; wrapping happens only in the readout helpers.
 """
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,12 +143,9 @@ _HALF, _ONE, _TWO = np.array(0.5), np.array(1.0), np.array(2.0)
 
 def _sin_cos(phi: np.ndarray, s: np.ndarray, c: np.ndarray,
              t: np.ndarray) -> None:
-    """Write s = sin phi and c = cos phi through t = tan(phi / 2).
-
-    With u = 2 / (1 + t^2), sin phi = t u and cos phi = u - 1: one
-    vectorised tan per node where sin and cos would each take a scalar
-    evaluation.  |t| stays below about 1.6e16 for finite phi, so t^2 does
-    not overflow; NaN and inf give NaN.  t is scratch shaped like phi.
+    """Write s = sin phi and c = cos phi through t = tan(phi / 2), as the
+    module docstring derives.  |t| stays below about 1.6e16 for finite phi,
+    so t^2 does not overflow; NaN and inf give NaN.  t is scratch like phi.
     """
     np.multiply(phi, _HALF, out=t)
     np.tan(t, out=t)
@@ -173,7 +166,7 @@ def _product_args(matrix, x: np.ndarray, y: np.ndarray) -> tuple:
             matrix.data, x.ravel(), y.ravel())
 
 
-# a CSR column slice, in the attributes _product_args reads
+# CSR arrays (a column slice, a block diagonal), in the attributes _product_args reads
 _Tile = namedtuple("_Tile", "shape indptr indices data")
 
 
@@ -208,63 +201,63 @@ def _column_tiles(matrix, width: int) -> list:
                                    np.split(indices, cuts), np.split(data, cuts))]
 
 
-class _Operands:
-    """One run's drift-kernel workspace for phases of one shape: the problem,
-    the coupling, omega and wdelta = omega - w*, the [s | c] block sc with
-    its halves s and c, the drift d, scratch tmp and the coupling sum's
-    arrays, views and csr_matvecs argument tuples, all made here once.
+def _block_diagonal(matrix) -> _Tile:
+    """diag(matrix, matrix) of a square CSR matrix: row i + n holds row i's
+    entries in stored order, columns shifted by n, so each output entry of
+    its product makes the additions of matrix @ x on its own half."""
+    n, p, i, d = matrix.shape[0], matrix.indptr, matrix.indices, matrix.data
+    return _Tile((2 * n, 2 * n), np.concatenate([p, p[1:] + p[-1]]),
+                 np.concatenate([i, i + n]), np.concatenate([d, d]))
 
-    For the smoothed square, blocks holds per trial block its rows, the
-    shared node-major s and c slabs, its output rows, its zeroed (n, block)
-    sum and its edge tiles.  Each tile holds views of writable copies of
-    the edge indices (np.take copies a read-only index array on every call,
-    150 kB a gather at G1 size), three (tile, block) views of one shared
-    edge buffer and the csr_matvecs arguments of its column slice of the
-    incidence S (_column_tiles), which add into the block's one sum.  It
-    lives for one _integrate or drift call, so no two runs share it.  It is
-    _coupling_sum's first argument and exposes .incidence:
-    perfbench/layertrace.py wraps _coupling_sum by its three-argument
-    signature and reads that incidence for its bytes model.
+
+class _Operands:
+    """One run's drift-kernel workspace for B trials held node-major, made
+    once: the problem, the coupling, omega and wdelta = omega - w* (given
+    (n,) or (B, n), held (n, 1) or (n, B)), h as a column, the (2, n, B)
+    block sc = [s | c], the drift d, scratch tmp, the (n, B) sum out, and
+    the coupling sum's arrays, views and csr_matvecs argument tuples.
+
+    Sine: diag(J, J) (_block_diagonal) times sc, seen as (2n, B), goes into
+    jsc = [js | jc].  Smoothed square: blocks holds per block of at most
+    COUPLING_BLOCK trials its columns, its (n, block) s and c slabs, its
+    sum and its edge tiles.  A tile holds views of writable copies of the
+    edge indices (np.take copies a read-only index array on every call),
+    three (tile, block) views of one edge buffer and the csr_matvecs
+    arguments of its column slice of the incidence (_column_tiles).  It lives for one _integrate or drift call;
+    its .incidence feeds perfbench/layertrace.py's bytes model.
     """
 
     def __init__(self, problem: IsingProblem, coupling: CouplingFunction,
-                 omega: np.ndarray, wdelta: np.ndarray, shape: tuple):
-        self.problem = problem
-        self.coupling = coupling
-        self.omega = omega
-        self.wdelta = wdelta
-        self.sc = np.empty((2,) + shape)
-        self.s, self.c = self.sc
-        self.d, self.tmp = np.empty((2,) + shape)
+                 omega: np.ndarray, wdelta: np.ndarray, batch: int):
         n = problem.n
-        self.bsz = math.prod(shape[:-1])
-        self.out = np.empty(shape)
+        self.problem, self.coupling = problem, coupling
+        self.omega, self.wdelta = (np.ascontiguousarray(np.atleast_2d(w).T)
+                                   for w in (omega, wdelta))
+        self.h = problem.h[:, None]
+        self.s, self.c = self.sc = np.empty((2, n, batch))
+        self.d, self.tmp, self.out = np.empty((3, n, batch))
         self.blocks = []
         if coupling.kind == "sine":
-            node_in, self.node_out = np.empty((2, n, 2 * self.bsz))
-            self.sc_in = node_in.T.reshape((2,) + shape)
-            self.jcs = self.node_out.T.reshape((2,) + shape)[::-1]
-            self.prod = node_in.reshape((2,) + shape)   # the spent input
-            self.terms = tuple(self.prod)
-            self.args = _product_args(problem.adjacency, node_in, self.node_out)
+            self.js, self.jc = self.jsc = np.empty((2, n, batch))
+            self.args = _product_args(_block_diagonal(problem.adjacency), *(
+                a.reshape(2 * n, batch) for a in (self.sc, self.jsc)))
             return
         i, j = problem.i.copy(), problem.j.copy()
         # a tile of at least n edges holds more entries than row pointers
         tiles = _column_tiles(problem.incidence, max(EDGE_TILE, n))
-        rows = self.out.reshape(self.bsz, n)
-        width = min(self.bsz, COUPLING_BLOCK)
+        width = min(batch, COUPLING_BLOCK)
         nodes = np.empty(2 * n * width)
         edges = np.empty((3, tiles[0][1] * width))      # the first tile is the widest
         summed = np.empty(n * width)
-        for lo in range(0, self.bsz, COUPLING_BLOCK):
-            w = min(COUPLING_BLOCK, self.bsz - lo)
+        for lo in range(0, batch, COUPLING_BLOCK):
+            w = min(COUPLING_BLOCK, batch - lo)
             sn, cs = nodes[:2 * n * w].reshape(2, n, w)
             sx = summed[:n * w].reshape(n, w)
             block_tiles = []
             for a, b, tile in tiles:
                 x, y, z = (e[:(b - a) * w].reshape(b - a, w) for e in edges)
                 block_tiles.append((i[a:b], j[a:b], x, y, z, _product_args(tile, x, sx)))
-            self.blocks.append((slice(lo, lo + w), sn, cs, rows[lo:lo + w], sx, block_tiles))
+            self.blocks.append((slice(lo, lo + w), sn, cs, sx, block_tiles))
 
     @property
     def incidence(self):
@@ -273,43 +266,39 @@ class _Operands:
 
 def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
                   sc: np.ndarray) -> np.ndarray:
-    """sum_{j != i} J_ij g(phi_i - phi_j) for each i, from the [s | c] block
-    sc = [sin phi, cos phi] of (n,) or (B, n) phases, shaped (2,) + phi.shape.
-
-    With g = f(sin), in the workspace ops, allocating nothing; ops.out is
-    returned:
+    """sum_{j != i} J_ij g(phi_i - phi_j) per node and trial, with g = f(sin),
+    into ops.out, which is returned, allocating nothing.  sc is ops.sc =
+    [sin phi, cos phi] of (n, B) phases, the memory the products are bound
+    to; it stays an argument for perfbench/layertrace.py, and any other
+    block raises ValueError.
       sine             f is linear: s_i (J c)_i - c_i (J s)_i.  csr_matvecs
-                       adds J [s | c], node-major (n, 2B), into a zeroed
-                       output; [J c, J s] is copied back trial-major over
-                       the spent input, where two ufuncs form the sum (a
-                       ufunc over mixed layouts would buffer);
+                       adds diag(J, J) sc into the zeroed [js | jc]; two
+                       multiplies in place and a subtract form the sum;
       smoothed_square  f(s_i c_j - c_i s_j) per edge, summed by the signed
-                       incidence S.  Per block of at most COUPLING_BLOCK
-                       trials, np.copyto fills node-major s and c slabs and
-                       the block's (n, block) sum is zeroed.  Per edge tile,
-                       in ascending edge order, np.take gathers the slabs
-                       into three (tile, block) edge arrays, f is applied in
-                       place and csr_matvecs adds the tile's columns of S
-                       times x into that sum, which makes the additions of
-                       the whole S x (_column_tiles); its transpose fills
-                       the block's rows.  The gathers pass mode="clip"
-                       (numpy buffers out= under "raise"); _check_edges
-                       keeps indices in [0, n).
+                       incidence S.  Per trial block the (n, block) slabs
+                       are copied from s and c and the sum zeroed; per edge
+                       tile, in ascending order, np.take gathers the slabs
+                       into three (tile, block) edge arrays (mode="clip": numpy buffers
+                       out= under "raise", and _check_edges keeps indices in
+                       [0, n)), f applies in place and csr_matvecs adds the
+                       tile's columns of S times x into the sum, making the
+                       additions of the whole S x (_column_tiles), which
+                       is copied into the block's columns of out.
     The kernel is the one `matrix @ x` runs (_product_args).  It sums each
-    column in the same order at every batch size, so a row's sum does not
-    depend on the rows beside it or on the block it falls in.
+    column in the same order at every batch size, so a trial's sum does not
+    depend on the trials beside it or on the block it falls in.
     """
+    if sc is not ops.sc:
+        raise ValueError("sc must be ops.sc, the block the products are bound to")
     if coupling.kind == "sine":
-        ops.sc_in[...] = sc
-        ops.node_out.fill(0.0)
+        ops.jsc.fill(0.0)
         csr_matvecs(*ops.args)
-        ops.prod[...] = ops.jcs
-        np.multiply(sc, ops.prod, out=ops.prod)
-        return np.subtract(*ops.terms, out=ops.out)
-    s_rows, c_rows = sc.reshape(2, ops.bsz, ops.problem.n)
-    for rows, sn, cs, out, sx, tiles in ops.blocks:
-        np.copyto(sn, s_rows[rows].T)
-        np.copyto(cs, c_rows[rows].T)
+        np.multiply(ops.s, ops.jc, out=ops.jc)
+        np.multiply(ops.c, ops.js, out=ops.js)
+        return np.subtract(ops.jc, ops.js, out=ops.out)
+    for cols, sn, cs, sx, tiles in ops.blocks:
+        np.copyto(sn, ops.s[:, cols])
+        np.copyto(cs, ops.c[:, cols])
         sx.fill(0.0)
         for i, j, x, y, z, args in tiles:
             np.take(sn, i, axis=0, out=x, mode="clip")
@@ -321,20 +310,20 @@ def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
             x -= y
             coupling.g_of_sin(x, out=x)
             csr_matvecs(*args)
-        np.copyto(out, sx.T)
+        np.copyto(ops.out[:, cols], sx)
     return ops.out
 
 
 def _drift(ops: _Operands, phi: np.ndarray, K: float, Ks: float) -> np.ndarray:
-    """Unchecked drift of phases of the shape ops was made for, written to
-    ops.d and returned.  s and c from the one half-angle evaluation feed the
-    coupling sum, the self term f(s) and the SHIL term f(2 s c)."""
+    """Unchecked drift of (n, B) phases into ops.d, which is returned: s and c
+    from one half-angle evaluation feed the coupling sum, the self term f(s)
+    and the SHIL term f(2 s c)."""
     coupling, s, c, d, tmp = ops.coupling, ops.s, ops.c, ops.d, ops.tmp
     _sin_cos(phi, s, c, tmp)
     np.multiply(_coupling_sum(ops, coupling, ops.sc), -K, out=d)
     if ops.problem.has_self_terms:
         coupling.g_of_sin(s, out=tmp)
-        np.multiply(tmp, ops.problem.h, out=tmp)
+        np.multiply(tmp, ops.h, out=tmp)
         np.multiply(tmp, K, out=tmp)
         np.subtract(d, tmp, out=d)
     if Ks != 0.0:
@@ -351,21 +340,22 @@ def _drift(ops: _Operands, phi: np.ndarray, K: float, Ks: float) -> np.ndarray:
 def _check_sizes(problem: IsingProblem, bank: OscillatorBank,
                  phi: np.ndarray | None = None) -> None:
     """ValueError unless the bank and phi's last axis (if given) hold n."""
-    if phi is not None and phi.shape[-1] != problem.n:
-        raise ValueError(f"phi has {phi.shape[-1]} phases, problem has n={problem.n}")
+    if phi is not None and phi.shape[-1:] != (problem.n,):
+        raise ValueError(f"phi of shape {phi.shape} does not end in n={problem.n}")
     if len(bank.omega) != problem.n:
         raise ValueError("bank size does not match problem size")
 
 
 def drift(problem: IsingProblem, coupling: CouplingFunction,
           bank: OscillatorBank, phi: np.ndarray, K: float, Ks: float) -> np.ndarray:
-    """Deterministic phase velocity; accepts (n,) or batched (B, n) phases."""
+    """Deterministic phase velocity; accepts (n,) or batched (..., n) phases."""
     phi = np.asarray(phi, dtype=np.float64)
     _check_sizes(problem, bank, phi)
     if not np.isfinite(phi).all():
         raise IntegrationError("non-finite phase passed to drift")
-    ops = _Operands(problem, coupling, bank.omega, bank.omega - 1.0, phi.shape)
-    return _drift(ops, phi, K, Ks)
+    rows = phi.reshape(-1, problem.n)
+    ops = _Operands(problem, coupling, bank.omega, bank.omega - 1.0, len(rows))
+    return np.ascontiguousarray(_drift(ops, rows.T, K, Ks).T).reshape(phi.shape)
 
 
 def _n_steps(t_end: float, dt: float) -> int:
@@ -388,16 +378,18 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
                schedule: Schedule, dt: float, n_steps: int,
                phi: np.ndarray, rngs: list[np.random.Generator],
                record_every: int = 0):
-    """Shared fixed-step core; phi is (B, n), one RNG stream per row.
+    """Shared fixed-step core; phi is (B, n), omega (n,) or per-trial (B, n),
+    one RNG stream per row.
 
-    Returns (phi_final, records).  records is None when record_every is 0,
-    else the (S, B, n) snapshots at _record_grid(n_steps, record_every).
-    The input phi is left as it is; the state, the drift kernel's workspace
-    (_Operands), the noise and the records are allocated once and updated
-    in place: a recorded step writes its update straight into its record
-    row, which the next step reads, so recording copies nothing per step.
-    Row b draws its noise from rngs[b] alone, so batched and one-at-a-time
-    runs are bit-equal.
+    Returns (phi_final, records): the (B, n) finals and, if record_every > 0,
+    the (S, B, n) snapshots at _record_grid(n_steps, record_every) as a view
+    of (S, n, B) storage, else None.  The state is a node-major copy of phi;
+    it, the drift kernel's workspace (_Operands), the noise and the records
+    are allocated once and updated in place, a recorded step writing its
+    update straight into its record row; the finals overwrite the (B, n)
+    noise buffer.  Row b draws its noise from rngs[b]
+    alone, into row b of a (B, n) buffer whose transpose the update adds, so
+    batched and one-at-a-time runs are bit-equal.
 
     One failure rule: nothing is checked while stepping.  Rows never mix and
     NaN and inf propagate, so a non-finite row stays so to the end while the
@@ -410,10 +402,10 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     k_arr, ks_arr, kn_arr = schedule.eval_arrays(t_grid)
     dt_0d = np.array(dt)
     noise = kn_arr * np.sqrt(dt)
-    state = phi = phi.copy()
-    ops = _Operands(problem, coupling, omega, omega - omega_star, phi.shape)
-    zeta = np.empty_like(phi)
-    zeta_rows = list(zeta)
+    zeta = np.empty(phi.shape)
+    zeta_rows, zeta_t = list(zeta), zeta.T
+    state = phi = phi.T.copy()
+    ops = _Operands(problem, coupling, omega, omega - omega_star, len(zeta))
     records = None
     rows = {}                       # recorded step -> its row of records
     if record_every:
@@ -421,6 +413,7 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
         records = np.empty((len(grid),) + phi.shape)
         records[0] = phi
         rows = dict(zip(grid.tolist(), records))
+        records = records.transpose(0, 2, 1)
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_steps):
             d = _drift(ops, phi, k_arr[k], ks_arr[k])
@@ -431,15 +424,14 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
             np.multiply(d, dt_0d, out=d)
             np.add(phi, d, out=nxt)
             np.multiply(zeta, noise[k], out=zeta)
-            np.add(nxt, zeta, out=nxt)
+            np.add(nxt, zeta_t, out=nxt)
             phi = nxt
-    if phi is not state:
-        state[...] = phi
+    np.copyto(zeta, phi.T)
     bad = np.argwhere(~np.isfinite(records)) if record_every else ()
     if len(bad):
         r, _, i = bad[0]
         raise IntegrationError(f"non-finite phase at index {i} (t={grid[r] * dt:g})")
-    return state, records
+    return zeta, records
 
 
 def _spins_batch(phi: np.ndarray) -> np.ndarray:

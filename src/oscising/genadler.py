@@ -133,9 +133,12 @@ def lock_equilibria(c: PeriodicSignal, detuning_ratio: float,
     """All solutions of detuning_ratio = c(phi - phi_in) on [0, 2*pi).
 
     Roots are bracketed by sign changes of the residual on the sample grid,
-    and exact-zero samples are roots.  All brackets are bisected together
-    until each is narrower than ROOT_TOL, and one secant step inside the
-    final bracket gives the root (exact where the residual is linear there).
+    and exact-zero samples are roots.  The residual is linear on either side
+    of its one kink per cell, at a + mod(phi_in, dx): one evaluation there
+    picks the side with the sign change.  An end can carry the next piece's
+    value (rounding at a kink), so the secant runs over the first part of
+    [a, a + ROOT_TOL / 2, b - ROOT_TOL / 2, b] whose ends differ in sign, or
+    over [a, b] on a side narrower than ROOT_TOL.
     Stability follows the sign of the local slope of c: stable iff
     c'(phi*) < 0; near-zero slopes are flagged degenerate instead of being
     classified.  An empty list means the drive cannot lock at this detuning.
@@ -144,8 +147,7 @@ def lock_equilibria(c: PeriodicSignal, detuning_ratio: float,
         raise ValueError("locking profile must be scalar")
     if not np.isfinite([detuning_ratio, phi_in]).all():
         raise ValueError("detuning_ratio and phi_in must be finite")
-    m = c.m
-    grid = _grid(m)
+    m, grid = c.m, _grid(c.m)
 
     def f(phi):
         return detuning_ratio - c.eval(phi - phi_in)
@@ -157,14 +159,20 @@ def lock_equilibria(c: PeriodicSignal, detuning_ratio: float,
     slope_tol = 1e-9 * scale
     dx = TWO_PI / m
     cell = np.flatnonzero(fg * np.roll(fg, -1) < 0.0)
-    a, b, fa, fb = grid[cell], grid[cell] + dx, fg[cell], fg[(cell + 1) % m]
-    while np.any(b - a > ROOT_TOL):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        left = np.sign(fm) == np.sign(fa)   # an exact zero becomes the right end
-        a, fa = np.where(left, mid, a), np.where(left, fm, fa)
-        b, fb = np.where(left, b, mid), np.where(left, fb, fm)
-    r = np.concatenate([grid[fg == 0.0], a - fa * (b - a) / (fb - fa)])
+    a, kink = grid[cell], grid[cell] + np.mod(phi_in, dx)
+    fa, fb = fg[cell], fg[(cell + 1) % m]
+    # a kink rounded onto the cell's end takes its value: f(2 pi) need not be f(0)
+    fk = np.where(kink < a + dx, f(kink), fb)
+    right = np.sign(fk) == np.sign(fa)  # an exact zero at the kink ends the side
+    a, b = np.where(right, kink, a), np.where(right, a + dx, kink)
+    fa, fb = np.where(right, fk, fa), np.where(right, fb, fk)
+    h = np.where(b - a > ROOT_TOL, 0.5 * ROOT_TOL, 0.0)
+    x = np.stack([a, a + h, b - h, b])
+    fx = np.stack([fa, *np.where(h > 0.0, f(x[1:3]), [fa, fb]), fb])
+    k = np.argmax(np.sign(fx[1:]) != np.sign(fx[:-1]), axis=0)
+    (x0, x1), (f0, f1) = (v[[k, k + 1], np.arange(len(k))] for v in (x, fx))
+    r = np.concatenate([grid[fg == 0.0], np.clip(x0 - f0 * (x1 - x0) / (f1 - f0),
+                                                 a, b)])
     # slope of the piecewise-linear interpolant just around each root
     cp = (c.eval(r - phi_in + 0.5 * dx) - c.eval(r - phi_in - 0.5 * dx)) / dx
     degenerate = np.abs(cp) <= slope_tol

@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import (COUPLING_BLOCK, EDGE_TILE, IntegrationError,
                                OscillatorBank, _coupling_sum, _integrate,
-                               _Operands, _product_args, _sin_cos,
+                               _Operands, _product_args, _record_grid, _sin_cos,
                                binarisation_residual, drift, make_rng,
                                read_spins, trajectory_to_csv)
 from oscising.graphs import random_graph
@@ -64,6 +64,25 @@ def test_drift_dimension_mismatch():
     p = empty_problem(3)
     with pytest.raises(ValueError):
         drift(p, sine(), OscillatorBank.uniform(3), np.zeros(2), 1.0, 0.0)
+
+
+def test_drift_rejects_phases_without_a_node_axis():
+    """A scalar phase on a 1-node problem used to raise a bare IndexError."""
+    p = empty_problem(1)
+    with pytest.raises(ValueError, match=r"phi of shape \(\) does not end in n=1"):
+        drift(p, sine(), OscillatorBank.uniform(1), 0.3, 1.0, 0.5)
+
+
+def test_drift_keeps_any_leading_batch_axes():
+    """(..., n) phases give the drift of each (n,) row, bit for bit."""
+    p = blocked_problem()
+    bank = OscillatorBank(1.0 + 0.01 * make_rng(1).standard_normal(p.n))
+    phi = make_rng(2).uniform(-3.0, 3.0, size=(2, 3, p.n))
+    for coupling in (sine(), smoothed_square()):
+        d = drift(p, coupling, bank, phi, 0.8, 0.4)
+        assert d.shape == phi.shape
+        assert all(np.array_equal(drift(p, coupling, bank, row, 0.8, 0.4), drow)
+                   for row, drow in zip(phi.reshape(-1, p.n), d.reshape(-1, p.n)))
 
 
 def test_drift_rejects_wrong_sized_bank():
@@ -231,8 +250,7 @@ def blocked_problem():
 
 def n_tiles(p, coupling=None):
     """Edge tiles per trial block of a smoothed-square workspace for p."""
-    ops = _Operands(p, coupling or smoothed_square(), np.ones(p.n), np.zeros(p.n),
-                    (2, p.n))
+    ops = _Operands(p, coupling or smoothed_square(), np.ones(p.n), np.zeros(p.n), 2)
     return len(ops.blocks[0][-1])
 
 
@@ -288,13 +306,24 @@ def test_edgeless_smoothed_square_drift(shape):
     assert np.isfinite(final).all()
 
 
+@pytest.mark.parametrize("kind", ["sine", "smoothed_square"])
+def test_coupling_sum_rejects_a_block_other_than_its_own(kind):
+    """The products are bound to ops.sc, so another block is an error, not
+    a silent sum of ops.sc."""
+    p = blocked_problem()
+    coupling = sine() if kind == "sine" else smoothed_square()
+    ops = _Operands(p, coupling, np.ones(p.n), np.zeros(p.n), 2)
+    with pytest.raises(ValueError, match="ops.sc"):
+        _coupling_sum(ops, coupling, ops.sc.copy())
+
+
 def sum_twice(coupling, p):
     """Two coupling sums of p over one workspace on a 65-row batch, which
     must agree, the second returned in ops.out; returns the second's
-    tracemalloc peak and the phases."""
+    tracemalloc peak and the (B, n) phases."""
     phi = make_rng(5).uniform(-3.0, 3.0, size=(2 * COUPLING_BLOCK + 1, p.n))
-    ops = _Operands(p, coupling, np.ones(p.n), np.zeros(p.n), phi.shape)
-    _sin_cos(phi, ops.s, ops.c, ops.tmp)
+    ops = _Operands(p, coupling, np.ones(p.n), np.zeros(p.n), len(phi))
+    _sin_cos(phi.T, ops.s, ops.c, ops.tmp)
     first = _coupling_sum(ops, coupling, ops.sc).copy()
     tracemalloc.start()
     try:
@@ -327,23 +356,24 @@ def test_smoothed_square_sum_allocates_nothing_per_step(monkeypatch):
 def test_tiled_smoothed_square_sum_is_the_untiled_product():
     """The complete 80-node graph (m = 3,160) is four edge tiles at the
     default size, the last a remainder.  Over three trial blocks the tiled
-    sum is bit-equal to the whole incidence times f(s_i c_j - c_i s_j)."""
+    sum is bit-equal to the whole incidence times f(s_i c_j - c_i s_j), all
+    node-major (n, B)."""
     g = random_graph(80, 100, "uniform_range", seed=6)
     p = IsingProblem(n=80, i=g.i, j=g.j, jval=g.w.copy(), h=np.zeros(80))
     cpl = smoothed_square(6.0)
     assert p.m == 3160 and n_tiles(p, cpl) == 4
     phi = make_rng(9).uniform(-3.0, 3.0, size=(2 * COUPLING_BLOCK + 1, p.n))
-    ops = _Operands(p, cpl, np.ones(p.n), np.zeros(p.n), phi.shape)
-    _sin_cos(phi, ops.s, ops.c, ops.tmp)
+    ops = _Operands(p, cpl, np.ones(p.n), np.zeros(p.n), len(phi))
+    _sin_cos(phi.T, ops.s, ops.c, ops.tmp)
     s, c = ops.s, ops.c
-    x = s[:, p.i] * c[:, p.j] - c[:, p.i] * s[:, p.j]
-    ref = (p.incidence @ cpl.g_of_sin(x).T).T
+    x = s[p.i] * c[p.j] - c[p.i] * s[p.j]
+    ref = p.incidence @ cpl.g_of_sin(x)
     assert np.array_equal(_coupling_sum(ops, cpl, ops.sc), ref)
 
 
 def test_sine_sum_allocates_nothing_per_step():
     """Once the workspace exists, a sine coupling sum allocates no node
-    array: [s | c] is copied into it and J [s | c] is written there."""
+    array: diag(J, J) [s | c] is written into it and combined in place."""
     peak, phi = sum_twice(sine(), blocked_problem())
     assert peak <= 4096 < phi.nbytes
 
@@ -398,6 +428,60 @@ def test_recording_every_step_holds_the_sparser_records():
     assert np.array_equal(np.concatenate([dense[::5], dense[-1:]]), sparse)
     assert np.array_equal(final1, final5)
     assert not np.shares_memory(final1, dense)
+
+
+def reference_integrate(p, coupling, omega, sched, dt, n_steps, phi, rngs,
+                        record_every):
+    """_integrate's Euler-Maruyama steps written plainly, trial-major (B, n),
+    with scipy's `@` for the sparse products and the kernel's rounding order."""
+    k_arr, ks_arr, kn_arr = sched.eval_arrays(np.arange(n_steps) * dt)
+    noise = kn_arr * np.sqrt(dt)
+    s, c, t = np.empty((3,) + phi.shape)
+    B = len(phi)
+    grid = _record_grid(n_steps, record_every).tolist()
+    records = [phi]
+    for k in range(n_steps):
+        _sin_cos(phi, s, c, t)
+        if coupling.kind == "sine":
+            jsc = p.adjacency @ np.concatenate([s.T, c.T], axis=1)    # (n, 2B)
+            total = s * jsc[:, B:].T - c * jsc[:, :B].T
+        else:
+            x = s[:, p.i] * c[:, p.j] - c[:, p.i] * s[:, p.j]
+            total = (p.incidence @ coupling.g_of_sin(x).T).T
+        d = total * -k_arr[k]
+        if p.has_self_terms:
+            d = d - coupling.g_of_sin(s) * p.h * k_arr[k]
+        d = d - coupling.g_of_sin(s * c * 2.0) * ks_arr[k]
+        d = d * omega + (omega - 1.0)
+        zeta = np.stack([rng.standard_normal(p.n) for rng in rngs])
+        phi = phi + d * dt + zeta * noise[k]
+        if k + 1 in grid:
+            records.append(phi)
+    return phi, np.stack(records)
+
+
+@pytest.mark.parametrize("coupling", [sine(), smoothed_square()], ids=["sine", "sqsmooth"])
+@pytest.mark.parametrize("self_terms", [True, False])
+@pytest.mark.parametrize("per_trial", [False, True])
+def test_integrate_is_the_plain_trial_major_loop(coupling, self_terms, per_trial):
+    """The node-major integrator, over three trial blocks, is bit-equal to
+    the plain loop, finals and records, with shared or per-trial omega."""
+    p = blocked_problem()
+    if not self_terms:
+        p = IsingProblem(n=p.n, i=p.i, j=p.j, jval=p.jval, h=np.zeros(p.n))
+    assert p.has_self_terms == self_terms
+    B = 2 * COUPLING_BLOCK + 1
+    rng = make_rng(8)
+    omega = 1.0 + 0.02 * rng.standard_normal((B, p.n) if per_trial else p.n)
+    phi0 = rng.uniform(0.0, np.pi, size=(B, p.n))
+    sched = constant_schedule(1.0, 0.8, 0.4, 0.3)
+    args = (p, coupling, omega, sched, 0.05, 7, phi0)
+    final, records = _integrate(*args[:3], 1.0, *args[3:],
+                                [make_rng(b) for b in range(B)], record_every=3)
+    ref_final, ref_records = reference_integrate(
+        *args, [make_rng(b) for b in range(B)], record_every=3)
+    assert np.array_equal(final, ref_final)
+    assert np.array_equal(records, ref_records)
 
 
 def test_read_spins_mapping():

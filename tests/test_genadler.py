@@ -228,6 +228,20 @@ def test_lock_equilibria_match_brent_per_bracket(samples, detuning, phi_in):
         assert (e.stable, e.degenerate) == (stable, degenerate)
 
 
+def test_lock_equilibria_kink_rounded_onto_the_cell_end():
+    """phi_in = -1.2e-26 puts the last cell's kink at a + dx, which rounds to
+    2 pi, where f wraps to f(0) with the shift lost: f there is +4e-102
+    while the sampled f(0) is -1.2e-25.  The root stays in the last cell,
+    just below 2 pi, where Brent's method puts it."""
+    c = PeriodicSignal(np.array([-4.0073812798532255e-102, 1.0] + [0.0] * 62))
+    got = lock_equilibria(c, 0.0, -1.179432275963258e-26)
+    want = brent_locks(c, 0.0, -1.179432275963258e-26)
+    assert len(got) == len(want) == 62
+    assert got[-1].phi_star == pytest.approx(want[-1][0], abs=ROOT_TOL)
+    assert got[-1].phi_star < 2 * np.pi
+    assert [(e.stable, e.degenerate) for e in got] == [w[1:] for w in want]
+
+
 def test_shil_bistability_pair():
     eq = shil_bistability(sig(np.cos), sig(np.sin), 0.0)
     stable = sorted(e.phi_star for e in eq if e.stable)

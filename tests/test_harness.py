@@ -54,6 +54,17 @@ def test_batch_size_does_not_change_results(small_run):
     assert stats_equal(stats, onesie)
 
 
+@pytest.mark.parametrize("variant", [AblationVariant("variability", sigma=0.05),
+                                     AblationVariant("sine_coupling")])
+def test_batch_size_does_not_change_variant_results(small_run, variant):
+    """Per-trial frequencies and the sine sum give the same stats one trial
+    at a time as in one batch of the default size."""
+    g, p, sched, _ = small_run
+    onesie = run_trials(p, variant, sched, 16, 99, graph=g, dt=0.02, batch_size=1)
+    batched = run_trials(p, variant, sched, 16, 99, graph=g, dt=0.02)
+    assert stats_equal(onesie, batched)
+
+
 def test_worker_pool_matches_serial(small_run):
     g, p, sched, stats = small_run
     pooled = run_trials(p, AblationVariant("baseline"), sched, 16, 99,

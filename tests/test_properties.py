@@ -4,9 +4,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse._sparsetools import csr_matvecs
 
 from oscising.coupling import sine, smoothed_square
-from oscising.dynamics import (OscillatorBank, _column_tiles, _coupling_sum, _drift,
-                               _integrate, _Operands, _product_args, _sin_cos,
-                               drift, make_rng)
+from oscising.dynamics import (OscillatorBank, _block_diagonal, _column_tiles,
+                               _coupling_sum, _drift, _integrate, _Operands,
+                               _product_args, _sin_cos, drift, make_rng)
 from oscising.graphs import GraphFormatError, WeightedGraph
 from oscising.harness import simulate, trial_seed
 from oscising.ising import (IsingProblem, cut_batch, cut_value, hamiltonian,
@@ -139,13 +139,21 @@ def test_direct_product_is_bit_equal_to_scipy_matmul(p, seed, k):
     """The coupling sums call scipy's private csr_matvecs through
     _product_args.  On adjacency and incidence, m = 0 included, it is
     bit-equal to `matrix @ x`, which runs csr_matvecs for k > 1 columns and
-    csr_matvec for one; a change to either kernel fails here."""
+    csr_matvec for one; a change to either kernel fails here.  The sine
+    sum's diag(J, J) times a (2, n, k) block is bit-equal to J @ s stacked
+    on J @ c."""
     rng = make_rng(seed)
     for matrix in (p.adjacency, p.incidence):
         x = rng.uniform(-2.0, 2.0, size=(matrix.shape[1], k))
         y = np.zeros((matrix.shape[0], k))
         csr_matvecs(*_product_args(matrix, x, y))
         assert np.array_equal(y, matrix @ x)
+    J, n = p.adjacency, p.n
+    x = rng.uniform(-2.0, 2.0, size=(2, n, k))
+    y = np.zeros((2, n, k))
+    csr_matvecs(*_product_args(_block_diagonal(J), x.reshape(2 * n, k),
+                               y.reshape(2 * n, k)))
+    assert np.array_equal(y, np.stack([J @ x[0], J @ x[1]]))
 
 
 def problem_with_m(m):
@@ -198,9 +206,9 @@ def test_factorised_drift_matches_edge_sum(p, seed, coupling, bsz, K, Ks):
     phi = rng.uniform(-20.0, 20.0, size=(bsz, p.n))
     scale = np.abs(p.jval).sum()
     ref_sum = edge_coupling_sum(p, coupling, phi)
-    ops = _Operands(p, coupling, bank.omega, bank.omega - 1.0, phi.shape)
-    _sin_cos(phi, ops.s, ops.c, ops.tmp)
-    assert np.abs(_coupling_sum(ops, coupling, ops.sc) - ref_sum).max() <= 1e-12 * scale
+    ops = _Operands(p, coupling, bank.omega, bank.omega - 1.0, bsz)
+    _sin_cos(phi.T, ops.s, ops.c, ops.tmp)
+    assert np.abs(_coupling_sum(ops, coupling, ops.sc).T - ref_sum).max() <= 1e-12 * scale
     ref = bank.omega * (-K * ref_sum - K * p.h * coupling.g(phi)
                         - Ks * coupling.g(2.0 * phi)) + (bank.omega - 1.0)
     d = drift(p, coupling, bank, phi, K, Ks)
@@ -232,19 +240,20 @@ def test_drift_is_minus_half_omega_gradient(p, seed, coupling, uniform, K, Ks):
 
 @FEW
 @given(problems(), seeds, couplings,
-       st.sets(st.integers(1, 4)))
-def test_integrate_rows_do_not_depend_on_chunking(p, seed, coupling, cuts):
-    """Batched = one chunk at a time, bit for bit, records included."""
+       st.sets(st.integers(1, 4)), st.booleans())
+def test_integrate_rows_do_not_depend_on_chunking(p, seed, coupling, cuts, per_trial):
+    """Batched = one chunk at a time, bit for bit, records included, with
+    shared (n,) or per-trial (rows, n) frequencies."""
     rows = 5
     rng = make_rng(seed)
-    omega = 1.0 + 0.01 * rng.standard_normal(p.n)
+    omega = 1.0 + 0.01 * rng.standard_normal((rows, p.n) if per_trial else p.n)
     phi0 = rng.uniform(0.0, np.pi, size=(rows, p.n))
     sched = constant_schedule(0.6, 0.7, 0.5, 0.3)
 
     def run(idx):
         rngs = [make_rng(trial_seed(seed, int(b))) for b in idx]
-        return _integrate(p, coupling, omega, 1.0, sched, 0.05, 12,
-                          phi0[idx], rngs, record_every=5)
+        return _integrate(p, coupling, omega[idx] if per_trial else omega, 1.0,
+                          sched, 0.05, 12, phi0[idx], rngs, record_every=5)
 
     whole, whole_rec = run(np.arange(rows))
     parts = [run(idx) for idx in np.split(np.arange(rows), sorted(cuts))]
@@ -257,11 +266,10 @@ def test_integrate_rows_do_not_depend_on_chunking(p, seed, coupling, cuts):
 def test_half_angle_sin_cos_match_numpy(values):
     """The kernel's s and c, from one tan(phi / 2), are sin and cos."""
     phi = np.array(values)
-    p = IsingProblem.from_couplings(len(phi), {})
-    ops = _Operands(p, sine(), np.ones(p.n), np.zeros(p.n), phi.shape)
-    _sin_cos(phi, ops.s, ops.c, ops.tmp)
-    assert np.abs(ops.s - np.sin(phi)).max() <= 1e-15
-    assert np.abs(ops.c - np.cos(phi)).max() <= 1e-15
+    s, c, t = np.empty((3,) + phi.shape)
+    _sin_cos(phi, s, c, t)
+    assert np.abs(s - np.sin(phi)).max() <= 1e-15
+    assert np.abs(c - np.cos(phi)).max() <= 1e-15
 
 
 @FEW
@@ -275,7 +283,7 @@ def test_nonfinite_phase_gives_nonfinite_drift(p, seed, coupling, bad, K, Ks):
     phi[1, node] = bad
     omega = np.ones(p.n)
     with np.errstate(invalid="ignore"):
-        d = _drift(_Operands(p, coupling, omega, omega - 1.0, phi.shape), phi, K, Ks)
+        d = _drift(_Operands(p, coupling, omega, omega - 1.0, len(phi)), phi.T, K, Ks).T
     assert not np.isfinite(d[1, node])
     assert np.isfinite(d[[0, 2]]).all()
 

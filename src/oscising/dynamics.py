@@ -35,8 +35,9 @@ block, which the sine sum multiplies, seen as (2n, B), by diag(J, J), so a
 step makes no layout copy; _integrate and drift transpose at their
 boundaries.  Each call makes one workspace (_Operands) that owns the kernel
 state, so no step allocates, and both sparse products call csr_matvecs, the
-kernel `matrix @ x` runs, straight into it (`@` would allocate its result
-and, on a few nodes, spend longer in dispatch than in the kernel).  The
+kernel scipy's `matrix @ x` runs, loaded alone (_load_csr_matvecs), straight
+into it (`@` would allocate its result and, on a few nodes, spend longer in
+dispatch than in the kernel).  The
 smoothed square's edge work runs per block of COUPLING_BLOCK trials and per
 tile of EDGE_TILE edges (or n, if more), so a tile's edge arrays stay in L2;
 the tiled sum is bit-identical to the untiled one (_column_tiles).
@@ -47,15 +48,17 @@ are kept unwrapped; wrapping happens only in the readout helpers.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvecs
 
 from .coupling import CouplingFunction
-from .ising import EDGE_TILE, IsingProblem, SpinConfig
+from .ising import CSR, EDGE_TILE, IsingProblem, SpinConfig
 from .schedule import Schedule
 
 __all__ = [
@@ -69,6 +72,30 @@ __all__ = [
 ]
 
 COUPLING_BLOCK = 32     # trials per block of the smoothed-square coupling sum
+
+
+def _load_csr_matvecs():
+    """scipy's csr_matvecs, from its compiled _sparsetools file alone:
+    importing scipy.sparse would cost about 20 MiB of RSS.  The module is
+    not left in sys.modules; ImportError if scipy or the file is missing."""
+    scipy = importlib.util.find_spec("scipy")       # imports nothing
+    if scipy is None:
+        raise ImportError("csr_matvecs comes from scipy, which is not installed")
+    name = "scipy.sparse._sparsetools"
+    base = os.path.join(scipy.submodule_search_locations[0], "sparse", "_sparsetools")
+    for path in (base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+        if os.path.isfile(path):
+            loaded = name in sys.modules    # a single-phase extension registers itself
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if not loaded:
+                sys.modules.pop(name, None)
+            return module.csr_matvecs
+    raise ImportError(f"no compiled scipy extension at {base}.*")
+
+
+csr_matvecs = _load_csr_matvecs()
 
 
 class IntegrationError(RuntimeError):
@@ -166,26 +193,20 @@ def _product_args(matrix, x: np.ndarray, y: np.ndarray) -> tuple:
             matrix.data, x.ravel(), y.ravel())
 
 
-# CSR arrays (a column slice, a block diagonal), in the attributes _product_args reads
-_Tile = namedtuple("_Tile", "shape indptr indices data")
-
-
-def _column_tiles(matrix, width: int) -> list:
+def _column_tiles(matrix: CSR, width: int) -> list:
     """[(lo, hi, tile)]: the CSR column slices tile = matrix[:, lo:hi] of at
     most width columns, lo = 0, width, ..., in ascending order.
 
     A matrix of at most width columns is its own one tile.  Otherwise one
     stable sort of the stored entries by tile splits the arrays at once,
     where m / width scipy slices would cost milliseconds at G1 size.  The
-    sort keeps each row's entries in stored order; with sorted column
-    indices, csr_matvecs over the tiles in ascending order, into one zeroed
-    y, adds each row's entries in the order `matrix @ x` does.
+    sort keeps each row's entries in stored order; as ising._csr sorts each
+    row's columns, csr_matvecs over the tiles in ascending order, into one
+    zeroed y, adds each row's entries in the order `matrix @ x` does.
     """
     n, m = matrix.shape
     if m <= width:
         return [(0, m, matrix)]
-    if not matrix.has_sorted_indices:
-        raise ValueError("column tiles need sorted column indices")
     k = -(-m // width)
     tile = matrix.indices // width
     order = np.argsort(tile, kind="stable")
@@ -196,18 +217,18 @@ def _column_tiles(matrix, width: int) -> list:
     indices = (matrix.indices % width)[order].astype(matrix.indices.dtype, copy=False)
     data = matrix.data[order]
     cuts = indptr[:-1, -1].cumsum()
-    return [(lo, min(lo + width, m), _Tile((n, min(width, m - lo)), p, i, d))
+    return [(lo, min(lo + width, m), CSR((n, min(width, m - lo)), p, i, d))
             for lo, p, i, d in zip(range(0, m, width), indptr,
                                    np.split(indices, cuts), np.split(data, cuts))]
 
 
-def _block_diagonal(matrix) -> _Tile:
+def _block_diagonal(matrix: CSR) -> CSR:
     """diag(matrix, matrix) of a square CSR matrix: row i + n holds row i's
     entries in stored order, columns shifted by n, so each output entry of
     its product makes the additions of matrix @ x on its own half."""
     n, p, i, d = matrix.shape[0], matrix.indptr, matrix.indices, matrix.data
-    return _Tile((2 * n, 2 * n), np.concatenate([p, p[1:] + p[-1]]),
-                 np.concatenate([i, i + n]), np.concatenate([d, d]))
+    return CSR((2 * n, 2 * n), np.concatenate([p, p[1:] + p[-1]]),
+               np.concatenate([i, i + n]), np.concatenate([d, d]))
 
 
 class _Operands:
@@ -223,8 +244,10 @@ class _Operands:
     sum and its edge tiles.  A tile holds views of writable copies of the
     edge indices (np.take copies a read-only index array on every call),
     three (tile, block) views of one edge buffer and the csr_matvecs
-    arguments of its column slice of the incidence (_column_tiles).  It lives for one _integrate or drift call;
-    its .incidence feeds perfbench/layertrace.py's bytes model.
+    arguments of its column slice of the incidence (_column_tiles).  J, S
+    and the slices are ising.CSR arrays.  It lives for one _integrate or
+    drift call; the CSR arrays of its .incidence, S, feed
+    perfbench/layertrace.py's bytes model.
     """
 
     def __init__(self, problem: IsingProblem, coupling: CouplingFunction,

@@ -8,16 +8,17 @@ encoded Hamiltonians are exact, not merely equal up to a constant.
 The per-edge sums over rows of spins or phases (the readout's H and cut,
 the Lyapunov coupling term) run through _edge_sum, tile by tile in edge
 order: no (rows, m) array is built, and a row's sum does not depend on the
-tile size or on the rows beside it.
+tile size or on the rows beside it.  The coupling matrices J and S are
+plain CSR arrays, built with numpy (_csr); no scipy.sparse object is made.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .graphs import WeightedGraph, _canonical_edges, _check_edges
 
@@ -34,6 +35,23 @@ __all__ = [
 BRUTE_FORCE_MAX_N = 24
 BRUTE_FORCE_CHUNK = 1 << 18     # spin configurations scored per pass
 EDGE_TILE = 1024                # edges per tile of an edge sum or coupling block: fits L2
+
+# a sparse matrix in compressed sparse row arrays, the ones csr_matvecs reads
+CSR = namedtuple("CSR", "shape indptr indices data")
+
+
+def _csr(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
+         vals: np.ndarray) -> CSR:
+    """The entries vals at int64 (rows, cols), no position twice, stored as
+    scipy's csr_matrix((vals, (rows, cols)), shape): rows in order, each
+    row's columns ascending (one argsort of the key row * ncols + col), and
+    int32 indices unless a size reaches 2**31."""
+    n, k = shape
+    idx = np.int32 if max(n, k, len(vals)) < 2 ** 31 else np.int64
+    order = np.argsort(rows * k + cols)
+    indptr = np.zeros(n + 1, dtype=idx)
+    indptr[1:] = np.bincount(rows, minlength=n).cumsum()
+    return CSR(shape, indptr, cols[order].astype(idx), vals[order])
 
 
 @dataclass(frozen=True)
@@ -98,7 +116,7 @@ class IsingProblem:
         return len(self.i)
 
     @cached_property
-    def incidence(self) -> sparse.csr_matrix:
+    def incidence(self) -> CSR:
         """Signed coupling incidence S (n x m): S[i_e, e] = +J_e, S[j_e, e] = -J_e.
 
         For an odd coupling g, (S @ g(phi[i_e] - phi[j_e]))_k equals
@@ -106,23 +124,21 @@ class IsingProblem:
         sum reads it, with g(phi_i - phi_j) formed per edge as
         f(s_i c_j - c_i s_j) from per-node s = sin phi, c = cos phi.
         """
-        m = self.m
-        rows = np.concatenate([self.i, self.j])
-        cols = np.concatenate([np.arange(m), np.arange(m)])
-        vals = np.concatenate([self.jval, -self.jval])
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(self.n, m))
+        edges = np.arange(self.m)
+        return _csr((self.n, self.m), np.concatenate([self.i, self.j]),
+                    np.concatenate([edges, edges]),
+                    np.concatenate([self.jval, -self.jval]))
 
     @cached_property
-    def adjacency(self) -> sparse.csr_matrix:
+    def adjacency(self) -> CSR:
         """The symmetric coupling matrix J (n x n), both triangles stored.
 
         The sine coupling sum reads it: sum_l J_kl sin(phi_k - phi_l)
         = sin(phi_k) (J cos phi)_k - cos(phi_k) (J sin phi)_k.
         """
-        rows = np.concatenate([self.i, self.j])
-        cols = np.concatenate([self.j, self.i])
-        vals = np.concatenate([self.jval, self.jval])
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+        return _csr((self.n, self.n), np.concatenate([self.i, self.j]),
+                    np.concatenate([self.j, self.i]),
+                    np.concatenate([self.jval, self.jval]))
 
     @cached_property
     def has_self_terms(self) -> bool:

@@ -1,5 +1,6 @@
 """Small instances, views and comparisons that only the tests use."""
 import numpy as np
+from scipy import sparse
 
 from oscising.graphs import WeightedGraph
 from oscising.ising import IsingProblem
@@ -21,6 +22,13 @@ def cubic_ring_graph(n: int = 8, weight: float = 1.0) -> WeightedGraph:
 def coupling_dict(problem: IsingProblem) -> dict[tuple[int, int], float]:
     """The couplings as a {(i, j): J} map, i < j."""
     return dict(zip(zip(problem.i.tolist(), problem.j.tolist()), problem.jval.tolist()))
+
+
+def scipy_csr(matrix) -> sparse.csr_matrix:
+    """A scipy matrix over the arrays of an ising.CSR, as an oracle for `@`,
+    slicing and dense views."""
+    return sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
+                             shape=matrix.shape)
 
 
 def same_bits(a, b) -> bool:

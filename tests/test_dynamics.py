@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from helpers import scipy_csr
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import (COUPLING_BLOCK, EDGE_TILE, IntegrationError,
                                OscillatorBank, _coupling_sum, _integrate,
@@ -367,7 +368,7 @@ def test_tiled_smoothed_square_sum_is_the_untiled_product():
     _sin_cos(phi.T, ops.s, ops.c, ops.tmp)
     s, c = ops.s, ops.c
     x = s[p.i] * c[p.j] - c[p.i] * s[p.j]
-    ref = p.incidence @ cpl.g_of_sin(x)
+    ref = scipy_csr(p.incidence) @ cpl.g_of_sin(x)
     assert np.array_equal(_coupling_sum(ops, cpl, ops.sc), ref)
 
 
@@ -443,11 +444,11 @@ def reference_integrate(p, coupling, omega, sched, dt, n_steps, phi, rngs,
     for k in range(n_steps):
         _sin_cos(phi, s, c, t)
         if coupling.kind == "sine":
-            jsc = p.adjacency @ np.concatenate([s.T, c.T], axis=1)    # (n, 2B)
+            jsc = scipy_csr(p.adjacency) @ np.concatenate([s.T, c.T], axis=1)    # (n, 2B)
             total = s * jsc[:, B:].T - c * jsc[:, :B].T
         else:
             x = s[:, p.i] * c[:, p.j] - c[:, p.i] * s[:, p.j]
-            total = (p.incidence @ coupling.g_of_sin(x).T).T
+            total = (scipy_csr(p.incidence) @ coupling.g_of_sin(x).T).T
         d = total * -k_arr[k]
         if p.has_self_terms:
             d = d - coupling.g_of_sin(s) * p.h * k_arr[k]

@@ -1,29 +1,49 @@
-"""The package imports numpy and scipy.sparse, and no other part of scipy."""
+"""The package imports numpy, and no part of scipy that needs importing:
+the sparse kernel comes from scipy's compiled _sparsetools file alone."""
+import importlib.machinery
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import oscising
+from oscising import dynamics
 
 PROBE = """
 import sys
 import numpy as np
 import oscising
-from oscising.coupling import smoothed_square
+from oscising.coupling import by_name, smoothed_square
+from oscising.dynamics import OscillatorBank
 from oscising.genadler import PeriodicSignal, lock_equilibria
-loaded = lambda: sorted(m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules)
+from oscising.graphs import random_graph
+from oscising.harness import AblationVariant, boltzmann_check, run_trials
+from oscising.ising import IsingProblem, maxcut_to_ising
+from oscising.lyapunov import energy
+from oscising.schedule import baseline_schedule
+loaded = lambda: sorted(m for m in sys.modules if m.startswith(
+    ("scipy.sparse", "scipy.interpolate", "scipy.optimize")))
 print(loaded())
 smoothed_square(4.0).antiderivative([-1.0, 0.5, 30.0])
 lock_equilibria(PeriodicSignal.from_function(lambda x: -np.sin(x)), 0.1)
+g = random_graph(6, 60, "unit", seed=1)
+p = maxcut_to_ising(g)
+for kind in ("baseline", "sine_coupling"):
+    run_trials(p, AblationVariant(kind), baseline_schedule(0.1), 2, 1, graph=g)
+energy(p, by_name("sqsmooth"), OscillatorBank.uniform(p.n), np.zeros(p.n), 1.0, 1.0)
+pair = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+boltzmann_check(pair, by_name("sine"), 1.0, 0.5, 0.5, 20, 1, grid=8)
 print(loaded())
 """
 
 
-def test_package_loads_neither_interpolate_nor_optimize():
-    """A fresh interpreter: import oscising, build a smoothed square, evaluate
-    its G and find lock roots; neither scipy.interpolate nor scipy.optimize
-    is ever loaded."""
+def test_package_loads_no_sparse_interpolate_or_optimize():
+    """A fresh interpreter: import oscising, build a smoothed square,
+    evaluate its G, find lock roots, run trials with each coupling kind,
+    evaluate an energy and run a Boltzmann check; no module of
+    scipy.sparse, scipy.interpolate or scipy.optimize is ever loaded."""
     src = str(Path(oscising.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -31,3 +51,11 @@ def test_package_loads_neither_interpolate_nor_optimize():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["[]", "[]", ""]
+
+
+def test_kernel_loader_names_the_path_it_searched(monkeypatch):
+    """With no extension file under scipy/sparse, loading csr_matvecs raises
+    ImportError naming the path it searched; there is no other path."""
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=r"sparse[/\\]_sparsetools\.\*"):
+        dynamics._load_csr_matvecs()

@@ -1,12 +1,14 @@
 """Property tests of the physics quantities over random small problems."""
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
-from scipy.sparse._sparsetools import csr_matvecs
+from scipy import sparse
 
+from helpers import scipy_csr
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import (OscillatorBank, _block_diagonal, _column_tiles,
                                _coupling_sum, _drift, _integrate, _Operands,
-                               _product_args, _sin_cos, drift, make_rng)
+                               _product_args, _sin_cos, csr_matvecs, drift,
+                               make_rng)
 from oscising.graphs import GraphFormatError, WeightedGraph
 from oscising.harness import simulate, trial_seed
 from oscising.ising import (IsingProblem, cut_batch, cut_value, hamiltonian,
@@ -133,25 +135,50 @@ def test_binary_energy_is_hamiltonian_minus_n_ks(p, seed, Ks):
 
 
 @FEW
+@given(problems())
+@example(IsingProblem.from_couplings(1, {}))
+@example(IsingProblem.from_couplings(3, {}))
+@example(IsingProblem(n=3, i=np.array([1, 0, 0]), j=np.array([2, 2, 1]),
+                      jval=np.array([0.5, -1.0, 2.0]), h=np.zeros(3)))
+def test_csr_arrays_are_what_scipy_stores(p):
+    """The incidence and the adjacency, built with numpy, hold exactly the
+    shape, index dtype, indptr, indices and data of scipy's csr_matrix of
+    the same entries: rows in order, each row's columns ascending, which
+    _column_tiles and the bit-identity of the coupling sums rely on."""
+    rows = np.concatenate([p.i, p.j])
+    edges = np.arange(p.m)
+    for matrix, cols, vals in (
+            (p.incidence, np.concatenate([edges, edges]),
+             np.concatenate([p.jval, -p.jval])),
+            (p.adjacency, np.concatenate([p.j, p.i]),
+             np.concatenate([p.jval, p.jval]))):
+        ref = sparse.csr_matrix((vals, (rows, cols)), shape=matrix.shape)
+        assert matrix.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(matrix, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@FEW
 @given(problems(), seeds, st.sampled_from([1, 2, 65]))
 @example(IsingProblem.from_couplings(3, {}), 0, 2)
 def test_direct_product_is_bit_equal_to_scipy_matmul(p, seed, k):
-    """The coupling sums call scipy's private csr_matvecs through
-    _product_args.  On adjacency and incidence, m = 0 included, it is
-    bit-equal to `matrix @ x`, which runs csr_matvecs for k > 1 columns and
-    csr_matvec for one; a change to either kernel fails here.  The sine
-    sum's diag(J, J) times a (2, n, k) block is bit-equal to J @ s stacked
-    on J @ c."""
+    """The coupling sums call the csr_matvecs that dynamics loads from
+    scipy's compiled _sparsetools file, through _product_args.  On adjacency
+    and incidence, m = 0 included, it is bit-equal to scipy's `matrix @ x`,
+    which runs csr_matvecs for k > 1 columns and csr_matvec for one; a
+    change to either kernel fails here.  The sine sum's diag(J, J) times a
+    (2, n, k) block is bit-equal to J @ s stacked on J @ c."""
     rng = make_rng(seed)
     for matrix in (p.adjacency, p.incidence):
         x = rng.uniform(-2.0, 2.0, size=(matrix.shape[1], k))
         y = np.zeros((matrix.shape[0], k))
         csr_matvecs(*_product_args(matrix, x, y))
-        assert np.array_equal(y, matrix @ x)
-    J, n = p.adjacency, p.n
+        assert np.array_equal(y, scipy_csr(matrix) @ x)
+    J, n = scipy_csr(p.adjacency), p.n
     x = rng.uniform(-2.0, 2.0, size=(2, n, k))
     y = np.zeros((2, n, k))
-    csr_matvecs(*_product_args(_block_diagonal(J), x.reshape(2 * n, k),
+    csr_matvecs(*_product_args(_block_diagonal(p.adjacency), x.reshape(2 * n, k),
                                y.reshape(2 * n, k)))
     assert np.array_equal(y, np.stack([J @ x[0], J @ x[1]]))
 
@@ -177,9 +204,9 @@ def test_column_tiles_sum_to_the_whole_product(p, seed, width, k):
     slice S[:, lo:hi] array for array, and the summed y is bit-equal to
     S @ x; a change to CSR slice order or to csr_matvecs fails here.
     width None is m: one tile, the incidence itself."""
-    S = p.incidence
+    S = scipy_csr(p.incidence)
     width = p.m if width is None else width
-    tiles = _column_tiles(S, width)
+    tiles = _column_tiles(p.incidence, width)
     assert [(lo, hi) for lo, hi, _ in tiles] == (
         [(lo, min(lo + width, p.m)) for lo in range(0, p.m, max(width, 1))]
         or [(0, 0)])

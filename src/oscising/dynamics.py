@@ -164,7 +164,8 @@ class Trajectory:
 
 
 # 0-d arrays: a Python float operand is converted on every ufunc call, which
-# dominates a step on a few nodes.
+# dominates a step on a few nodes.  For the same reason the per-step kernels
+# pass out by position: the keyword costs about 40 ns a call.
 _HALF, _ONE, _TWO = np.array(0.5), np.array(1.0), np.array(2.0)
 
 
@@ -174,13 +175,13 @@ def _sin_cos(phi: np.ndarray, s: np.ndarray, c: np.ndarray,
     module docstring derives.  |t| stays below about 1.6e16 for finite phi,
     so t^2 does not overflow; NaN and inf give NaN.  t is scratch like phi.
     """
-    np.multiply(phi, _HALF, out=t)
-    np.tan(t, out=t)
-    np.multiply(t, t, out=c)
-    np.add(c, _ONE, out=c)
-    np.divide(_TWO, c, out=c)
-    np.multiply(t, c, out=s)
-    np.subtract(c, _ONE, out=c)
+    np.multiply(phi, _HALF, t)
+    np.tan(t, t)
+    np.multiply(t, t, c)
+    np.add(c, _ONE, c)
+    np.divide(_TWO, c, c)
+    np.multiply(t, c, s)
+    np.subtract(c, _ONE, c)
 
 
 def _product_args(matrix, x: np.ndarray, y: np.ndarray) -> tuple:
@@ -234,7 +235,8 @@ def _block_diagonal(matrix: CSR) -> CSR:
 class _Operands:
     """One run's drift-kernel workspace for B trials held node-major, made
     once: the problem, the coupling, omega and wdelta = omega - w* (given
-    (n,) or (B, n), held (n, 1) or (n, B)), h as a column, the (2, n, B)
+    (n,) or (B, n), held (n, 1) or (n, B); both None when every omega = w* =
+    1, a pass that would only turn -0.0 into +0.0), h as a column, the (2, n, B)
     block sc = [s | c], the drift d, scratch tmp, the (n, B) sum out, and
     the coupling sum's arrays, views and csr_matvecs argument tuples.
 
@@ -254,8 +256,10 @@ class _Operands:
                  omega: np.ndarray, wdelta: np.ndarray, batch: int):
         n = problem.n
         self.problem, self.coupling = problem, coupling
-        self.omega, self.wdelta = (np.ascontiguousarray(np.atleast_2d(w).T)
-                                   for w in (omega, wdelta))
+        self.omega = self.wdelta = None
+        if np.any(omega != 1.0) or np.any(wdelta != 0.0):
+            self.omega, self.wdelta = (np.ascontiguousarray(np.atleast_2d(w).T)
+                                       for w in (omega, wdelta))
         self.h = problem.h[:, None]
         self.s, self.c = self.sc = np.empty((2, n, batch))
         self.d, self.tmp, self.out = np.empty((3, n, batch))
@@ -316,9 +320,9 @@ def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
     if coupling.kind == "sine":
         ops.jsc.fill(0.0)
         csr_matvecs(*ops.args)
-        np.multiply(ops.s, ops.jc, out=ops.jc)
-        np.multiply(ops.c, ops.js, out=ops.js)
-        return np.subtract(ops.jc, ops.js, out=ops.out)
+        np.multiply(ops.s, ops.jc, ops.jc)
+        np.multiply(ops.c, ops.js, ops.js)
+        return np.subtract(ops.jc, ops.js, ops.out)
     for cols, sn, cs, sx, tiles in ops.blocks:
         np.copyto(sn, ops.s[:, cols])
         np.copyto(cs, ops.c[:, cols])
@@ -341,22 +345,30 @@ def _drift(ops: _Operands, phi: np.ndarray, K: float, Ks: float) -> np.ndarray:
     """Unchecked drift of (n, B) phases into ops.d, which is returned: s and c
     from one half-angle evaluation feed the coupling sum, the self term f(s)
     and the SHIL term f(2 s c)."""
+    return _step_drift(ops, phi, -K, Ks if Ks != 0.0 else None)
+
+
+def _step_drift(ops: _Operands, phi: np.ndarray, neg_K, Ks) -> np.ndarray:
+    """_drift given -K, and None for Ks = 0, so _integrate can pass 0-d views
+    of its per-step arrays.  Adding (-K) h f(s) rounds as subtracting K h f(s)
+    does: x (-K) is -(x K) and a + (-b) is a - b in IEEE arithmetic."""
     coupling, s, c, d, tmp = ops.coupling, ops.s, ops.c, ops.d, ops.tmp
     _sin_cos(phi, s, c, tmp)
-    np.multiply(_coupling_sum(ops, coupling, ops.sc), -K, out=d)
+    np.multiply(_coupling_sum(ops, coupling, ops.sc), neg_K, d)
     if ops.problem.has_self_terms:
         coupling.g_of_sin(s, out=tmp)
-        np.multiply(tmp, ops.h, out=tmp)
-        np.multiply(tmp, K, out=tmp)
-        np.subtract(d, tmp, out=d)
-    if Ks != 0.0:
-        np.multiply(s, c, out=tmp)
-        np.add(tmp, tmp, out=tmp)
+        np.multiply(tmp, ops.h, tmp)
+        np.multiply(tmp, neg_K, tmp)
+        np.add(d, tmp, d)
+    if Ks is not None:
+        np.multiply(s, c, tmp)
+        np.add(tmp, tmp, tmp)
         coupling.g_of_sin(tmp, out=tmp)
-        np.multiply(tmp, Ks, out=tmp)
-        np.subtract(d, tmp, out=d)
-    np.multiply(d, ops.omega, out=d)
-    np.add(d, ops.wdelta, out=d)
+        np.multiply(tmp, Ks, tmp)
+        np.subtract(d, tmp, d)
+    if ops.omega is not None:
+        np.multiply(d, ops.omega, d)
+        np.add(d, ops.wdelta, d)
     return d
 
 
@@ -412,7 +424,8 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     update straight into its record row; the finals overwrite the (B, n)
     noise buffer.  Row b draws its noise from rngs[b]
     alone, into row b of a (B, n) buffer whose transpose the update adds, so
-    batched and one-at-a-time runs are bit-equal.
+    batched and one-at-a-time runs are bit-equal.  A step's -K, Ks and
+    Kn sqrt(dt) enter as 0-d views of per-run arrays (see _HALF).
 
     One failure rule: nothing is checked while stepping.  Rows never mix and
     NaN and inf propagate, so a non-finite row stays so to the end while the
@@ -425,6 +438,7 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     k_arr, ks_arr, kn_arr = schedule.eval_arrays(t_grid)
     dt_0d = np.array(dt)
     noise = kn_arr * np.sqrt(dt)
+    neg_k, ks_on = -k_arr, (ks_arr != 0.0).tolist()
     zeta = np.empty(phi.shape)
     zeta_rows, zeta_t = list(zeta), zeta.T
     state = phi = phi.T.copy()
@@ -439,15 +453,16 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
         records = records.transpose(0, 2, 1)
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_steps):
-            d = _drift(ops, phi, k_arr[k], ks_arr[k])
+            ks = ks_arr[k, ...] if ks_on[k] else None
+            d = _step_drift(ops, phi, neg_k[k, ...], ks)
             for rng, row in zip(rngs, zeta_rows):
                 rng.standard_normal(out=row)
             # phi + d*dt + (Kn*sqrt(dt))*zeta, rounded the same way, into
             nxt = rows.get(k + 1, state)    # step k + 1's record row or the state
-            np.multiply(d, dt_0d, out=d)
-            np.add(phi, d, out=nxt)
-            np.multiply(zeta, noise[k], out=zeta)
-            np.add(nxt, zeta_t, out=nxt)
+            np.multiply(d, dt_0d, d)
+            np.add(phi, d, nxt)
+            np.multiply(zeta, noise[k, ...], zeta)
+            np.add(nxt, zeta_t, nxt)
             phi = nxt
     np.copyto(zeta, phi.T)
     bad = np.argwhere(~np.isfinite(records)) if record_every else ()

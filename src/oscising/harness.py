@@ -379,8 +379,8 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
     n = problem.n
     if n > 3:
         raise ValueError("quadrature oracle is limited to n <= 3")
-    if Kn <= 0:
-        raise ValueError("needs noise: Kn > 0")
+    if not (Kn > 0 and Kn * Kn > 0):    # the oracle divides by Kn**2: 1e-200 gives 0
+        raise ValueError(f"needs noise: Kn > 0 and Kn**2 > 0, got Kn={float(Kn)!r}")
     _need_int("duration", duration, 10)
     _, records = _run(problem, coupling, constant_schedule(duration * dt, K, Ks, Kn),
                       dt, duration, [seed], phase_hi=2.0 * np.pi, record_every=1)

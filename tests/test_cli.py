@@ -250,6 +250,13 @@ def test_boltzmann_cli(tmp_path):
     assert doc["tv_distance"] >= 0.0
 
 
+def test_boltzmann_cli_rejects_underflowing_noise(capsys):
+    """--kn 1e-320 squares to 0: an argument error naming Kn (exit 2), not a
+    NaN report that JSON refuses to write."""
+    assert main(["boltzmann", "--kn", "1e-320", "--steps", "20"]) == 2
+    assert "got Kn=1e-320" in capsys.readouterr().err
+
+
 def test_genadler_cli(tmp_path):
     out = tmp_path / "locks.json"
     code = main(["genadler", "--ppv", "cos", "--perturbation", "sin",

@@ -7,15 +7,15 @@ from scipy.integrate import solve_ivp
 from helpers import scipy_csr
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import (COUPLING_BLOCK, EDGE_TILE, IntegrationError,
-                               OscillatorBank, _coupling_sum, _integrate,
-                               _Operands, _product_args, _record_grid, _sin_cos,
-                               binarisation_residual, drift, make_rng,
-                               read_spins, trajectory_to_csv)
+                               OscillatorBank, _coupling_sum, _drift,
+                               _integrate, _Operands, _product_args,
+                               _record_grid, _sin_cos, binarisation_residual,
+                               drift, make_rng, read_spins, trajectory_to_csv)
 from oscising.graphs import random_graph
 from oscising import dynamics, harness
 from oscising.harness import simulate
 from oscising.ising import IsingProblem, maxcut_to_ising
-from oscising.schedule import constant_schedule
+from oscising.schedule import Schedule, constant_schedule
 
 
 def empty_problem(n):
@@ -466,23 +466,67 @@ def reference_integrate(p, coupling, omega, sched, dt, n_steps, phi, rngs,
 @pytest.mark.parametrize("per_trial", [False, True])
 def test_integrate_is_the_plain_trial_major_loop(coupling, self_terms, per_trial):
     """The node-major integrator, over three trial blocks, is bit-equal to
-    the plain loop, finals and records, with shared or per-trial omega."""
+    the plain loop, finals and records, with shared or per-trial omega,
+    spread or uniform (whose omega pass the kernel skips), on a schedule
+    whose K and Kn ramp and whose Ks is 0 (skipped) for the first 3 steps."""
     p = blocked_problem()
     if not self_terms:
         p = IsingProblem(n=p.n, i=p.i, j=p.j, jval=p.jval, h=np.zeros(p.n))
     assert p.has_self_terms == self_terms
     B = 2 * COUPLING_BLOCK + 1
     rng = make_rng(8)
-    omega = 1.0 + 0.02 * rng.standard_normal((B, p.n) if per_trial else p.n)
+    shape = (B, p.n) if per_trial else p.n
+    spread = 1.0 + 0.02 * rng.standard_normal(shape)
     phi0 = rng.uniform(0.0, np.pi, size=(B, p.n))
-    sched = constant_schedule(1.0, 0.8, 0.4, 0.3)
-    args = (p, coupling, omega, sched, 0.05, 7, phi0)
-    final, records = _integrate(*args[:3], 1.0, *args[3:],
-                                [make_rng(b) for b in range(B)], record_every=3)
-    ref_final, ref_records = reference_integrate(
-        *args, [make_rng(b) for b in range(B)], record_every=3)
-    assert np.array_equal(final, ref_final)
-    assert np.array_equal(records, ref_records)
+    sched = Schedule(1.0, [(0.0, 0.8), (1.0, 0.6)], [(0.0, 0.0), (0.1, 0.0), (1.0, 0.4)],
+                     [(0.0, 0.1), (1.0, 0.5)])
+    for omega in (spread, np.ones(shape)):
+        args = (p, coupling, omega, sched, 0.05, 7, phi0)
+        final, records = _integrate(*args[:3], 1.0, *args[3:],
+                                    [make_rng(b) for b in range(B)], record_every=3)
+        ref_final, ref_records = reference_integrate(
+            *args, [make_rng(b) for b in range(B)], record_every=3)
+        assert np.array_equal(final, ref_final)
+        assert np.array_equal(records, ref_records)
+
+
+def test_unit_frequencies_skip_only_a_zero_shift():
+    """The kernel drops the omega pass for omega = w* = 1 only: with omega = 1
+    and w* = 0.5 the drift still gains wdelta = 0.5."""
+    p = blocked_problem()
+    phi = make_rng(4).uniform(-3.0, 3.0, size=(p.n, 3))
+    ones = np.ones(p.n)
+    d0, d1 = (_drift(_Operands(p, sine(), ones, ones - w_star, 3),
+                     phi, 0.7, 0.3).copy() for w_star in (1.0, 0.5))
+    assert np.array_equal(d1, d0 + 0.5)
+
+
+class CountingRng:
+    """A Generator whose standard_normal calls are counted."""
+
+    def __init__(self, seed):
+        self.gen, self.calls = make_rng(seed), 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.gen.standard_normal(*args, **kwargs)
+
+
+def test_each_stream_draws_one_standard_normal_per_step():
+    """Each trial calls standard_normal once per step, and its stream ends
+    where one standard_normal(n) per step leaves it: the next random()
+    matches a twin's."""
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    rngs = [CountingRng(b) for b in range(3)]
+    phi0 = make_rng(9).uniform(0.0, np.pi, size=(3, 2))
+    _integrate(p, sine(), np.ones(2), 1.0, constant_schedule(1.0, 0.5, 0.5, 1.0),
+               0.1, 7, phi0, rngs)
+    for b, rng in enumerate(rngs):
+        twin = make_rng(b)
+        for _ in range(7):
+            twin.standard_normal(2)
+        assert rng.calls == 7
+        assert rng.gen.random() == twin.random()
 
 
 def test_read_spins_mapping():

@@ -442,6 +442,20 @@ def test_boltzmann_raises_on_nonfinite_phase():
                         seed=0, dt=1.0)
 
 
+@pytest.mark.parametrize("Kn", [0.0, -0.5, 1e-200, 1e-320, np.nan])
+def test_boltzmann_rejects_noise_without_a_positive_square(monkeypatch, Kn):
+    """Kn = 1e-200 passes Kn > 0, but Kn**2 underflows to 0, so the oracle's
+    exp(-E / Kn**2) is NaN: the check refuses such Kn, naming it, before
+    the chain runs."""
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(harness, "_run", no_chain)
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    with pytest.raises(ValueError, match=f"got Kn={Kn!r}"):
+        boltzmann_check(p, sine(), Kn=Kn, K=0.5, Ks=0.5, duration=200, seed=0)
+
+
 def test_boltzmann_matches_cell_by_cell_reference(monkeypatch):
     """An asymmetric 3-spin problem and a known chain at cell centres
     (unwrapped by whole turns): the histogram, the oracle and both basin

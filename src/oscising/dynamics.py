@@ -29,18 +29,22 @@ The same s and c then serve every term:
   self term     g(phi_i) = f(s_i);
   SHIL term     g(2 phi_i) = f(2 s_i c_i).
 
-The kernel holds B trials node-major, (n, B), the layout of the sparse
-products' operands: s and c are the contiguous halves of one (2, n, B)
-block, which the sine sum multiplies, seen as (2n, B), by diag(J, J), so a
-step makes no layout copy; _integrate and drift transpose at their
-boundaries.  Each call makes one workspace (_Operands) that owns the kernel
-state, so no step allocates, and both sparse products call csr_matvecs, the
-kernel scipy's `matrix @ x` runs, loaded alone (_load_csr_matvecs), straight
-into it (`@` would allocate its result and, on a few nodes, spend longer in
-dispatch than in the kernel).  The
-smoothed square's edge work runs per block of COUPLING_BLOCK trials and per
-tile of EDGE_TILE edges (or n, if more), so a tile's edge arrays stay in L2;
-the tiled sum is bit-identical to the untiled one (_column_tiles).
+_integrate and drift step the trials in equal blocks of w whose (n, w)
+float64 arrays fit STEP_BLOCK_BYTES, one block at a time, on one workspace
+(_Operands) that holds every operand of a step as a contiguous (n, w)
+array, node-major, the layout of the sparse products' operands, so no step
+copies or broadcasts one.  Both sparse products call csr_matvecs
+(_load_csr_matvecs) straight into it, where `@` would allocate its result
+and, on a few nodes, spend longer in dispatch than in the kernel; the
+smoothed square's edge tiles are sized with the block (_column_tiles).
+
+Once the workspace exists, a step allocates at most one array: numpy's
+buffered iterator takes min(n w, 8192) float64s (its default buffer size)
+for the Euler update's add of the transposed (w, n) noise, freed as the
+add returns, and as much for the strided record columns on a recorded
+step of a run of several blocks.  Otherwise 0-d views of the controls and
+scalar conversions take a few hundred bytes, and the schedule a chunk of
+STEP_CHUNK steps.
 
 Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1); every run
 starts in harness._run, which states what each stream supplies.  Phases
@@ -71,7 +75,8 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-COUPLING_BLOCK = 32     # trials per block of the smoothed-square coupling sum
+STEP_BLOCK_BYTES = 256 * 1024   # bytes of one (n, w) array of a block of w trials
+STEP_CHUNK = 1024               # steps per evaluation of the schedule
 
 
 def _load_csr_matvecs():
@@ -232,59 +237,91 @@ def _block_diagonal(matrix: CSR) -> CSR:
                np.concatenate([i, i + n]), np.concatenate([d, d]))
 
 
-class _Operands:
-    """One run's drift-kernel workspace for B trials held node-major, made
-    once: the problem, the coupling, omega and wdelta = omega - w* (given
-    (n,) or (B, n), held (n, 1) or (n, B); both None when every omega = w* =
-    1, a pass that would only turn -0.0 into +0.0), h as a column, the (2, n, B)
-    block sc = [s | c], the drift d, scratch tmp, the (n, B) sum out, and
-    the coupling sum's arrays, views and csr_matvecs argument tuples.
+def _block_width(n: int, batch: int) -> int:
+    """Trials per block, w = ceil(B / ceil(8 n B / STEP_BLOCK_BYTES)): the
+    fewest equal blocks whose (n, w) float64 arrays fit STEP_BLOCK_BYTES."""
+    blocks = -(-8 * n * batch // STEP_BLOCK_BYTES) or 1
+    return -(-batch // blocks) or 1
 
-    Sine: diag(J, J) (_block_diagonal) times sc, seen as (2n, B), goes into
-    jsc = [js | jc].  Smoothed square: blocks holds per block of at most
-    COUPLING_BLOCK trials its columns, its (n, block) s and c slabs, its
-    sum and its edge tiles.  A tile holds views of writable copies of the
-    edge indices (np.take copies a read-only index array on every call),
-    three (tile, block) views of one edge buffer and the csr_matvecs
-    arguments of its column slice of the incidence (_column_tiles).  J, S
-    and the slices are ising.CSR arrays.  It lives for one _integrate or
-    drift call; the CSR arrays of its .incidence, S, feed
-    perfbench/layertrace.py's bytes model.
+
+class _Operands:
+    """One run's drift-kernel workspace for blocks of w trials
+    (_block_width), made once: the problem, the coupling and (n, w) layers
+    of one flat buffer: the block's phases phi, the drift d (also the sum
+    out), scratch tmp (also the (w, n) noise), sc = [s | c], jsc = [js | jc]
+    (sine), h (self terms), and omega and wdelta = omega - w* (given (n,)
+    or (B, n); none when every omega = w* = 1, a pass that would only turn
+    -0.0 into +0.0).  trial_blocks binds them to each block, a narrower
+    last block viewing the start of the same buffers.
+
+    Sine: diag(J, J) (_block_diagonal) times sc, seen as (2n, w), goes into
+    jsc.  Smoothed square: per edge tile, tiles holds views of writable
+    copies of the edge indices (np.take copies a read-only index array on
+    every call), three (tile, w) views of one edge buffer and the
+    csr_matvecs arguments of its column slice of S (_column_tiles), which
+    add into out.  J, S and the slices are ising.CSR arrays; S, .incidence,
+    feeds perfbench/layertrace.py's bytes model.
     """
 
     def __init__(self, problem: IsingProblem, coupling: CouplingFunction,
                  omega: np.ndarray, wdelta: np.ndarray, batch: int):
         n = problem.n
         self.problem, self.coupling = problem, coupling
-        self.omega = self.wdelta = None
+        self.width = _block_width(n, batch)
+        # (B, n) views of the per-node constants, loaded into each block
+        self.rows = {"h": problem.h} if problem.has_self_terms else {}
         if np.any(omega != 1.0) or np.any(wdelta != 0.0):
-            self.omega, self.wdelta = (np.ascontiguousarray(np.atleast_2d(w).T)
-                                       for w in (omega, wdelta))
-        self.h = problem.h[:, None]
-        self.s, self.c = self.sc = np.empty((2, n, batch))
-        self.d, self.tmp, self.out = np.empty((3, n, batch))
-        self.blocks = []
-        if coupling.kind == "sine":
-            self.js, self.jc = self.jsc = np.empty((2, n, batch))
-            self.args = _product_args(_block_diagonal(problem.adjacency), *(
-                a.reshape(2 * n, batch) for a in (self.sc, self.jsc)))
-            return
-        i, j = problem.i.copy(), problem.j.copy()
-        # a tile of at least n edges holds more entries than row pointers
-        tiles = _column_tiles(problem.incidence, max(EDGE_TILE, n))
-        width = min(batch, COUPLING_BLOCK)
-        nodes = np.empty(2 * n * width)
-        edges = np.empty((3, tiles[0][1] * width))      # the first tile is the widest
-        summed = np.empty(n * width)
-        for lo in range(0, batch, COUPLING_BLOCK):
-            w = min(COUPLING_BLOCK, batch - lo)
-            sn, cs = nodes[:2 * n * w].reshape(2, n, w)
-            sx = summed[:n * w].reshape(n, w)
-            block_tiles = []
-            for a, b, tile in tiles:
-                x, y, z = (e[:(b - a) * w].reshape(b - a, w) for e in edges)
-                block_tiles.append((i[a:b], j[a:b], x, y, z, _product_args(tile, x, sx)))
-            self.blocks.append((slice(lo, lo + w), sn, cs, sx, block_tiles))
+            self.rows.update(omega=omega, wdelta=wdelta)
+        self.rows = {k: np.broadcast_to(v, (batch, n)) for k, v in self.rows.items()}
+        self.sine = coupling.kind == "sine"
+        self.layers = 5 + 2 * self.sine + len(self.rows)
+        self.nodes = np.empty(self.layers * n * self.width)
+        if self.sine:
+            self.matrix = _block_diagonal(problem.adjacency)
+        else:
+            i, j = problem.i.copy(), problem.j.copy()
+            # the three (tile, w) edge arrays together fit STEP_BLOCK_BYTES,
+            # but a tile of at least n edges holds more entries than row pointers
+            edges = max(n, min(EDGE_TILE, STEP_BLOCK_BYTES // (24 * self.width)))
+            self.edge_tiles = [(i[a:b], j[a:b], tile) for a, b, tile
+                               in _column_tiles(problem.incidence, edges)]
+            # the first tile is the widest
+            self.edges = np.empty((3, len(self.edge_tiles[0][0]) * self.width))
+        self._bind(self.width)
+
+    def _bind(self, w: int) -> None:
+        """Views of w trials at the start of each buffer."""
+        n = self.problem.n
+        layer = self.nodes[:self.layers * n * w].reshape(self.layers, n, w)
+        self.phi, self.d, self.tmp = layer[:3]
+        self.out = self.d               # the drift scales the sum in place
+        self.noise = self.tmp.reshape(w, n)     # drawn after the drift is done
+        self.s, self.c = self.sc = layer[3:5]
+        if self.sine:
+            self.js, self.jc = self.jsc = layer[5:7]
+            self.args = _product_args(self.matrix, self.sc.reshape(2 * n, w),
+                                      self.jsc.reshape(2 * n, w))
+        else:
+            self.tiles = []
+            for i, j, tile in self.edge_tiles:
+                x, y, z = (e[:len(i) * w].reshape(len(i), w) for e in self.edges)
+                self.tiles.append((i, j, x, y, z, _product_args(tile, x, self.out)))
+        self.h = self.omega = self.wdelta = None
+        for name, view in zip(self.rows, layer[5 + 2 * self.sine:]):
+            setattr(self, name, view)
+
+    def trial_blocks(self, phi: np.ndarray):
+        """Yield (lo, hi) for each block of rows of the (B, n) phases phi,
+        the workspace bound to it: its phases in .phi, its h, omega and
+        wdelta columns loaded."""
+        for lo in range(0, len(phi), self.width):
+            hi = min(lo + self.width, len(phi))
+            if hi - lo != self.phi.shape[1]:
+                self._bind(hi - lo)
+            for name, rows in self.rows.items():
+                np.copyto(getattr(self, name), rows[lo:hi].T)
+            np.copyto(self.phi, phi[lo:hi].T)
+            yield lo, hi
 
     @property
     def incidence(self):
@@ -293,69 +330,55 @@ class _Operands:
 
 def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
                   sc: np.ndarray) -> np.ndarray:
-    """sum_{j != i} J_ij g(phi_i - phi_j) per node and trial, with g = f(sin),
-    into ops.out, which is returned, allocating nothing.  sc is ops.sc =
-    [sin phi, cos phi] of (n, B) phases, the memory the products are bound
-    to; it stays an argument for perfbench/layertrace.py, and any other
-    block raises ValueError.
-      sine             f is linear: s_i (J c)_i - c_i (J s)_i.  csr_matvecs
-                       adds diag(J, J) sc into the zeroed [js | jc]; two
-                       multiplies in place and a subtract form the sum;
-      smoothed_square  f(s_i c_j - c_i s_j) per edge, summed by the signed
-                       incidence S.  Per trial block the (n, block) slabs
-                       are copied from s and c and the sum zeroed; per edge
-                       tile, in ascending order, np.take gathers the slabs
-                       into three (tile, block) edge arrays (mode="clip": numpy buffers
-                       out= under "raise", and _check_edges keeps indices in
-                       [0, n)), f applies in place and csr_matvecs adds the
-                       tile's columns of S times x into the sum, making the
-                       additions of the whole S x (_column_tiles), which
-                       is copied into the block's columns of out.
-    The kernel is the one `matrix @ x` runs (_product_args).  It sums each
-    column in the same order at every batch size, so a trial's sum does not
-    depend on the trials beside it or on the block it falls in.
+    """sum_{j != i} J_ij g(phi_i - phi_j), g = f(sin), per node and trial of
+    a block, into ops.out, which is returned, allocating nothing.  sc is
+    ops.sc = [sin phi, cos phi], the memory the products are bound to; it
+    stays an argument for perfbench/layertrace.py, and any other block
+    raises ValueError.  Sine: f is linear, s_i (J c)_i - c_i (J s)_i, so
+    csr_matvecs adds diag(J, J) sc into the zeroed jsc, and two multiplies
+    in place and a subtract form the sum.  Smoothed square: per edge tile,
+    in ascending order, np.take gathers f's argument s_i c_j - c_i s_j
+    (mode="clip": numpy buffers out= under "raise", and _check_edges keeps
+    indices in [0, n)), f applies in place and csr_matvecs adds the tile's
+    columns of S times it into the zeroed out, the additions of the whole
+    S x (_column_tiles).  The kernel is the one `matrix @ x` runs
+    (_product_args); it sums each column in the same order at every width,
+    so a trial's sum depends neither on the trials beside it nor on its block.
     """
     if sc is not ops.sc:
         raise ValueError("sc must be ops.sc, the block the products are bound to")
+    s, c = ops.s, ops.c
     if coupling.kind == "sine":
         ops.jsc.fill(0.0)
         csr_matvecs(*ops.args)
-        np.multiply(ops.s, ops.jc, ops.jc)
-        np.multiply(ops.c, ops.js, ops.js)
+        np.multiply(s, ops.jc, ops.jc)
+        np.multiply(c, ops.js, ops.js)
         return np.subtract(ops.jc, ops.js, ops.out)
-    for cols, sn, cs, sx, tiles in ops.blocks:
-        np.copyto(sn, ops.s[:, cols])
-        np.copyto(cs, ops.c[:, cols])
-        sx.fill(0.0)
-        for i, j, x, y, z, args in tiles:
-            np.take(sn, i, axis=0, out=x, mode="clip")
-            np.take(cs, j, axis=0, out=y, mode="clip")
-            x *= y
-            np.take(cs, i, axis=0, out=y, mode="clip")
-            np.take(sn, j, axis=0, out=z, mode="clip")
-            y *= z
-            x -= y
-            coupling.g_of_sin(x, out=x)
-            csr_matvecs(*args)
-        np.copyto(ops.out[:, cols], sx)
+    ops.out.fill(0.0)
+    for i, j, x, y, z, args in ops.tiles:
+        np.take(s, i, axis=0, out=x, mode="clip")
+        np.take(c, j, axis=0, out=y, mode="clip")
+        x *= y
+        np.take(c, i, axis=0, out=y, mode="clip")
+        np.take(s, j, axis=0, out=z, mode="clip")
+        y *= z
+        x -= y
+        coupling.g_of_sin(x, out=x)
+        csr_matvecs(*args)
     return ops.out
 
 
-def _drift(ops: _Operands, phi: np.ndarray, K: float, Ks: float) -> np.ndarray:
-    """Unchecked drift of (n, B) phases into ops.d, which is returned: s and c
-    from one half-angle evaluation feed the coupling sum, the self term f(s)
-    and the SHIL term f(2 s c)."""
-    return _step_drift(ops, phi, -K, Ks if Ks != 0.0 else None)
-
-
 def _step_drift(ops: _Operands, phi: np.ndarray, neg_K, Ks) -> np.ndarray:
-    """_drift given -K, and None for Ks = 0, so _integrate can pass 0-d views
-    of its per-step arrays.  Adding (-K) h f(s) rounds as subtracting K h f(s)
-    does: x (-K) is -(x K) and a + (-b) is a - b in IEEE arithmetic."""
+    """Unchecked drift of a block's (n, w) phases into ops.d, which is
+    returned, given -K and Ks (None for Ks = 0), so _integrate can pass 0-d
+    views of its per-step arrays: s and c from one half-angle evaluation
+    feed the coupling sum, the self term f(s) and the SHIL term f(2 s c).
+    Adding (-K) h f(s) rounds as subtracting K h f(s) does: x (-K) is
+    -(x K) and a + (-b) is a - b in IEEE arithmetic."""
     coupling, s, c, d, tmp = ops.coupling, ops.s, ops.c, ops.d, ops.tmp
     _sin_cos(phi, s, c, tmp)
     np.multiply(_coupling_sum(ops, coupling, ops.sc), neg_K, d)
-    if ops.problem.has_self_terms:
+    if ops.h is not None:
         coupling.g_of_sin(s, out=tmp)
         np.multiply(tmp, ops.h, tmp)
         np.multiply(tmp, neg_K, tmp)
@@ -390,7 +413,10 @@ def drift(problem: IsingProblem, coupling: CouplingFunction,
         raise IntegrationError("non-finite phase passed to drift")
     rows = phi.reshape(-1, problem.n)
     ops = _Operands(problem, coupling, bank.omega, bank.omega - 1.0, len(rows))
-    return np.ascontiguousarray(_drift(ops, rows.T, K, Ks).T).reshape(phi.shape)
+    out = np.empty(rows.shape)
+    for lo, hi in ops.trial_blocks(rows):
+        out[lo:hi] = _step_drift(ops, ops.phi, -K, Ks if Ks != 0.0 else None).T
+    return out.reshape(phi.shape)
 
 
 def _n_steps(t_end: float, dt: float) -> int:
@@ -413,63 +439,66 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
                schedule: Schedule, dt: float, n_steps: int,
                phi: np.ndarray, rngs: list[np.random.Generator],
                record_every: int = 0):
-    """Shared fixed-step core; phi is (B, n), omega (n,) or per-trial (B, n),
-    one RNG stream per row.
+    """Shared fixed-step core; phi is (B, n) float64, omega (n,) or
+    per-trial (B, n), one RNG stream per row.
 
-    Returns (phi_final, records): the (B, n) finals and, if record_every > 0,
-    the (S, B, n) snapshots at _record_grid(n_steps, record_every) as a view
-    of (S, n, B) storage, else None.  The state is a node-major copy of phi;
-    it, the drift kernel's workspace (_Operands), the noise and the records
-    are allocated once and updated in place, a recorded step writing its
-    update straight into its record row; the finals overwrite the (B, n)
-    noise buffer.  Row b draws its noise from rngs[b]
-    alone, into row b of a (B, n) buffer whose transpose the update adds, so
-    batched and one-at-a-time runs are bit-equal.  A step's -K, Ks and
-    Kn sqrt(dt) enter as 0-d views of per-run arrays (see _HALF).
+    Returns (phi, records): phi itself, overwritten with the finals, and, if
+    record_every > 0, the (S, B, n) snapshots at _record_grid(n_steps,
+    record_every) as a view of (S, n, B) storage, else None.  Block by block
+    (_Operands.trial_blocks), a step of the block's (n, w) phases runs the
+    drift, then one standard_normal(n) per row b from rngs[b] alone into
+    row b of the workspace's (w, n) noise buffer, then the Euler update,
+    which adds the buffer's transpose, into the block's columns of the
+    step's record row if it has one.  Rows never mix, so batched, blocked
+    and one-at-a-time runs are bit-equal.  A step's -K, Ks and Kn sqrt(dt)
+    are 0-d views (see _HALF) of arrays evaluated per chunk of STEP_CHUNK
+    steps.
 
-    One failure rule: nothing is checked while stepping.  Rows never mix and
-    NaN and inf propagate, so a non-finite row stays so to the end while the
-    others step on unchanged.  Without records the caller reads failure from
-    the final phases; with them, IntegrationError names the first non-finite
+    One failure rule: nothing is checked while stepping.  NaN and inf
+    propagate, so a non-finite row stays so to the end while the others
+    step on unchanged.  Without records the caller reads failure from the
+    final phases; with them, IntegrationError names the first non-finite
     record in (S, B, n) order after the run.  omega_star (1.0 at every
     caller) sets wdelta; it stays as perfbench/layertrace.py wraps it.
     """
-    t_grid = np.arange(n_steps) * dt
-    k_arr, ks_arr, kn_arr = schedule.eval_arrays(t_grid)
-    dt_0d = np.array(dt)
-    noise = kn_arr * np.sqrt(dt)
-    neg_k, ks_on = -k_arr, (ks_arr != 0.0).tolist()
-    zeta = np.empty(phi.shape)
-    zeta_rows, zeta_t = list(zeta), zeta.T
-    state = phi = phi.T.copy()
-    ops = _Operands(problem, coupling, omega, omega - omega_star, len(zeta))
-    records = None
-    rows = {}                       # recorded step -> its row of records
+    ops = _Operands(problem, coupling, omega, omega - omega_star, len(phi))
+    dt_0d, sqrt_dt = np.array(dt), np.sqrt(dt)
+    records, rows = None, {}        # rows: recorded step -> its row of records
     if record_every:
         grid = _record_grid(n_steps, record_every)
-        records = np.empty((len(grid),) + phi.shape)
+        store = np.empty((len(grid), problem.n, len(phi)))
+        records = store.transpose(0, 2, 1)
         records[0] = phi
-        rows = dict(zip(grid.tolist(), records))
-        records = records.transpose(0, 2, 1)
     with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n_steps):
-            ks = ks_arr[k, ...] if ks_on[k] else None
-            d = _step_drift(ops, phi, neg_k[k, ...], ks)
-            for rng, row in zip(rngs, zeta_rows):
-                rng.standard_normal(out=row)
-            # phi + d*dt + (Kn*sqrt(dt))*zeta, rounded the same way, into
-            nxt = rows.get(k + 1, state)    # step k + 1's record row or the state
-            np.multiply(d, dt_0d, d)
-            np.add(phi, d, nxt)
-            np.multiply(zeta, noise[k, ...], zeta)
-            np.add(nxt, zeta_t, nxt)
-            phi = nxt
-    np.copyto(zeta, phi.T)
+        for lo, hi in ops.trial_blocks(phi):
+            if record_every:
+                rows = dict(zip(grid.tolist(), store[:, :, lo:hi]))
+            noise = ops.noise
+            noise_t, streams = noise.T, list(zip(rngs[lo:hi], noise))
+            state = cur = ops.phi
+            for first in range(0, n_steps, STEP_CHUNK):
+                k_arr, ks_arr, kn_arr = schedule.eval_arrays(
+                    np.arange(first, min(first + STEP_CHUNK, n_steps)) * dt)
+                neg_k, scale = -k_arr, kn_arr * sqrt_dt
+                for k, ks_on in enumerate((ks_arr != 0.0).tolist()):
+                    ks = ks_arr[k, ...] if ks_on else None
+                    d = _step_drift(ops, cur, neg_k[k, ...], ks)
+                    for rng, row in streams:
+                        rng.standard_normal(out=row)
+                    # cur + d*dt + (Kn*sqrt(dt))*noise, rounded the same way,
+                    # into the step's record row or the state
+                    nxt = rows.get(first + k + 1, state)
+                    np.multiply(d, dt_0d, d)
+                    np.add(cur, d, nxt)
+                    np.multiply(noise, scale[k, ...], noise)
+                    np.add(nxt, noise_t, nxt)
+                    cur = nxt
+            phi[lo:hi] = cur.T
     bad = np.argwhere(~np.isfinite(records)) if record_every else ()
     if len(bad):
         r, _, i = bad[0]
         raise IntegrationError(f"non-finite phase at index {i} (t={grid[r] * dt:g})")
-    return zeta, records
+    return phi, records
 
 
 def _spins_batch(phi: np.ndarray) -> np.ndarray:

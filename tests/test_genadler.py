@@ -203,7 +203,8 @@ sample = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
 @given(samples=st.lists(sample, min_size=64, max_size=64),
        detuning=st.one_of(st.just(0.0), st.integers(-2, 2).map(float),
                           st.floats(-2.5, 2.5, allow_nan=False)),
-       phi_in=st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False)))
+       phi_in=st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False),
+                        st.integers(-200, 200).map(lambda k: k * 2 * np.pi / 64)))
 @example(samples=[0.0] * 64, detuning=0.0, phi_in=0.0)
 @example(samples=[0.0] * 62 + [-1.0, 0.0], detuning=-1e-277, phi_in=0.0)
 # f is -6e-32 on the cell before the -1 sample and +7e-15 at its right end
@@ -218,23 +219,40 @@ sample = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
 # method at 2 pi, which reads 0.0, so the sorted lists are a rotation apart
 @example(samples=[0.0] * 61 + [1.0, 0.0, 0.0], detuning=1e-30,
          phi_in=0.19634954084936107)
+# a zero plateau 27 cells to the right of the -1 sample, where phi_in is a
+# whole number of cells: rounding makes f +-tiny at the plateau's grid
+# points, so the bracket [44 dx, 45 dx] is flat and any point of it a root;
+# lock_equilibria picks 44 dx (stable, its slope window reaching the next
+# cell) and Brent's method 44.5 dx (degenerate)
+@example(samples=[0.0] * 16 + [1.0, 0.0, 0.0, -1.0] + [0.0] * 44, detuning=0.0,
+         phi_in=27 * 2 * np.pi / 64)
 def test_lock_equilibria_match_brent_per_bracket(samples, detuning, phi_in):
     """The batched bisection finds every root Brent's method finds, within
     ROOT_TOL, with the same stable and degenerate flags; phi_in off the grid
-    puts a kink of the interpolant inside a cell.  The roots are compared on
-    the circle: both lists are sorted in [0, 2 pi), and they are paired under
-    the rotation that makes the largest circular gap smallest."""
+    puts a kink of the interpolant inside a cell, and phi_in on it (k 2 pi /
+    64) puts the kinks on grid points.  The roots are compared on the
+    circle: both lists are sorted in [0, 2 pi), and they are paired under
+    the rotation that makes the largest circular gap smallest.  A root in a
+    plateau cell, where f is zero to rounding at both ends and so across
+    the cell, can be any point of it, and its flags follow the point: such
+    a pair need only lie in one grid interval [k dx, (k + 1) dx]."""
     c = PeriodicSignal(np.array(samples))
     got = lock_equilibria(c, detuning, phi_in)
     want = brent_locks(c, detuning, phi_in)
     assert len(got) == len(want)
+    m, dx = c.m, 2 * np.pi / c.m
+    flat = np.abs(detuning - c.eval(np.arange(m + 1) * dx - phi_in)) <= 1e-12 * max(
+        np.abs(c.samples).max(), abs(detuning))
+    cells = lambda x: {int(np.floor((x + d) / dx)) % m for d in (-ROOT_TOL, ROOT_TOL)}
     gap = lambda a, b: min(abs(a - b), 2 * np.pi - abs(a - b))
     pairings = [list(zip(got, want[k:] + want[:k])) for k in range(len(want))] or [[]]
     pairs = min(pairings, key=lambda ps: max(
         [gap(e.phi_star, w[0]) for e, w in ps], default=0.0))
     for e, (phi, stable, degenerate) in pairs:
-        assert gap(e.phi_star, phi) <= ROOT_TOL
-        assert (e.stable, e.degenerate) == (stable, degenerate)
+        if gap(e.phi_star, phi) <= ROOT_TOL and (e.stable, e.degenerate) == (stable, degenerate):
+            continue
+        shared = cells(e.phi_star) & cells(phi)
+        assert any(flat[k] and flat[k + 1] for k in shared), (e, phi, stable, degenerate)
 
 
 def test_lock_equilibria_kink_rounded_onto_the_cell_end():

@@ -29,22 +29,16 @@ The same s and c then serve every term:
   self term     g(phi_i) = f(s_i);
   SHIL term     g(2 phi_i) = f(2 s_i c_i).
 
-_integrate and drift step the trials in equal blocks of w whose (n, w)
-float64 arrays fit STEP_BLOCK_BYTES, one block at a time, on one workspace
-(_Operands) that holds every operand of a step as a contiguous (n, w)
-array, node-major, the layout of the sparse products' operands, so no step
-copies or broadcasts one.  Both sparse products call csr_matvecs
-(_load_csr_matvecs) straight into it, where `@` would allocate its result
-and, on a few nodes, spend longer in dispatch than in the kernel; the
-smoothed square's edge tiles are sized with the block (_column_tiles).
-
-Once the workspace exists, a step allocates at most one array: numpy's
-buffered iterator takes min(n w, 8192) float64s (its default buffer size)
-for the Euler update's add of the transposed (w, n) noise, freed as the
-add returns, and as much for the strided record columns on a recorded
-step of a run of several blocks.  Otherwise 0-d views of the controls and
-scalar conversions take a few hundred bytes, and the schedule a chunk of
-STEP_CHUNK steps.
+_integrate and drift step the trials in equal blocks of w, the fewest
+whose (n, w) float64 arrays fit STEP_BLOCK_BYTES, on one workspace
+(_Operands) holding every operand of a step as a contiguous (n, w) array,
+node-major, the layout of the sparse products, which call csr_matvecs
+(_load_csr_matvecs) straight into it: `@` would allocate its result and,
+on a few nodes, spend longer in dispatch than in the kernel.  A step then
+allocates one array at a time, numpy's buffered-iterator buffer of
+min(n w, 8192) float64s for the update's add of the transposed (w, n)
+noise and for strided record columns when several blocks record, besides
+a few hundred bytes of 0-d views and the schedule of STEP_CHUNK steps.
 
 Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1); every run
 starts in harness._run, which states what each stream supplies.  Phases
@@ -237,55 +231,43 @@ def _block_diagonal(matrix: CSR) -> CSR:
                np.concatenate([i, i + n]), np.concatenate([d, d]))
 
 
-def _block_width(n: int, batch: int) -> int:
-    """Trials per block, w = ceil(B / ceil(8 n B / STEP_BLOCK_BYTES)): the
-    fewest equal blocks whose (n, w) float64 arrays fit STEP_BLOCK_BYTES."""
-    blocks = -(-8 * n * batch // STEP_BLOCK_BYTES) or 1
-    return -(-batch // blocks) or 1
-
-
 class _Operands:
-    """One run's drift-kernel workspace for blocks of w trials
-    (_block_width), made once: the problem, the coupling and (n, w) layers
-    of one flat buffer: the block's phases phi, the drift d (also the sum
-    out), scratch tmp (also the (w, n) noise), sc = [s | c], jsc = [js | jc]
-    (sine), h (self terms), and omega and wdelta = omega - w* (given (n,)
-    or (B, n); none when every omega = w* = 1, a pass that would only turn
-    -0.0 into +0.0).  trial_blocks binds them to each block, a narrower
-    last block viewing the start of the same buffers.
-
-    Sine: diag(J, J) (_block_diagonal) times sc, seen as (2n, w), goes into
-    jsc.  Smoothed square: per edge tile, tiles holds views of writable
-    copies of the edge indices (np.take copies a read-only index array on
-    every call), three (tile, w) views of one edge buffer and the
-    csr_matvecs arguments of its column slice of S (_column_tiles), which
-    add into out.  J, S and the slices are ising.CSR arrays; S, .incidence,
-    feeds perfbench/layertrace.py's bytes model.
+    """One run's drift-kernel workspace for blocks of w trials: (n, w)
+    layers of one flat buffer, phi (the block's phases), d (the drift, into
+    which the coupling sum is written), tmp (also the (w, n) noise), sc =
+    [s | c], jsc = [js | jc] (sine), then the constants h (self terms),
+    omega and wdelta = omega - w* (given (n,) or (B, n); none when every
+    omega = w* = 1, a pass that would only turn -0.0 into +0.0), bound to
+    each block by trial_blocks.  Sine: csr_matvecs adds diag(J, J) sc, seen
+    as (2n, w), into jsc.  Smoothed square: tiles holds per edge tile
+    writable copies of its edge indices (np.take copies a read-only index
+    array on every call), three (tile, w) views of one edge buffer and the
+    csr_matvecs arguments of the tile's columns of S (_column_tiles), which
+    perfbench/layertrace.py's bytes model reads as .incidence.
     """
 
     def __init__(self, problem: IsingProblem, coupling: CouplingFunction,
                  omega: np.ndarray, wdelta: np.ndarray, batch: int):
         n = problem.n
         self.problem, self.coupling = problem, coupling
-        self.width = _block_width(n, batch)
-        # (B, n) views of the per-node constants, loaded into each block
-        self.rows = {"h": problem.h} if problem.has_self_terms else {}
-        if np.any(omega != 1.0) or np.any(wdelta != 0.0):
-            self.rows.update(omega=omega, wdelta=wdelta)
-        self.rows = {k: np.broadcast_to(v, (batch, n)) for k, v in self.rows.items()}
-        self.sine = coupling.kind == "sine"
-        self.layers = 5 + 2 * self.sine + len(self.rows)
+        # the fewest equal blocks whose (n, w) float64 arrays fit STEP_BLOCK_BYTES
+        self.width = -(-batch // (-(-8 * n * batch // STEP_BLOCK_BYTES) or 1)) or 1
+        self.sine, self.has_h = coupling.kind == "sine", problem.has_self_terms
+        self.has_omega = bool(np.any(omega != 1.0) or np.any(wdelta != 0.0))
+        consts = [problem.h] * self.has_h + [omega, wdelta] * self.has_omega
+        # (B, k, n): the k constants of each trial, copied into each block
+        self.rows = np.broadcast_to(np.stack(np.broadcast_arrays(*consts), -2)
+                                    if consts else np.empty((0, n)), (batch, len(consts), n))
+        self.layers = 5 + 2 * self.sine + len(consts)
         self.nodes = np.empty(self.layers * n * self.width)
         if self.sine:
             self.matrix = _block_diagonal(problem.adjacency)
         else:
-            i, j = problem.i.copy(), problem.j.copy()
-            # the three (tile, w) edge arrays together fit STEP_BLOCK_BYTES,
-            # but a tile of at least n edges holds more entries than row pointers
+            # tiles of at least n edges (more entries than row pointers) whose
+            # three (tile, w) edge arrays fit STEP_BLOCK_BYTES; the first is the widest
             edges = max(n, min(EDGE_TILE, STEP_BLOCK_BYTES // (24 * self.width)))
-            self.edge_tiles = [(i[a:b], j[a:b], tile) for a, b, tile
-                               in _column_tiles(problem.incidence, edges)]
-            # the first tile is the widest
+            self.edge_tiles = [(problem.i[a:b].copy(), problem.j[a:b].copy(), tile)
+                               for a, b, tile in _column_tiles(problem.incidence, edges)]
             self.edges = np.empty((3, len(self.edge_tiles[0][0]) * self.width))
         self._bind(self.width)
 
@@ -294,9 +276,11 @@ class _Operands:
         n = self.problem.n
         layer = self.nodes[:self.layers * n * w].reshape(self.layers, n, w)
         self.phi, self.d, self.tmp = layer[:3]
-        self.out = self.d               # the drift scales the sum in place
         self.noise = self.tmp.reshape(w, n)     # drawn after the drift is done
         self.s, self.c = self.sc = layer[3:5]
+        self.consts = layer[5 + 2 * self.sine:]
+        self.h = self.consts[0] if self.has_h else None
+        self.omega, self.wdelta = self.consts[-2:] if self.has_omega else (None, None)
         if self.sine:
             self.js, self.jc = self.jsc = layer[5:7]
             self.args = _product_args(self.matrix, self.sc.reshape(2 * n, w),
@@ -305,21 +289,16 @@ class _Operands:
             self.tiles = []
             for i, j, tile in self.edge_tiles:
                 x, y, z = (e[:len(i) * w].reshape(len(i), w) for e in self.edges)
-                self.tiles.append((i, j, x, y, z, _product_args(tile, x, self.out)))
-        self.h = self.omega = self.wdelta = None
-        for name, view in zip(self.rows, layer[5 + 2 * self.sine:]):
-            setattr(self, name, view)
+                self.tiles.append((i, j, x, y, z, _product_args(tile, x, self.d)))
 
     def trial_blocks(self, phi: np.ndarray):
         """Yield (lo, hi) for each block of rows of the (B, n) phases phi,
-        the workspace bound to it: its phases in .phi, its h, omega and
-        wdelta columns loaded."""
+        the workspace bound to it with its phases and constants loaded."""
         for lo in range(0, len(phi), self.width):
             hi = min(lo + self.width, len(phi))
             if hi - lo != self.phi.shape[1]:
                 self._bind(hi - lo)
-            for name, rows in self.rows.items():
-                np.copyto(getattr(self, name), rows[lo:hi].T)
+            np.copyto(self.consts, self.rows[lo:hi].transpose(1, 2, 0))
             np.copyto(self.phi, phi[lo:hi].T)
             yield lo, hi
 
@@ -331,50 +310,46 @@ class _Operands:
 def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
                   sc: np.ndarray) -> np.ndarray:
     """sum_{j != i} J_ij g(phi_i - phi_j), g = f(sin), per node and trial of
-    a block, into ops.out, which is returned, allocating nothing.  sc is
-    ops.sc = [sin phi, cos phi], the memory the products are bound to; it
-    stays an argument for perfbench/layertrace.py, and any other block
-    raises ValueError.  Sine: f is linear, s_i (J c)_i - c_i (J s)_i, so
-    csr_matvecs adds diag(J, J) sc into the zeroed jsc, and two multiplies
-    in place and a subtract form the sum.  Smoothed square: per edge tile,
-    in ascending order, np.take gathers f's argument s_i c_j - c_i s_j
-    (mode="clip": numpy buffers out= under "raise", and _check_edges keeps
-    indices in [0, n)), f applies in place and csr_matvecs adds the tile's
-    columns of S times it into the zeroed out, the additions of the whole
-    S x (_column_tiles).  The kernel is the one `matrix @ x` runs
-    (_product_args); it sums each column in the same order at every width,
-    so a trial's sum depends neither on the trials beside it nor on its block.
+    a block, into ops.d, which is returned, allocating nothing.  sc must be
+    ops.sc = [sin phi, cos phi], the memory the products are bound to (an
+    argument for perfbench/layertrace.py).  Sine: f is linear, so the sum is
+    s_i (J c)_i - c_i (J s)_i, from jsc by two multiplies in place and a
+    subtract.  Smoothed square: per edge tile, in ascending order, np.take
+    gathers s_i c_j - c_i s_j (mode="clip": numpy buffers out= under "raise",
+    and _check_edges keeps indices in [0, n)), f applies in place and
+    csr_matvecs adds S's tile columns times it into the zeroed d, the
+    additions of S x (_column_tiles).  The kernel, the one `matrix @ x` runs
+    (_product_args), sums each column in the same order at every width, so
+    a trial's sum depends neither on the trials beside it nor on its block.
     """
     if sc is not ops.sc:
         raise ValueError("sc must be ops.sc, the block the products are bound to")
-    s, c = ops.s, ops.c
     if coupling.kind == "sine":
         ops.jsc.fill(0.0)
         csr_matvecs(*ops.args)
-        np.multiply(s, ops.jc, ops.jc)
-        np.multiply(c, ops.js, ops.js)
-        return np.subtract(ops.jc, ops.js, ops.out)
-    ops.out.fill(0.0)
+        np.multiply(ops.s, ops.jc, ops.jc)
+        np.multiply(ops.c, ops.js, ops.js)
+        return np.subtract(ops.jc, ops.js, ops.d)
+    ops.d.fill(0.0)
     for i, j, x, y, z, args in ops.tiles:
-        np.take(s, i, axis=0, out=x, mode="clip")
-        np.take(c, j, axis=0, out=y, mode="clip")
+        np.take(ops.s, i, axis=0, out=x, mode="clip")
+        np.take(ops.c, j, axis=0, out=y, mode="clip")
         x *= y
-        np.take(c, i, axis=0, out=y, mode="clip")
-        np.take(s, j, axis=0, out=z, mode="clip")
+        np.take(ops.c, i, axis=0, out=y, mode="clip")
+        np.take(ops.s, j, axis=0, out=z, mode="clip")
         y *= z
         x -= y
         coupling.g_of_sin(x, out=x)
         csr_matvecs(*args)
-    return ops.out
+    return ops.d
 
 
 def _step_drift(ops: _Operands, phi: np.ndarray, neg_K, Ks) -> np.ndarray:
     """Unchecked drift of a block's (n, w) phases into ops.d, which is
-    returned, given -K and Ks (None for Ks = 0), so _integrate can pass 0-d
-    views of its per-step arrays: s and c from one half-angle evaluation
-    feed the coupling sum, the self term f(s) and the SHIL term f(2 s c).
-    Adding (-K) h f(s) rounds as subtracting K h f(s) does: x (-K) is
-    -(x K) and a + (-b) is a - b in IEEE arithmetic."""
+    returned, given -K and Ks (None for Ks = 0) as _integrate's 0-d views: s
+    and c from one half-angle evaluation feed the coupling sum, the self
+    term f(s) and the SHIL term f(2 s c).  Adding (-K) h f(s) rounds as
+    subtracting K h f(s): x (-K) is -(x K) and a + (-b) is a - b in IEEE."""
     coupling, s, c, d, tmp = ops.coupling, ops.s, ops.c, ops.d, ops.tmp
     _sin_cos(phi, s, c, tmp)
     np.multiply(_coupling_sum(ops, coupling, ops.sc), neg_K, d)
@@ -442,17 +417,16 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     """Shared fixed-step core; phi is (B, n) float64, omega (n,) or
     per-trial (B, n), one RNG stream per row.
 
-    Returns (phi, records): phi itself, overwritten with the finals, and, if
+    Returns (phi, records): phi, overwritten with the finals, and, if
     record_every > 0, the (S, B, n) snapshots at _record_grid(n_steps,
-    record_every) as a view of (S, n, B) storage, else None.  Block by block
-    (_Operands.trial_blocks), a step of the block's (n, w) phases runs the
-    drift, then one standard_normal(n) per row b from rngs[b] alone into
-    row b of the workspace's (w, n) noise buffer, then the Euler update,
-    which adds the buffer's transpose, into the block's columns of the
-    step's record row if it has one.  Rows never mix, so batched, blocked
-    and one-at-a-time runs are bit-equal.  A step's -K, Ks and Kn sqrt(dt)
-    are 0-d views (see _HALF) of arrays evaluated per chunk of STEP_CHUNK
-    steps.
+    record_every) as a view of (S, n, B) storage, else None.  Per block
+    (_Operands.trial_blocks), a step runs the drift of the block's (n, w)
+    phases, then one standard_normal(n) per row b from rngs[b] alone into
+    row b of the (w, n) noise buffer, then the Euler update, which adds the
+    buffer's transpose, into the block's columns of the step's record row
+    if it has one.  Rows never mix, so batched, blocked and one-at-a-time
+    runs are bit-equal.  A step's -K, Ks and Kn sqrt(dt) are 0-d views (see
+    _HALF) of arrays evaluated per chunk of STEP_CHUNK steps.
 
     One failure rule: nothing is checked while stepping.  NaN and inf
     propagate, so a non-finite row stays so to the end while the others
@@ -463,7 +437,7 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     """
     ops = _Operands(problem, coupling, omega, omega - omega_star, len(phi))
     dt_0d, sqrt_dt = np.array(dt), np.sqrt(dt)
-    records, rows = None, {}        # rows: recorded step -> its row of records
+    records = None
     if record_every:
         grid = _record_grid(n_steps, record_every)
         store = np.empty((len(grid), problem.n, len(phi)))
@@ -471,22 +445,19 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
         records[0] = phi
     with np.errstate(invalid="ignore", over="ignore"):
         for lo, hi in ops.trial_blocks(phi):
-            if record_every:
-                rows = dict(zip(grid.tolist(), store[:, :, lo:hi]))
-            noise = ops.noise
-            noise_t, streams = noise.T, list(zip(rngs[lo:hi], noise))
+            # recorded step -> its row of the block's records
+            rows = dict(zip(grid.tolist(), store[:, :, lo:hi])) if record_every else {}
+            noise, noise_t, streams = ops.noise, ops.noise.T, list(zip(rngs[lo:hi], ops.noise))
             state = cur = ops.phi
             for first in range(0, n_steps, STEP_CHUNK):
                 k_arr, ks_arr, kn_arr = schedule.eval_arrays(
                     np.arange(first, min(first + STEP_CHUNK, n_steps)) * dt)
                 neg_k, scale = -k_arr, kn_arr * sqrt_dt
                 for k, ks_on in enumerate((ks_arr != 0.0).tolist()):
-                    ks = ks_arr[k, ...] if ks_on else None
-                    d = _step_drift(ops, cur, neg_k[k, ...], ks)
+                    d = _step_drift(ops, cur, neg_k[k, ...], ks_arr[k, ...] if ks_on else None)
                     for rng, row in streams:
                         rng.standard_normal(out=row)
-                    # cur + d*dt + (Kn*sqrt(dt))*noise, rounded the same way,
-                    # into the step's record row or the state
+                    # cur + d*dt + (Kn*sqrt(dt))*noise into the record row or the state
                     nxt = rows.get(first + k + 1, state)
                     np.multiply(d, dt_0d, d)
                     np.add(cur, d, nxt)

@@ -8,7 +8,7 @@ from helpers import scipy_csr
 from oscising.coupling import sine, smoothed_square
 from oscising.coloring import coloring_to_ising, us_states_instance
 from oscising.dynamics import (EDGE_TILE, IntegrationError, OscillatorBank,
-                               _block_width, _coupling_sum, _integrate,
+                               _coupling_sum, _integrate,
                                _Operands, _product_args, _record_grid,
                                _sin_cos, _step_drift, binarisation_residual,
                                drift, make_rng, read_spins, trajectory_to_csv)
@@ -257,11 +257,16 @@ def n_tiles(p, coupling=None):
     return len(ops.tiles)
 
 
+def block_width(n, batch):
+    """Trials per block of a workspace for n nodes and batch trials."""
+    return _Operands(empty_problem(n), sine(), np.ones(n), np.zeros(n), batch).width
+
+
 def three_blocks(monkeypatch, n):
     """Set STEP_BLOCK_BYTES so that 65 trials of n nodes step in three
     uneven blocks (22, 22, 21)."""
     monkeypatch.setattr(dynamics, "STEP_BLOCK_BYTES", 8 * n * 32)
-    assert _block_width(n, 65) == 22
+    assert block_width(n, 65) == 22
 
 
 # EDGE_TILE = 1 cuts the 30-node problems into tiles of n = 30 edges, the
@@ -330,7 +335,7 @@ def test_coupling_sum_rejects_a_block_other_than_its_own(kind):
 
 def sum_twice(coupling, p):
     """Two coupling sums of p over one workspace on a 65-row batch, one
-    block, which must agree, the second returned in ops.out; returns the
+    block, which must agree, the second returned in ops.d; returns the
     second's tracemalloc peak and the (B, n) phases."""
     phi = make_rng(5).uniform(-3.0, 3.0, size=(65, p.n))
     ops = _Operands(p, coupling, np.ones(p.n), np.zeros(p.n), len(phi))
@@ -344,7 +349,7 @@ def sum_twice(coupling, p):
         tracemalloc.stop()
     assert ops.width == len(phi)
     assert np.array_equal(first, again)
-    assert again is ops.out
+    assert again is ops.d
     return peak, phi
 
 
@@ -551,7 +556,7 @@ def test_each_stream_draws_one_standard_normal_per_step(monkeypatch):
     phi0 = make_rng(9).uniform(0.0, np.pi, size=(5, 2))
     for width in (5, 2, 1):
         monkeypatch.setattr(dynamics, "STEP_BLOCK_BYTES", 8 * p.n * width)
-        assert _block_width(p.n, len(phi0)) == width
+        assert block_width(p.n, len(phi0)) == width
         rngs = [CountingRng(b, p.n) for b in range(len(phi0))]
         _integrate(p, sine(), np.ones(2), 1.0, constant_schedule(1.0, 0.5, 0.5, 1.0),
                    0.1, 7, phi0.copy(), rngs)
@@ -584,7 +589,7 @@ def test_blocked_runs_are_bit_equal(monkeypatch, case):
     runs = []
     for blocks, width in ((B, 1), (3, 5), (1, B)):
         monkeypatch.setattr(dynamics, "STEP_BLOCK_BYTES", -(-8 * p.n * B // blocks))
-        assert _block_width(p.n, B) == width
+        assert block_width(p.n, B) == width
         runs.append(_run(p, coupling, sched, 0.05, 9, list(range(100, 100 + B)),
                          sigma=sigma, record_every=4))
     for final, records in runs[1:]:
@@ -614,7 +619,7 @@ def test_a_step_allocates_only_the_transposed_noise_add(monkeypatch):
     p = coloring_to_ising(us_states_instance(4))
     B, steps = 64, 6
     monkeypatch.setattr(dynamics, "STEP_BLOCK_BYTES", 8 * p.n * 24)
-    width = _block_width(p.n, B)
+    width = block_width(p.n, B)
     assert width == 22
     rng = make_rng(3)
     omega = 1.0 + 0.01 * rng.standard_normal((B, p.n))
@@ -656,7 +661,7 @@ def test_workspace_scales_with_the_block_not_the_batch(monkeypatch):
     sched = constant_schedule(1.0, 0.8, 0.4, 0.3)
 
     def peak(B):
-        assert _block_width(p.n, B) == 4
+        assert block_width(p.n, B) == 4
         phi0 = make_rng(2).uniform(0.0, np.pi, size=(B, p.n))
         omega = 1.0 + 0.01 * make_rng(3).standard_normal((B, p.n))
         rngs = [make_rng(b) for b in range(B)]
@@ -667,12 +672,14 @@ def test_workspace_scales_with_the_block_not_the_batch(monkeypatch):
     assert large - small <= 2048 < 8 * p.n * (64 - 8)
 
 
-def test_schedule_memory_does_not_grow_with_the_steps():
-    """The controls are evaluated per chunk of steps: a record-free run of
-    100,000 steps peaks within 8 kB of a run of 4,000, where evaluating the
-    schedule up front held about 56 B per step, 5.4 MB more.  The 8 kB
-    allow for the 3-tuples np.interp's dispatch leaves on CPython's free
-    list, which tracemalloc counts: 64 B per chunk, up to about 1,000."""
+def test_schedule_memory_does_not_grow_with_the_steps(monkeypatch):
+    """The controls are evaluated per chunk of steps: with chunks of 16, a
+    record-free run of 5,000 steps peaks within 64 B per chunk plus 2 kB of
+    a run of 200, where evaluating the schedule up front held about 56 B
+    per step, 270 kB more.  The 64 B per chunk are the 3-tuples
+    np.interp's dispatch leaves on CPython's tuple free list, which
+    tracemalloc counts as live."""
+    monkeypatch.setattr(dynamics, "STEP_CHUNK", 16)
     p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
     sched = Schedule(1.0, [(0.0, 0.2), (1.0, 0.6)], [(0.0, 0.0), (1.0, 0.4)],
                      [(0.0, 0.5), (1.0, 0.1)])
@@ -683,9 +690,9 @@ def test_schedule_memory_does_not_grow_with_the_steps():
         return traced_peak(lambda: _integrate(p, sine(), np.ones(2), 1.0, sched,
                                               1.0 / steps, steps, phi0, rngs))
 
-    peak(4_000)                     # warms numpy's and CPython's caches
-    small = peak(4_000)
-    assert peak(100_000) - small <= 8192
+    peak(200)                       # warms numpy's and CPython's caches
+    small = peak(200)
+    assert peak(5_000) - small <= 64 * (5_000 // 16) + 2048
 
 
 def test_read_spins_mapping():

@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .coupling import CouplingFunction
-from .ising import CSR, EDGE_TILE, IsingProblem, SpinConfig
+from .ising import CSR, EDGE_TILE, IsingProblem, SpinConfig, _incidence
 from .schedule import Schedule
 
 __all__ = [
@@ -193,35 +193,6 @@ def _product_args(matrix, x: np.ndarray, y: np.ndarray) -> tuple:
             matrix.data, x.ravel(), y.ravel())
 
 
-def _column_tiles(matrix: CSR, width: int) -> list:
-    """[(lo, hi, tile)]: the CSR column slices tile = matrix[:, lo:hi] of at
-    most width columns, lo = 0, width, ..., in ascending order.
-
-    A matrix of at most width columns is its own one tile.  Otherwise one
-    stable sort of the stored entries by tile splits the arrays at once,
-    where m / width scipy slices would cost milliseconds at G1 size.  The
-    sort keeps each row's entries in stored order; as ising._csr sorts each
-    row's columns, csr_matvecs over the tiles in ascending order, into one
-    zeroed y, adds each row's entries in the order `matrix @ x` does.
-    """
-    n, m = matrix.shape
-    if m <= width:
-        return [(0, m, matrix)]
-    k = -(-m // width)
-    tile = matrix.indices // width
-    order = np.argsort(tile, kind="stable")
-    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
-    count = np.bincount(tile.astype(np.intp) * n + rows, minlength=k * n).reshape(k, n)
-    indptr = np.zeros((k, n + 1), dtype=matrix.indptr.dtype)
-    indptr[:, 1:] = count.cumsum(axis=1)
-    indices = (matrix.indices % width)[order].astype(matrix.indices.dtype, copy=False)
-    data = matrix.data[order]
-    cuts = indptr[:-1, -1].cumsum()
-    return [(lo, min(lo + width, m), CSR((n, min(width, m - lo)), p, i, d))
-            for lo, p, i, d in zip(range(0, m, width), indptr,
-                                   np.split(indices, cuts), np.split(data, cuts))]
-
-
 def _block_diagonal(matrix: CSR) -> CSR:
     """diag(matrix, matrix) of a square CSR matrix: row i + n holds row i's
     entries in stored order, columns shifted by n, so each output entry of
@@ -242,8 +213,9 @@ class _Operands:
     as (2n, w), into jsc.  Smoothed square: tiles holds per edge tile
     writable copies of its edge indices (np.take copies a read-only index
     array on every call), three (tile, w) views of one edge buffer and the
-    csr_matvecs arguments of the tile's columns of S (_column_tiles), which
-    perfbench/layertrace.py's bytes model reads as .incidence.
+    csr_matvecs arguments of the tile's columns of S, built from its slice
+    of the edge arrays by ising._incidence.  perfbench/layertrace.py's bytes
+    model reads the whole S as .incidence.
     """
 
     def __init__(self, problem: IsingProblem, coupling: CouplingFunction,
@@ -266,8 +238,10 @@ class _Operands:
             # tiles of at least n edges (more entries than row pointers) whose
             # three (tile, w) edge arrays fit STEP_BLOCK_BYTES; the first is the widest
             edges = max(n, min(EDGE_TILE, STEP_BLOCK_BYTES // (24 * self.width)))
-            self.edge_tiles = [(problem.i[a:b].copy(), problem.j[a:b].copy(), tile)
-                               for a, b, tile in _column_tiles(problem.incidence, edges)]
+            self.edge_tiles = []
+            for a in range(0, max(problem.m, 1), edges):    # one empty tile when m = 0
+                i, j, jval = (e[a:a + edges] for e in (problem.i, problem.j, problem.jval))
+                self.edge_tiles.append((i.copy(), j.copy(), _incidence(n, i, j, jval)))
             self.edges = np.empty((3, len(self.edge_tiles[0][0]) * self.width))
         self._bind(self.width)
 
@@ -317,8 +291,9 @@ def _coupling_sum(ops: _Operands, coupling: CouplingFunction,
     subtract.  Smoothed square: per edge tile, in ascending order, np.take
     gathers s_i c_j - c_i s_j (mode="clip": numpy buffers out= under "raise",
     and _check_edges keeps indices in [0, n)), f applies in place and
-    csr_matvecs adds S's tile columns times it into the zeroed d, the
-    additions of S x (_column_tiles).  The kernel, the one `matrix @ x` runs
+    csr_matvecs adds S's tile columns times it into the zeroed d: a tile
+    holds each row's entries columns ascending, as S does, so the ascending
+    tiles make the additions of S x.  The kernel, the one `matrix @ x` runs
     (_product_args), sums each column in the same order at every width, so
     a trial's sum depends neither on the trials beside it nor on its block.
     """

@@ -8,8 +8,10 @@ encoded Hamiltonians are exact, not merely equal up to a constant.
 The per-edge sums over rows of spins or phases (the readout's H and cut,
 the Lyapunov coupling term) run through _edge_sum, tile by tile in edge
 order: no (rows, m) array is built, and a row's sum does not depend on the
-tile size or on the rows beside it.  The coupling matrices J and S are
-plain CSR arrays, built with numpy (_csr); no scipy.sparse object is made.
+tile size or on the rows beside it.  The coupling matrices J and S, and
+the column tiles of S that the smoothed-square step reads (_incidence of a
+slice of the edges), are plain CSR arrays from one numpy builder, _csr; no
+scipy.sparse object is made.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_N = 24
-BRUTE_FORCE_CHUNK = 1 << 18     # spin configurations scored per pass
+BRUTE_FORCE_CHUNK = 1 << 10     # configurations scored per pass: 16 KiB of _edge_sum per edge
 EDGE_TILE = 1024                # edges per tile of an edge sum or coupling block: fits L2
 
 # a sparse matrix in compressed sparse row arrays, the ones csr_matvecs reads
@@ -52,6 +54,16 @@ def _csr(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
     indptr = np.zeros(n + 1, dtype=idx)
     indptr[1:] = np.bincount(rows, minlength=n).cumsum()
     return CSR(shape, indptr, cols[order].astype(idx), vals[order])
+
+
+def _incidence(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> CSR:
+    """The n x len(i) signed incidence of the edges (i_e, j_e) of weights
+    w_e: +w_e at (i_e, e), -w_e at (j_e, e).  Over the slice [a, b) of a
+    problem's edge arrays it is the column slice S[:, a:b] of its incidence,
+    stored as scipy stores that slice."""
+    edges = np.arange(len(i))
+    return _csr((n, len(i)), np.concatenate([i, j]), np.concatenate([edges, edges]),
+                np.concatenate([w, -w]))
 
 
 @dataclass(frozen=True)
@@ -124,10 +136,7 @@ class IsingProblem:
         sum reads it, with g(phi_i - phi_j) formed per edge as
         f(s_i c_j - c_i s_j) from per-node s = sin phi, c = cos phi.
         """
-        edges = np.arange(self.m)
-        return _csr((self.n, self.m), np.concatenate([self.i, self.j]),
-                    np.concatenate([edges, edges]),
-                    np.concatenate([self.jval, -self.jval]))
+        return _incidence(self.n, self.i, self.j, self.jval)
 
     @cached_property
     def adjacency(self) -> CSR:
@@ -236,7 +245,9 @@ def cut_batch(graph: WeightedGraph, spins) -> np.ndarray:
 
 
 def brute_force_ground_state(problem: IsingProblem) -> tuple[SpinConfig, float]:
-    """Exhaustive minimum of H over all 2^n spin configurations.
+    """Exhaustive minimum of H over all 2^n spin configurations, scored in
+    chunks by hamiltonian_batch, so the returned H is hamiltonian() of the
+    returned spins, bit for bit.
 
     When h = 0 the spin-flip symmetry H(s) = H(-s) is exploited by fixing
     s_0 = +1, halving the search.  Refuses n > 24.
@@ -244,36 +255,15 @@ def brute_force_ground_state(problem: IsingProblem) -> tuple[SpinConfig, float]:
     n = problem.n
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}, got {n}")
-    if n == 0:
-        return SpinConfig(np.zeros(0)), problem.constant_offset
-    fix_first = not problem.has_self_terms
-    nbits = n - 1 if fix_first else n
-    total = 1 << nbits
-    best_h = np.inf
-    best_code = 0
+    # bit k of a code is 1 where s_k = -1; with h = 0 the codes are even: s_0 = +1
+    fixed = int(not problem.has_self_terms)
+    total = 1 << max(n - fixed, 0)
+    best_h, best = np.inf, np.ones(n)
     for start in range(0, total, BRUTE_FORCE_CHUNK):
-        codes = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total),
-                          dtype=np.uint64)
-        energy = np.full(len(codes), problem.constant_offset)
-        # bit b of the code holds spin (b + 1) when s_0 is pinned to +1
-        off = 1 if fix_first else 0
-        for e in range(problem.m):
-            a, b, jv = int(problem.i[e]), int(problem.j[e]), problem.jval[e]
-            xa = np.zeros(len(codes), dtype=np.uint64) if (fix_first and a == 0) \
-                else (codes >> np.uint64(a - off))
-            xb = codes >> np.uint64(b - off)
-            prod = 1.0 - 2.0 * ((xa ^ xb) & np.uint64(1)).astype(np.float64)
-            energy -= jv * prod
-        if problem.has_self_terms:
-            for k in range(n):
-                bit = ((codes >> np.uint64(k)) & np.uint64(1)).astype(np.float64)
-                energy -= problem.h[k] * (1.0 - 2.0 * bit)
+        codes = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total)) << fixed
+        spins = 1.0 - 2.0 * ((codes[:, None] >> np.arange(n)) & 1)
+        energy = hamiltonian_batch(problem, spins)
         idx = int(np.argmin(energy))
         if energy[idx] < best_h:
-            best_h = float(energy[idx])
-            best_code = int(codes[idx])
-    bits = [(best_code >> b) & 1 for b in range(nbits)]
-    if fix_first:
-        bits = [0] + bits
-    s = 1.0 - 2.0 * np.array(bits, dtype=np.float64)
-    return SpinConfig(s), best_h
+            best_h, best = float(energy[idx]), spins[idx].copy()
+    return SpinConfig(best), best_h

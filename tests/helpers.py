@@ -19,6 +19,12 @@ def cubic_ring_graph(n: int = 8, weight: float = 1.0) -> WeightedGraph:
     return WeightedGraph.from_edges(n, edges, name=f"cubic_ring_{n}")
 
 
+def all_spin_configs(n: int) -> np.ndarray:
+    """All 2^n spin rows, row k holding -1 at the set bits of k."""
+    codes = np.arange(2 ** n)[:, None]
+    return 1.0 - 2.0 * ((codes >> np.arange(n)) & 1)
+
+
 def coupling_dict(problem: IsingProblem) -> dict[tuple[int, int], float]:
     """The couplings as a {(i, j): J} map, i < j."""
     return dict(zip(zip(problem.i.tolist(), problem.j.tolist()), problem.jval.tolist()))

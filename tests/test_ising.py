@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import coupling_dict, cubic_ring_graph, same_bits, scipy_csr
+from helpers import all_spin_configs, coupling_dict, cubic_ring_graph, same_bits, scipy_csr
 from oscising import ising
 from oscising.coupling import smoothed_square
 from oscising.graphs import WeightedGraph, random_graph
@@ -11,11 +11,6 @@ from oscising.ising import (IsingProblem, SpinConfig, _crossing, _edge_sum,
                             _row_sum, _spin_product, brute_force_ground_state,
                             cut_batch, cut_value, hamiltonian, hamiltonian_batch,
                             maxcut_to_ising)
-
-
-def all_spin_configs(n):
-    codes = np.arange(2 ** n)[:, None]
-    return 1.0 - 2.0 * ((codes >> np.arange(n)) & 1)
 
 
 def test_spin_config_validates():
@@ -152,7 +147,7 @@ def test_brute_force_with_self_terms():
     p2 = IsingProblem.from_couplings(
         6, {(0, 1): 1.0, (2, 3): -2.0, (1, 4): 0.5}, h=rng.normal(size=6))
     _, h0 = brute_force_ground_state(p2)
-    assert h0 == pytest.approx(hamiltonian_batch(p2, all_spin_configs(6)).min(), abs=1e-12)
+    assert h0 == hamiltonian_batch(p2, all_spin_configs(6)).min()
 
 
 def test_brute_force_rejects_large_n():

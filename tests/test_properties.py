@@ -3,16 +3,16 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
-from helpers import scipy_csr
+from helpers import all_spin_configs, scipy_csr
 from oscising.coupling import sine, smoothed_square
-from oscising.dynamics import (OscillatorBank, _block_diagonal, _column_tiles,
-                               _coupling_sum, _integrate, _Operands,
-                               _product_args, _sin_cos, _step_drift,
-                               csr_matvecs, drift, make_rng)
+from oscising.dynamics import (OscillatorBank, _block_diagonal, _coupling_sum,
+                               _integrate, _Operands, _product_args, _sin_cos,
+                               _step_drift, csr_matvecs, drift, make_rng)
 from oscising.graphs import GraphFormatError, WeightedGraph
 from oscising.harness import simulate, trial_seed
-from oscising.ising import (IsingProblem, cut_batch, cut_value, hamiltonian,
-                            hamiltonian_batch, maxcut_to_ising)
+from oscising.ising import (IsingProblem, _incidence, brute_force_ground_state,
+                            cut_batch, cut_value, hamiltonian, hamiltonian_batch,
+                            maxcut_to_ising)
 from oscising.lyapunov import check_monotone, energy, energy_total_batch
 from oscising.schedule import constant_schedule
 
@@ -102,6 +102,18 @@ def test_hamiltonian_equals_its_batch_row(p, seed):
 
 
 @FEW
+@given(problems(), st.one_of(st.just(0.0), st.floats(-10.0, 10.0)))
+@example(IsingProblem.from_couplings(0, {}), 2.5)     # no spins: H is the offset
+def test_brute_force_h_is_the_hamiltonian_of_its_spins(p, offset):
+    """The ground state's H is hamiltonian() of its spins bit for bit, and
+    the least H of all 2^n spin rows, with and without h and an offset."""
+    p = IsingProblem(n=p.n, i=p.i, j=p.j, jval=p.jval, h=p.h, constant_offset=offset)
+    spins, h0 = brute_force_ground_state(p)
+    assert hamiltonian(p, spins) == h0
+    assert h0 == hamiltonian_batch(p, all_spin_configs(p.n)).min()
+
+
+@FEW
 @given(graphs(), seeds)
 def test_cut_equals_its_batch_row_and_completes_h(g, seed):
     s = random_spins(seed, g.n)
@@ -144,7 +156,8 @@ def test_csr_arrays_are_what_scipy_stores(p):
     """The incidence and the adjacency, built with numpy, hold exactly the
     shape, index dtype, indptr, indices and data of scipy's csr_matrix of
     the same entries: rows in order, each row's columns ascending, which
-    _column_tiles and the bit-identity of the coupling sums rely on."""
+    the bit-identity of the coupling sums relies on, S's edge tiles
+    (_incidence of a slice of the edges) included."""
     rows = np.concatenate([p.i, p.j])
     edges = np.arange(p.m)
     for matrix, cols, vals in (
@@ -198,18 +211,22 @@ def problem_with_m(m):
 @example(problem_with_m(6), 0, 3, 2)           # m a multiple of the tile
 @example(problem_with_m(13), 0, 3, 65)         # a remainder tile
 @example(problem_with_m(36), 0, 7, 65)
-def test_column_tiles_sum_to_the_whole_product(p, seed, width, k):
+def test_incidence_tiles_sum_to_the_whole_product(p, seed, width, k):
     """The smoothed-square sum adds the products of the incidence's column
-    tiles in ascending order into one zeroed y.  Each tile equals scipy's
-    slice S[:, lo:hi] array for array, and the summed y is bit-equal to
-    S @ x; a change to CSR slice order or to csr_matvecs fails here.
-    width None is m: one tile, the incidence itself."""
+    tiles in ascending order into one zeroed y, each tile the _incidence of
+    a slice of width edges, as _Operands builds them (one empty tile when
+    m = 0).  Each tile equals scipy's slice S[:, lo:hi] array for array, and
+    the summed y is bit-equal to S @ x; a change to the CSR layout or to
+    csr_matvecs fails here.  width None is m: one tile, the whole of S."""
     S = scipy_csr(p.incidence)
-    width = p.m if width is None else width
-    tiles = _column_tiles(p.incidence, width)
+    width = max(p.m if width is None else width, 1)
+    tiles = []
+    for lo in range(0, max(p.m, 1), width):
+        i, j, jval = (e[lo:lo + width] for e in (p.i, p.j, p.jval))
+        tile = _incidence(p.n, i, j, jval)
+        tiles.append((lo, lo + tile.shape[1], tile))
     assert [(lo, hi) for lo, hi, _ in tiles] == (
-        [(lo, min(lo + width, p.m)) for lo in range(0, p.m, max(width, 1))]
-        or [(0, 0)])
+        [(lo, min(lo + width, p.m)) for lo in range(0, p.m, width)] or [(0, 0)])
     x = make_rng(seed).uniform(-2.0, 2.0, size=(p.m, k))
     y = np.zeros((p.n, k))
     for lo, hi, tile in tiles:
@@ -225,9 +242,15 @@ def test_column_tiles_sum_to_the_whole_product(p, seed, width, k):
 @FEW
 @given(problems(field=True), seeds, couplings,
        st.sampled_from([1, 3]), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+@example(IsingProblem(n=2, i=np.array([0]), j=np.array([1]),
+                      jval=np.array([2.2250738585e-313]), h=np.array([1.0, 0.0])),
+         0, sine(), 1, 0.0, 0.0)                # subnormal weights: sums 5e-324 apart
 def test_factorised_drift_matches_edge_sum(p, seed, coupling, bsz, K, Ks):
     """The kernel equals the explicit edge sum, and a 1-D call is bit-equal
-    to the same row of a batched call."""
+    to the same row of a batched call.  The sums' bound has an absolute
+    floor of a few smallest-subnormal steps per edge: below the smallest
+    normal an operation rounds by up to 2**-1075 absolute, not relative,
+    so 1e-12 * sum |J| alone is 0 for all-subnormal weights."""
     rng = make_rng(seed)
     bank = OscillatorBank.gaussian_spread(p.n, 0.01, rng)
     phi = rng.uniform(-20.0, 20.0, size=(bsz, p.n))
@@ -235,7 +258,8 @@ def test_factorised_drift_matches_edge_sum(p, seed, coupling, bsz, K, Ks):
     ref_sum = edge_coupling_sum(p, coupling, phi)
     ops = _Operands(p, coupling, bank.omega, bank.omega - 1.0, bsz)
     _sin_cos(phi.T, ops.s, ops.c, ops.tmp)
-    assert np.abs(_coupling_sum(ops, coupling, ops.sc).T - ref_sum).max() <= 1e-12 * scale
+    floor = 4 * p.m * np.finfo(float).smallest_subnormal
+    assert np.abs(_coupling_sum(ops, coupling, ops.sc).T - ref_sum).max() <= 1e-12 * scale + floor
     ref = bank.omega * (-K * ref_sum - K * p.h * coupling.g(phi)
                         - Ks * coupling.g(2.0 * phi)) + (bank.omega - 1.0)
     d = drift(p, coupling, bank, phi, K, Ks)

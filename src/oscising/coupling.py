@@ -37,7 +37,9 @@ class CouplingFunction:
         if self.kind == "smoothed_square":
             if self.beta is None or not (np.isfinite(self.beta) and self.beta > 0):
                 raise ValueError(f"smoothed_square needs a finite beta > 0, got {self.beta}")
-            self._check_antiderivative()
+            defect = self._slope_defect()
+            if defect > 1e-6:
+                raise ValueError(f"G' = g defect {defect:.3g} exceeds 1e-6")
 
     # -- evaluation -------------------------------------------------------
 
@@ -98,18 +100,26 @@ class CouplingFunction:
         y0, y1, d0, d1 = y[:-1], y[1:], d[:-1], d[1:]
         return y0, d0, 3.0 * (y1 - y0) - 2.0 * d0 - d1, d0 + d1 - 2.0 * (y1 - y0)
 
-    def _check_antiderivative(self):
-        """G' = g at sampled points.  Odd symmetry and periodicity need no
-        check: they follow from g = f(sin x) with f odd."""
-        # two points inside every cell, where the Hermite cubic's slope error
-        # peaks; it vanishes at the knots and at the cell midpoints
+    def _slope_defect(self) -> float:
+        """max |G' - g| at two points inside every cell, the Gauss points
+        t = 1/2 -+ sqrt(3)/6, where the Hermite cubic's slope error peaks (it
+        vanishes at the knots and at the cell midpoints).  Construction
+        rejects a beta whose defect exceeds 1e-6.  Odd symmetry and
+        periodicity need no check: they follow from g = f(sin x) with f odd.
+
+        The slope is the cubic's own, (d0 + t (2 c2 + 3 c3 t)) / h, taken
+        from the table.  A central difference of G with step e = 1e-5 stays
+        inside the cell (the points lie 0.21 h = 3.2e-4 from its knots), and
+        the central difference of a cubic is its slope plus e^2 c3 / h^3 and
+        about 2^-53 |G| / e of rounding: about 1e-10 near the 1e-6 bound, so
+        the analytic slope is what the finite difference measured, without
+        its noise or its two evaluations of G per point.
+        """
         t = 0.5 + np.array([[-1.0], [1.0]]) * (np.sqrt(3.0) / 6.0)
-        x = ((np.arange(_TABLE_SIZE) + t) * _KNOT_STEP).ravel()
-        h = 1e-5
-        fd = (self.antiderivative(x + h) - self.antiderivative(x - h)) / (2 * h)
-        defect = np.abs(fd - self.g(x)).max()
-        if defect > 1e-6:
-            raise ValueError(f"G' = g defect {defect:.3g} exceeds 1e-6")
+        _, d0, c2, c3 = self._antiderivative_table
+        slope = (d0 + t * (2.0 * c2 + 3.0 * c3 * t)) / _KNOT_STEP
+        x = (np.arange(_TABLE_SIZE) + t) * _KNOT_STEP
+        return float(np.abs(slope - self.g(x)).max())
 
 
 def sine() -> CouplingFunction:
@@ -121,10 +131,16 @@ def smoothed_square(beta: float = 4.0) -> CouplingFunction:
 
 
 def by_name(name: str) -> CouplingFunction:
-    """CLI helper: "sine" or "sqsmooth" (optionally "sqsmooth:beta")."""
+    """CLI helper: exactly "sine", "sqsmooth" (beta = 4) or "sqsmooth:BETA"
+    with BETA a float; any other name raises a ValueError that names it."""
     if name == "sine":
         return sine()
-    if name.startswith("sqsmooth"):
-        _, _, b = name.partition(":")
-        return smoothed_square(float(b)) if b else smoothed_square()
-    raise ValueError(f"unknown coupling name {name!r}")
+    if name == "sqsmooth":
+        return smoothed_square()
+    kind, colon, b = name.partition(":")
+    if kind == "sqsmooth" and colon:
+        try:
+            return smoothed_square(float(b))
+        except ValueError as exc:    # not a float, not finite and > 0, or too steep
+            raise ValueError(f"coupling name {name!r}: {exc}") from None
+    raise ValueError(f"unknown coupling name {name!r}: not sine, sqsmooth or sqsmooth:BETA")

@@ -7,6 +7,7 @@ pair (i, j)") and read-only float64 weights; readers and encoders build arrays.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -182,16 +183,29 @@ def load_gset(path) -> WeightedGraph:
 
 
 def _kept_pairs(n: int, p: float, rng: np.random.Generator) -> tuple:
-    """(i, j) of the pairs i < j, in row-major order, whose draw is below p
-    (all pairs, and no draws, when p >= 1).  The doubles come PAIR_BLOCK at a
-    time; chunked draws continue one stream, so the pairs are those of one
-    draw over all n(n-1)/2, without an array of every pair."""
+    """(i, j) of the pairs i < j, in row-major order, whose draw
+    rng.random() is below p (all pairs, and no draws, when p >= 1).
+
+    The draws are compared as raw words.  rng.random() is (w >> 11) * 2**-53
+    of the bit generator's next 64-bit word w, and scaling by a power of two
+    is exact, so the draw is below p iff the integer w >> 11 is below
+    p * 2**53, iff it is below q = ceil(p * 2**53), iff w < q << 11.  As
+    p < 1, q <= 2**53 - 1 and the bound fits in a uint64.  random_raw takes
+    one word per pair as random() does, so the stream, and every draw after
+    it, is the same.  The words come PAIR_BLOCK at a time; chunked draws
+    continue one stream, so the pairs are those of one draw over all
+    n(n-1)/2, without an array of every pair."""
     length = np.arange(n - 1, 0, -1)        # row r holds (r, r+1), ..., (r, n-1)
     end = np.cumsum(length)
     pairs = n * (n - 1) // 2
-    kept = np.arange(pairs) if p >= 1.0 else np.concatenate([
-        np.flatnonzero(rng.random(min(PAIR_BLOCK, pairs - lo)) < p) + lo
-        for lo in range(0, pairs, PAIR_BLOCK)])
+    if p >= 1.0:
+        kept = np.arange(pairs)
+    else:
+        bound = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+        raw = rng.bit_generator.random_raw
+        kept = np.concatenate([
+            np.flatnonzero(raw(min(PAIR_BLOCK, pairs - lo)) < bound) + lo
+            for lo in range(0, pairs, PAIR_BLOCK)])
     row = np.searchsorted(end, kept, side="right")
     return row, kept - (end[row] - length[row]) + row + 1
 

@@ -37,6 +37,7 @@ __all__ = [
 BRUTE_FORCE_MAX_N = 24
 BRUTE_FORCE_CHUNK = 1 << 10     # configurations scored per pass: 16 KiB of _edge_sum per edge
 EDGE_TILE = 1024                # edges per tile of an edge sum or coupling block: fits L2
+CSR_TAGGED_MIN = 512            # entries from which _csr's tagged sort beats one lexsort
 
 # a sparse matrix in compressed sparse row arrays, the ones csr_matvecs reads
 CSR = namedtuple("CSR", "shape indptr indices data")
@@ -46,11 +47,30 @@ def _csr(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
          vals: np.ndarray) -> CSR:
     """The entries vals at int64 (rows, cols), no position twice, stored as
     scipy's csr_matrix((vals, (rows, cols)), shape): rows in order, each
-    row's columns ascending (one argsort of the key row * ncols + col), and
-    int32 indices unless a size reaches 2**31."""
+    row's columns ascending, and int32 indices unless a size reaches 2**31.
+
+    That order is the one of the unique keys row * ncols + col, and
+    np.lexsort of (cols, rows) gives it.  From CSR_TAGGED_MIN entries up,
+    sorting the position-tagged keys key << b | position, with
+    2**b > len(vals), gives it faster: it sorts the keys and carries each
+    position in the low b bits, and numpy sorts int64 values faster than it
+    argsorts or lexsorts them (about 0.3 against 0.66 and 1.5 ms at G1's
+    38,212 entries, numpy 2.4 on an AVX-512 Xeon).  Below that, or when a
+    tagged key could pass 2**63 - 1 (n * ncols << b > 2**63), the one
+    lexsort call is used."""
     n, k = shape
-    idx = np.int32 if max(n, k, len(vals)) < 2 ** 31 else np.int64
-    order = np.argsort(rows * k + cols)
+    size = len(vals)
+    idx = np.int32 if max(n, k, size) < 2 ** 31 else np.int64
+    b = size.bit_length()
+    if size >= CSR_TAGGED_MIN and n * k << b <= 2 ** 63:
+        order = rows * k        # in place from here: one array of keys
+        order += cols
+        order <<= b
+        order |= np.arange(size)
+        order.sort()
+        order &= (1 << b) - 1
+    else:
+        order = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=idx)
     indptr[1:] = np.bincount(rows, minlength=n).cumsum()
     return CSR(shape, indptr, cols[order].astype(idx), vals[order])

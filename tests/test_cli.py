@@ -181,6 +181,14 @@ def test_solve_maxcut_rejects_nonfinite_numbers(gset_file, capsys, monkeypatch,
                  id="genadler-phi-in-nan"),
     pytest.param(["genadler", "--phi-in=-inf"], "must be finite",
                  id="genadler-phi-in-minus-inf"),
+    pytest.param(["solve-maxcut", "GSET", "--coupling", "sqsmoothX"],
+                 "unknown coupling name 'sqsmoothX'", id="coupling-sqsmoothX"),
+    pytest.param(["solve-maxcut", "GSET", "--coupling", "sqsmooth_8"],
+                 "unknown coupling name 'sqsmooth_8'", id="coupling-sqsmooth_8"),
+    pytest.param(["solve-coloring", "us-states", "--coupling", "sqsmooth:"],
+                 "coupling name 'sqsmooth:'", id="coupling-sqsmooth-colon"),
+    pytest.param(["boltzmann", "--coupling", "sqsmooth:abc"],
+                 "coupling name 'sqsmooth:abc'", id="coupling-sqsmooth-abc"),
 ])
 def test_rejects_nonfinite_target_detuning_and_sigma(gset_file, capsys, monkeypatch,
                                                      argv, message):

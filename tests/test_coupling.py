@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,50 @@ def test_steepest_accepted_smoothed_square_meets_the_bound_everywhere():
     assert np.abs(fd - c.g(x)).max() < 1e-6
 
 
+def unchecked_smoothed_square(monkeypatch, beta):
+    """A smoothed square built past construction's slope check."""
+    with monkeypatch.context() as m:
+        m.setattr(CouplingFunction, "_slope_defect", lambda self: 0.0)
+        return smoothed_square(beta)
+
+
+def finite_difference_defect(c):
+    """max |G' - g| at the slope check's points, with G' a central
+    difference of antiderivative(): a measure of the evaluator's slope that
+    does not read the table's coefficients."""
+    t = 0.5 + np.array([[-1.0], [1.0]]) * (np.sqrt(3.0) / 6.0)
+    x = ((np.arange(_TABLE_SIZE) + t) * _KNOT_STEP).ravel()
+    h = 1e-5
+    fd = (c.antiderivative(x + h) - c.antiderivative(x - h)) / (2 * h)
+    return np.abs(fd - c.g(x)).max()
+
+
+@pytest.mark.parametrize("beta", [4.0, 25.0, 30.0])
+def test_slope_defect_is_the_finite_difference_one(monkeypatch, beta):
+    """The analytic slope's defect is the one a finite difference of the
+    evaluator measures, up to the difference's own error (about 1e-10)."""
+    c = unchecked_smoothed_square(monkeypatch, beta)
+    assert abs(c._slope_defect() - finite_difference_defect(c)) < 1e-9
+
+
+def test_slope_check_bound_lies_between_beta_25_8_and_25_9():
+    assert smoothed_square(25.8).beta == 25.8
+    with pytest.raises(ValueError, match="defect"):
+        smoothed_square(25.9)
+
+
+@pytest.mark.parametrize("cell", [0, 1234, _TABLE_SIZE - 1])
+def test_slope_check_rejects_one_bad_cell(monkeypatch, cell):
+    """A c3 off by 1e-8 in one cell moves that cell's slope by about 1e-5."""
+    y0, d0, c2, c3 = smoothed_square(4.0)._antiderivative_table
+    c3 = c3.copy()
+    c3[cell] += 1e-8
+    monkeypatch.setattr(CouplingFunction, "_antiderivative_table",
+                        property(lambda self: (y0, d0, c2, c3)))
+    with pytest.raises(ValueError, match="defect"):
+        smoothed_square(4.0)
+
+
 def test_rejects_bad_kind():
     with pytest.raises(ValueError):
         CouplingFunction(kind="sawtooth")
@@ -140,5 +185,19 @@ def test_by_name():
     assert by_name("sine").kind == "sine"
     assert by_name("sqsmooth").beta == 4.0
     assert by_name("sqsmooth:2.5").beta == 2.5
-    with pytest.raises(ValueError):
-        by_name("nope")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("nope", "unknown coupling name 'nope'"),
+    ("sqsmoothX", "unknown coupling name 'sqsmoothX'"),
+    ("sqsmooth_8", "unknown coupling name 'sqsmooth_8'"),
+    ("sine:1", "unknown coupling name 'sine:1'"),
+    ("", "unknown coupling name ''"),
+    ("sqsmooth:", "coupling name 'sqsmooth:': could not convert"),
+    ("sqsmooth:abc", "coupling name 'sqsmooth:abc': could not convert"),
+    ("sqsmooth:0", "coupling name 'sqsmooth:0': smoothed_square needs a finite beta > 0"),
+    ("sqsmooth:30", "coupling name 'sqsmooth:30': G' = g defect"),
+])
+def test_by_name_rejects_malformed_names(name, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        by_name(name)

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,6 +139,50 @@ def test_random_graph_draw_blocks_make_the_same_graph(monkeypatch, block):
         g = random_graph(41, 30, mode, seed=3)
         for got, want in zip((g.i, g.j, g.w), triu_reference(41, 30, mode, 3)):
             assert same_bits(got, want)
+
+
+# p * 2**53 an integer (50, 25, 100 * 2**-20), below one (1e-14: only a
+# word below 2**11 is kept) and just below 2**53 (p = 1 - 3 * 2**-53)
+@pytest.mark.parametrize("density", [50, 25, 100 * 2**-20, 1e-14, 100 * (1 - 2**-52)])
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_random_graph_edge_densities_match_one_draw(monkeypatch, density, block):
+    monkeypatch.setattr(graphs, "PAIR_BLOCK", block)
+    for mode in ("unit", "uniform_range"):
+        g = random_graph(60, density, mode, seed=5)
+        for got, want in zip((g.i, g.j, g.w), triu_reference(60, density, mode, 5)):
+            assert same_bits(got, want)
+
+
+class _Words:
+    """A bit generator stand-in whose random_raw hands out fixed words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
+        return out
+
+
+def test_random_is_the_top_53_bits_of_a_raw_word():
+    a, b = (np.random.Generator(np.random.Philox(key=9)) for _ in range(2))
+    assert same_bits(a.random(1000), (b.bit_generator.random_raw(1000) >> 11) * 2.0**-53)
+    assert same_bits(a.random(5), b.random(5))     # the streams stay in step
+
+
+@pytest.mark.parametrize("p", [0.5, 0.25, 2**-20, 1e-16, 1 - 2**-53, 0.07, 1 / 3])
+def test_kept_pairs_keeps_the_words_whose_double_is_below_p(p):
+    """At the words on both sides of each multiple of 2**11 next to
+    p * 2**53, _kept_pairs keeps exactly those whose random() double,
+    (w >> 11) * 2**-53, is below p."""
+    q = math.ceil(p * 2**53)
+    words = sorted({min(max(w, 0), 2**64 - 1) for c in (q - 1, q, q + 1)
+                    for w in ((c << 11) - 1, c << 11, (c << 11) + 2047)} | {0, 2**64 - 1})
+    words += [0] * (15 - len(words))        # 15 pairs: n = 6
+    i, j = graphs._kept_pairs(6, p, SimpleNamespace(bit_generator=_Words(words)))
+    want = np.flatnonzero((np.array(words, dtype=np.uint64) >> 11) * 2.0**-53 < p)
+    iu, ju = np.triu_indices(6, k=1)
+    assert i.tolist() == iu[want].tolist() and j.tolist() == ju[want].tolist()
 
 
 @pytest.mark.parametrize("n, density, m, digest", [

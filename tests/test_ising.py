@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from helpers import all_spin_configs, coupling_dict, cubic_ring_graph, same_bits, scipy_csr
 from oscising import ising
@@ -11,6 +12,43 @@ from oscising.ising import (IsingProblem, SpinConfig, _crossing, _edge_sum,
                             _row_sum, _spin_product, brute_force_ground_state,
                             cut_batch, cut_value, hamiltonian, hamiltonian_batch,
                             maxcut_to_ising)
+
+
+def spread_entries(shape, size):
+    """size distinct positions of the shape as int64 (rows, cols), in random
+    order but for the last: the corner (n - 1, ncols - 1), whose tagged key
+    is the largest that a build of this shape and size can make."""
+    last = shape[0] * shape[1] - 1
+    rng = np.random.default_rng(size)
+    keys = (np.append(rng.choice(last, size - 1, replace=False), last) if size
+            else np.zeros(0, dtype=np.int64))
+    return np.divmod(keys, shape[1])
+
+
+T = ising.CSR_TAGGED_MIN
+
+
+@pytest.mark.parametrize("shape, size", [
+    pytest.param((3, 4), 0, id="no-entry"),
+    pytest.param((3, 4), 1, id="one-entry"),
+    pytest.param((2, 2**9), T - 1, id="lexsort-below-the-tagged-size"),
+    pytest.param((2, 2**9), T, id="tagged-at-its-size"),
+    # b = 10 bits of position: the corner's tagged key is 2**63 - 1024 + 511
+    pytest.param((2, 2**52), T, id="largest-tagged-key"),
+    # tagged keys could reach 2**64: the lexsort fallback
+    pytest.param((2, 2**53), T, id="fallback-past-int64"),
+    # n * ncols alone is 2**63
+    pytest.param((2, 2**62), 3, id="fallback-2**62-few"),
+    pytest.param((2, 2**62), T, id="fallback-2**62"),
+])
+def test_csr_edge_builds_are_what_scipy_stores(shape, size):
+    rows, cols = spread_entries(shape, size)
+    vals = np.arange(1.0, size + 1.0)
+    got = ising._csr(shape, rows, cols, vals)
+    ref = sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    assert got.shape == ref.shape and len(got.indptr) == shape[0] + 1
+    for name in ("indptr", "indices", "data"):
+        assert same_bits(getattr(got, name), getattr(ref, name))
 
 
 def test_spin_config_validates():

@@ -6,43 +6,24 @@ The drift of oscillator i is
                                     -K * h_i * g(phi_i)
                                     -Ks * g(2 phi_i) )
 
-with g the coupling function, which also shapes the second-harmonic locking
-term.  Frequencies w_i are in units of the network's central frequency
-w* = 1, and time in units of 1/w*.  With uniform unit frequencies and
-g = sin this is the sine-coupled network with a sin(2 phi) locking term.
+with g = f(sin) the coupling function, which also shapes the locking term;
+frequencies are in units of w* = 1 and time in units of 1/w*.  A step needs
+only s = sin phi and c = cos phi, from one half-angle tangent:
 
-Every coupling has the form g(x) = f(sin x), so a step needs only
-s = sin phi and c = cos phi, once per oscillator.  They come from one
-half-angle tangent, which numpy evaluates vectorised where sin and cos are
-scalar loops:
+    t = tan(phi / 2),  u = 2 / (1 + t^2),  s = t u,  c = u - 1,
 
-    t = tan(phi / 2),  u = 2 / (1 + t^2),  s = t u,  c = u - 1.
+so sin(phi_i - phi_j) = s_i c_j - c_i s_j, g(phi_i) = f(s_i) and
+g(2 phi_i) = f(2 s_i c_i).  For sine the coupling sum is s_i (J c)_i -
+c_i (J s)_i, one sparse product of diag(J, J) with [s | c].
 
-The same s and c then serve every term:
-  coupling sum  sin(phi_i - phi_j) = s_i c_j - c_i s_j.  For the sine kind
-                (f(s) = s) the sum is linear in the products,
-
-                    sum_j J_ij sin(phi_i - phi_j) = s_i (J c)_i - c_i (J s)_i,
-
-                one sparse product of diag(J, J) with [s | c]; the smoothed
-                square applies its f to s_i c_j - c_i s_j per edge;
-  self term     g(phi_i) = f(s_i);
-  SHIL term     g(2 phi_i) = f(2 s_i c_i).
-
-_integrate and drift step the trials in equal blocks of w, the fewest
-whose (n, w) float64 arrays fit STEP_BLOCK_BYTES, on one workspace
-(_Operands) holding every operand of a step as a contiguous (n, w) array,
-node-major, the layout of the sparse products, which call csr_matvecs
-(_load_csr_matvecs) straight into it: `@` would allocate its result and,
-on a few nodes, spend longer in dispatch than in the kernel.  A step then
-allocates one array at a time, numpy's buffered-iterator buffer of
-min(n w, 8192) float64s for the update's add of the transposed (w, n)
-noise and for strided record columns when several blocks record, besides
-a few hundred bytes of 0-d views and the schedule of STEP_CHUNK steps.
-
-Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1); every run
-starts in harness._run, which states what each stream supplies.  Phases
-are kept unwrapped; wrapping happens only in the readout helpers.
+The trials step in blocks of w whose (n, w) float64 arrays fit
+STEP_BLOCK_BYTES, on one node-major workspace (_Operands); within a block a
+step allocates one array, numpy's iterator buffer for the add of the
+transposed noise, besides 0-d views and the schedule of STEP_CHUNK steps.
+Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1), on the
+streams harness._run states.  Samples leave a run through one seam:
+_integrate writes sampled steps into a block's bounded buffer and hands
+them, checked finite, to a sink.  Phases are kept unwrapped.
 """
 from __future__ import annotations
 
@@ -71,6 +52,7 @@ __all__ = [
 
 STEP_BLOCK_BYTES = 256 * 1024   # bytes of one (n, w) array of a block of w trials
 STEP_CHUNK = 1024               # steps per evaluation of the schedule
+SAMPLE_BYTES = 16 * 1024        # bytes of a block's sample buffer past its first row
 
 
 def _load_csr_matvecs():
@@ -378,52 +360,60 @@ def _n_steps(t_end: float, dt: float) -> int:
     return int(np.floor(t_end / dt + 1e-9))
 
 
-def _record_grid(n_steps: int, record_every: int) -> np.ndarray:
-    """The record grid: steps 0, k, 2k, ... and always the last step."""
-    steps = np.arange(0, n_steps + 1, record_every)
-    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
+def _flush(sink, steps: np.ndarray, rows: np.ndarray, dt: float, lo: int, hi: int) -> None:
+    """Hand a block's (k, n, w) sample rows and their steps to the sink as
+    read-only views (broadcast_to makes them so), or raise IntegrationError
+    naming the first non-finite row in (k, w, n) order."""
+    if not np.isfinite(rows).all():
+        r, _, i = np.argwhere(~np.isfinite(rows.transpose(0, 2, 1)))[0]
+        raise IntegrationError(f"non-finite phase at index {i} (t={steps[r] * dt:g})")
+    sink(np.broadcast_to(steps, steps.shape), np.broadcast_to(rows, rows.shape), lo, hi)
 
 
 def _integrate(problem: IsingProblem, coupling: CouplingFunction,
                omega: np.ndarray, omega_star: float,
                schedule: Schedule, dt: float, n_steps: int,
                phi: np.ndarray, rngs: list[np.random.Generator],
-               record_every: int = 0):
+               every: int = 1, sink=None) -> np.ndarray:
     """Shared fixed-step core; phi is (B, n) float64, omega (n,) or
-    per-trial (B, n), one RNG stream per row.
+    per-trial (B, n), one RNG stream per row.  Returns phi, overwritten
+    with the finals.
 
-    Returns (phi, records): phi, overwritten with the finals, and, if
-    record_every > 0, the (S, B, n) snapshots at _record_grid(n_steps,
-    record_every) as a view of (S, n, B) storage, else None.  Per block
-    (_Operands.trial_blocks), a step runs the drift of the block's (n, w)
-    phases, then one standard_normal(n) per row b from rngs[b] alone into
-    row b of the (w, n) noise buffer, then the Euler update, which adds the
-    buffer's transpose, into the block's columns of the step's record row
-    if it has one.  Rows never mix, so batched, blocked and one-at-a-time
-    runs are bit-equal.  A step's -K, Ks and Kn sqrt(dt) are 0-d views (see
-    _HALF) of arrays evaluated per chunk of STEP_CHUNK steps.
+    Per block (_Operands.trial_blocks), a step runs the drift of the
+    block's (n, w) phases, then one standard_normal(n) per row b from
+    rngs[b] alone into row b of the (w, n) noise buffer, then the Euler
+    update, which adds the buffer's transpose.  Rows never mix, so batched,
+    blocked and one-at-a-time runs are bit-equal.  A step's -K, Ks and
+    Kn sqrt(dt) are 0-d views (see _HALF) of arrays evaluated per chunk of
+    STEP_CHUNK steps.
 
-    One failure rule: nothing is checked while stepping.  NaN and inf
-    propagate, so a non-finite row stays so to the end while the others
-    step on unchanged.  Without records the caller reads failure from the
-    final phases; with them, IntegrationError names the first non-finite
-    record in (S, B, n) order after the run.  omega_star (1.0 at every
-    caller) sets wdelta; it stays as perfbench/layertrace.py wraps it.
+    The sample seam: with a sink, steps 0, every, 2 every, ... and the last
+    are sampled, a sampled step's update writing into the next row of the
+    block's buffer of at most STEP_CHUNK // every rows and SAMPLE_BYTES
+    (one row is the state itself).  Step 0, each full buffer and the last
+    rows go to sink(steps, rows, lo, hi), rows (k, n, w), as read-only
+    views valid during the call, once checked finite: IntegrationError
+    names the first non-finite row's index and t, in the first block with
+    one.  So memory does not grow with n_steps.  Without a sink nothing is
+    checked: a non-finite row stays so, and the caller reads the finals.
+    omega_star (1.0 at every caller) sets wdelta; it stays as
+    perfbench/layertrace.py wraps it.
     """
     ops = _Operands(problem, coupling, omega, omega - omega_star, len(phi))
     dt_0d, sqrt_dt = np.array(dt), np.sqrt(dt)
-    records = None
-    if record_every:
-        grid = _record_grid(n_steps, record_every)
-        store = np.empty((len(grid), problem.n, len(phi)))
-        records = store.transpose(0, 2, 1)
-        records[0] = phi
+    if sink:    # rows of a block's sample buffer, past step 0
+        cap = max(1, min(-(-n_steps // every), STEP_CHUNK // every,
+                         SAMPLE_BYTES // ops.phi.nbytes))
+        flat, steps = np.empty(cap * ops.phi.size * (cap > 1)), np.empty(cap, np.int64)
     with np.errstate(invalid="ignore", over="ignore"):
         for lo, hi in ops.trial_blocks(phi):
-            # recorded step -> its row of the block's records
-            rows = dict(zip(grid.tolist(), store[:, :, lo:hi])) if record_every else {}
             noise, noise_t, streams = ops.noise, ops.noise.T, list(zip(rngs[lo:hi], ops.noise))
             state = cur = ops.phi
+            if sink:
+                buf = (state[None] if cap == 1 else
+                       flat[:cap * state.size].reshape(cap, *state.shape))
+                steps[0], r = 0, 0
+                _flush(sink, steps[:1], state[None], dt, lo, hi)
             for first in range(0, n_steps, STEP_CHUNK):
                 k_arr, ks_arr, kn_arr = schedule.eval_arrays(
                     np.arange(first, min(first + STEP_CHUNK, n_steps)) * dt)
@@ -432,19 +422,22 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
                     d = _step_drift(ops, cur, neg_k[k, ...], ks_arr[k, ...] if ks_on else None)
                     for rng, row in streams:
                         rng.standard_normal(out=row)
-                    # cur + d*dt + (Kn*sqrt(dt))*noise into the record row or the state
-                    nxt = rows.get(first + k + 1, state)
+                    # cur + d*dt + (Kn*sqrt(dt))*noise into the state or a sample row
+                    step = first + k + 1
+                    sampled = sink and (step % every == 0 or step == n_steps)
+                    nxt = buf[r] if sampled else state
                     np.multiply(d, dt_0d, d)
                     np.add(cur, d, nxt)
                     np.multiply(noise, scale[k, ...], noise)
                     np.add(nxt, noise_t, nxt)
                     cur = nxt
+                    if sampled:
+                        steps[r], r = step, r + 1
+                        if r == cap or step == n_steps:
+                            _flush(sink, steps[:r], buf[:r], dt, lo, hi)
+                            r = 0
             phi[lo:hi] = cur.T
-    bad = np.argwhere(~np.isfinite(records)) if record_every else ()
-    if len(bad):
-        r, _, i = bad[0]
-        raise IntegrationError(f"non-finite phase at index {i} (t={grid[r] * dt:g})")
-    return phi, records
+    return phi
 
 
 def _spins_batch(phi: np.ndarray) -> np.ndarray:

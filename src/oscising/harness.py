@@ -25,7 +25,7 @@ import numpy as np
 from . import coupling as cpl
 from .coupling import CouplingFunction
 from .dynamics import (IntegrationError, OscillatorBank, Trajectory, _check_sizes,
-                       _integrate, _n_steps, _record_grid, _spins_batch, make_rng)
+                       _integrate, _n_steps, _spins_batch, make_rng)
 from .graphs import WeightedGraph, random_graph
 from .ising import (IsingProblem, SpinConfig, cut_batch, hamiltonian_batch,
                     maxcut_to_ising)
@@ -75,13 +75,14 @@ def _need_int(name: str, value, lo: int) -> None:
 def _run(problem: IsingProblem, coupling: CouplingFunction, schedule: Schedule,
          dt: float, n_steps: int, keys: list[int], *,
          omega: np.ndarray | None = None, sigma: float = 0.0,
-         phase_hi: float = np.pi, record_every: int = 0):
+         phase_hi: float = np.pi, every: int = 1, sink=None) -> np.ndarray:
     """One batch of runs, one per stream key.  The stream contract: row b
     draws from make_rng(keys[b]), in order, its frequencies 1 + sigma N(0, 1)
     if sigma > 0 (else omega, default 1), its phases uniform on
     [0, phase_hi) and then one standard_normal(n) per step, so it depends
     on its integer key alone.  A non-positive frequency raises ValueError
-    naming trial key mod 2**64.  Returns _integrate's (phi, records)."""
+    naming trial key mod 2**64.  Returns the (B, n) finals; every and sink
+    are _integrate's sample seam, whose buffer bounds the memory."""
     for key in keys:
         _need_int("seed", key, 0)
     rngs = [make_rng(key) for key in keys]
@@ -96,7 +97,7 @@ def _run(problem: IsingProblem, coupling: CouplingFunction, schedule: Schedule,
                                  f"(variability sigma={sigma:g})") from exc
     phi0 = np.stack([rng.uniform(0.0, phase_hi, size=problem.n) for rng in rngs])
     return _integrate(problem, coupling, omega, 1.0, schedule, dt, n_steps,
-                      phi0, rngs, record_every=record_every)
+                      phi0, rngs, every=every, sink=sink)
 
 
 def simulate(problem: IsingProblem, coupling: CouplingFunction,
@@ -106,15 +107,32 @@ def simulate(problem: IsingProblem, coupling: CouplingFunction,
     (dt <= t_end) started by _run on stream `seed`, with controls evaluated
     at each step's start and samples at step 0, every record_every steps and
     the last step; trial_seed(s, k) with a uniform bank replays trial k of
-    run_trials at base seed s.  A non-finite record raises IntegrationError."""
+    run_trials at base seed s.  The sample seam's sink copies each checked
+    chunk into the Trajectory, so the run holds the samples once plus one
+    bounded buffer; a non-finite sample raises IntegrationError."""
     _need_int("record_every", record_every, 1)
     _check_sizes(problem, bank)
     n_steps = _n_steps(schedule.t_end, dt)
-    _, records = _run(problem, coupling, schedule, dt, n_steps, [seed],
-                      omega=bank.omega, record_every=record_every)
-    ts = _record_grid(n_steps, record_every) * dt
+    ts = _sample_steps(n_steps, record_every) * dt
+    phis = None
+
+    def record(steps, rows, lo, hi):
+        nonlocal phis
+        if phis is None:    # once the run's set-up has freed its temporaries
+            phis = np.empty((len(ts), problem.n))
+        at = -(-steps[0] // record_every)
+        phis[at:at + len(steps)] = rows[:, :, 0]
+
+    _run(problem, coupling, schedule, dt, n_steps, [seed], omega=bank.omega,
+         every=record_every, sink=record)
     ctrl = np.stack(schedule.eval_arrays(np.minimum(ts, schedule.t_end)), axis=1)
-    return Trajectory(t=ts.astype(np.float64), phi=records[:, 0, :], controls=ctrl)
+    return Trajectory(t=ts, phi=phis, controls=ctrl)
+
+
+def _sample_steps(n_steps: int, every: int) -> np.ndarray:
+    """The steps _integrate samples, 0, every, 2 every, ... and the last, so
+    a chunk's steps s are consecutive samples from -(-s[0] // every)."""
+    return np.minimum(np.arange(-(-n_steps // every) + 1) * every, n_steps)
 
 
 def gset_targets() -> dict[str, int]:
@@ -258,8 +276,7 @@ def _run_chunk(problem: IsingProblem, variant: AblationVariant,
                trial_indices: np.ndarray):
     """Integrate one batch of trials; returns their final H, cut and spins."""
     keys = [trial_seed(base_seed, int(k)) for k in trial_indices]
-    phi, _ = _run(problem, coupling, schedule, dt, n_steps, keys,
-                  sigma=variant.sigma)
+    phi = _run(problem, coupling, schedule, dt, n_steps, keys, sigma=variant.sigma)
     done = np.isfinite(phi).all(axis=1)
     spins = _spins_batch(np.where(done[:, None], phi, 0.0))
     h = np.where(done, hamiltonian_batch(problem, spins), np.nan)
@@ -372,8 +389,10 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
     `grid`-per-dimension mesh of [0, 2*pi)^n and compared (total-variation
     distance) with the stationary density proportional to exp(-E/Kn^2)
     integrated on the same mesh.  Basins are labelled by the componentwise
-    nearest binary point.  Limited to n <= 3 (quadrature oracle cost).  A
-    chain with a non-finite phase raises IntegrationError.
+    nearest binary point.  Limited to n <= 3 (quadrature oracle cost).  The
+    sample seam's sink bincounts each checked chunk past the burn-in into
+    grid^n integer counts, so memory is O(grid^n + chunk) at any duration;
+    a non-finite phase raises IntegrationError.
     """
     _need_int("grid", grid, 1)
     n = problem.n
@@ -382,13 +401,18 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
     if not (Kn > 0 and Kn * Kn > 0):    # the oracle divides by Kn**2: 1e-200 gives 0
         raise ValueError(f"needs noise: Kn > 0 and Kn**2 > 0, got Kn={float(Kn)!r}")
     _need_int("duration", duration, 10)
-    _, records = _run(problem, coupling, constant_schedule(duration * dt, K, Ks, Kn),
-                      dt, duration, [seed], phase_hi=2.0 * np.pi, record_every=1)
-    samples = records[int(BOLTZMANN_BURN_IN * duration):, 0, :]
-    step = 2.0 * np.pi / grid
-    cells = np.floor(np.mod(samples, 2.0 * np.pi) / step).astype(np.int64) % grid
-    mult = grid ** np.arange(n)
-    emp = np.bincount(cells @ mult, minlength=grid ** n) / len(samples)
+    burn, step, mult = int(BOLTZMANN_BURN_IN * duration), 2.0 * np.pi / grid, grid ** np.arange(n)
+    counts = np.zeros(grid ** n, dtype=np.int64)
+
+    def histogram(steps, rows, lo, hi):
+        cells = np.floor(np.mod(rows[steps >= burn, :, 0], 2.0 * np.pi) / step)
+        np.add(counts, np.bincount(cells.astype(np.int64) % grid @ mult,
+                                   minlength=grid ** n), counts)
+
+    _run(problem, coupling, constant_schedule(duration * dt, K, Ks, Kn), dt, duration,
+         [seed], phase_hi=2.0 * np.pi, sink=histogram)
+    n_samples = duration + 1 - burn
+    emp = counts / n_samples
 
     mesh = (np.arange(grid ** n)[:, None] // mult % grid) * step
     e = energy_total_batch(problem, coupling, OscillatorBank.uniform(n), mesh,
@@ -402,7 +426,7 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
                         float(p[codes == c].sum()) for c in range(2 ** n)}
     return BoltzmannReport(basin_probs_empirical=basins(emp),
                            basin_probs_oracle=basins(dens),
-                           tv_distance=tv, n_samples=len(samples))
+                           tv_distance=tv, n_samples=n_samples)
 
 
 @dataclass(frozen=True)
@@ -430,7 +454,9 @@ def scaling_study(sizes: list[int], density_percent: float, n_trials: int,
 
     All sizes run under the same fixed controls so the settling speeds are
     directly comparable.  Graphs use stream 2**64 - 1 - n, which no trial uses.
-    A non-finite phase in any record raises IntegrationError.
+    The sample seam's sink stores each trial's H at every
+    SCALING_RECORD_EVERY-th step, and the trace is their mean over trials; a
+    non-finite phase raises IntegrationError.
     """
     if len(sizes) < 2:
         raise ValueError("need at least two sizes")
@@ -439,14 +465,20 @@ def scaling_study(sizes: list[int], density_percent: float, n_trials: int,
     _need_int("n_trials", n_trials, 1)
     sched = constant_schedule(t_end, K, Ks, Kn)
     n_steps = _n_steps(t_end, dt)
-    keys = [trial_seed(seed, k) for k in range(n_trials)]
-    t = _record_grid(n_steps, SCALING_RECORD_EVERY) * dt
+    keys, every = [trial_seed(seed, k) for k in range(n_trials)], SCALING_RECORD_EVERY
+    t = _sample_steps(n_steps, every) * dt
+    h = np.empty((len(t), n_trials))
     out = []
     for size in sizes:
         key = trial_seed(seed, SEED_LIMIT - 1 - size)
         problem = maxcut_to_ising(random_graph(size, density_percent, "pm_one", seed=key))
-        _, recs = _run(problem, cpl.smoothed_square(), sched, dt, n_steps, keys,
-                       record_every=SCALING_RECORD_EVERY)
-        hs = np.stack([hamiltonian_batch(problem, _spins_batch(r)) for r in recs])
-        out.append(ScalingTrace(n=size, t=t, mean_H=hs.mean(axis=1)))
+
+        def energies(steps, rows, lo, hi):
+            at = -(-steps[0] // every)
+            h[at:at + len(steps), lo:hi] = hamiltonian_batch(
+                problem, _spins_batch(rows).transpose(0, 2, 1))
+
+        _run(problem, cpl.smoothed_square(), sched, dt, n_steps, keys,
+             every=every, sink=energies)
+        out.append(ScalingTrace(n=size, t=t, mean_H=h.mean(axis=1)))
     return out

@@ -41,3 +41,21 @@ def same_bits(a, b) -> bool:
     """Equal dtype, shape and bytes: -0.0 differs from 0.0, NaN equals NaN."""
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def recorder(n_steps: int, every: int, batch: int, n: int):
+    """A sample-seam sink and the (S, B, n) records it fills: steps 0,
+    every, 2 every, ... and n_steps.  It checks the seam's contract on each
+    call: read-only views, (k, n, w) rows for the block's trials, and each
+    sample of each trial delivered once."""
+    grid = sorted({*range(0, n_steps + 1, every), n_steps})
+    records = np.full((len(grid), batch, n), np.nan)
+
+    def sink(steps, rows, lo, hi):
+        assert not (steps.flags.writeable or rows.flags.writeable)
+        assert rows.shape == (len(steps), n, hi - lo)
+        at = [grid.index(s) for s in steps.tolist()]
+        assert np.isnan(records[at, lo:hi]).all()
+        records[at, lo:hi] = rows.transpose(0, 2, 1)
+
+    return records, sink

@@ -213,6 +213,19 @@ def test_solve_coloring_us_states(tmp_path):
     assert len(doc["assignment"]["colors"]) == 51
 
 
+def test_solve_coloring_finds_no_valid_3_coloring(tmp_path):
+    """The US map is not 3-colourable (Nevada's odd wheel), so a short run
+    reports valid: false with a positive best H and no colours by label."""
+    out = tmp_path / "col3.json"
+    code = main(["solve-coloring", "us-states", "--colors", "3", "--trials", "4",
+                 "--seed", "1", "--t-end", "2", "--dt", "0.05", "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["assignment"]["valid"] is False
+    assert doc["stats"]["best_H"] > 0
+    assert "colors_by_label" not in doc
+
+
 def test_solve_coloring_gset_format(tmp_path):
     path = tmp_path / "tri.txt"
     path.write_text("3 3\n1 2 1\n2 3 1\n1 3 1\n")

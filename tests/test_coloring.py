@@ -8,7 +8,7 @@ from oscising.coloring import (ColoringInstance, coloring_to_ising,
                                us_states_instance)
 from helpers import coupling_dict
 from oscising.graphs import WeightedGraph, random_graph
-from oscising.ising import IsingProblem, hamiltonian
+from oscising.ising import IsingProblem, brute_force_ground_state, hamiltonian
 
 
 def direct_penalty(instance, s):
@@ -187,6 +187,21 @@ def test_valid_us_coloring_has_zero_hamiltonian():
     a = decode_coloring(inst, s)
     assert a.valid
     assert hamiltonian(p, s) == 0.0
+
+
+def test_nevada_odd_wheel_has_no_3_coloring():
+    """The negative control of the US map's colouring: Nevada and its five
+    neighbours form an odd wheel (10 borders), so the exact ground state of
+    its 3-colour encoding (18 spins) is one conflicting border, H = 4."""
+    us = us_states_instance(3)
+    keep = ("NV", "CA", "OR", "ID", "UT", "AZ")
+    at = {us.labels.index(state): k for k, state in enumerate(keep)}
+    edges = [(at[a], at[b], 1.0) for a, b, _ in us.graph.edges() if a in at and b in at]
+    wheel = ColoringInstance(WeightedGraph.from_edges(6, edges), 3, keep)
+    assert wheel.graph.m == 10
+    spins, h = brute_force_ground_state(coloring_to_ising(wheel))
+    assert h == 4.0
+    assert not decode_coloring(wheel, spins).valid
 
 
 def test_parse_adjacency_rejects_self_pairs():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import scipy_csr
+from helpers import recorder, scipy_csr
 from oscising.coupling import sine, smoothed_square
 from oscising.coloring import coloring_to_ising, us_states_instance
 from oscising.dynamics import (EDGE_TILE, IntegrationError, OscillatorBank,
                                _coupling_sum, _integrate,
-                               _Operands, _product_args, _record_grid,
+                               _Operands, _product_args,
                                _sin_cos, _step_drift, binarisation_residual,
                                drift, make_rng, read_spins, trajectory_to_csv)
 from oscising.graphs import random_graph
@@ -190,6 +190,63 @@ def test_euler_error_halves_with_dt_against_reference_solver(coupling):
     assert ((1.7 <= ratios) & (ratios <= 2.3)).all(), (errors, ratios)
 
 
+class PathStream:
+    """A stream exposing only standard_normal(out=), as _integrate uses
+    it: step k gets the next row of normals, the fine path's normals summed
+    over the step and divided by the square root of their count, so every
+    dt samples one Brownian path."""
+
+    def __init__(self, rows):
+        self.rows, self.k = rows, 0
+
+    def standard_normal(self, out):
+        out[...] = self.rows[self.k]
+        self.k += 1
+
+
+def noisy_finals(p, coupling, phi0, fine, dt, times_sqrt_dt=False):
+    """Finals of T = 1 at constant K = 1, Ks = Kn = 0.5 on the fine normals'
+    (B, 4096, n) path, each coarse normal the scaled sum of its fine ones.
+    times_sqrt_dt scales the normals by sqrt(dt), which turns the
+    integrator's noise Kn sqrt(dt) into Kn dt."""
+    B, steps, n = fine.shape
+    m = round(dt * steps)
+    rows = fine.reshape(B, steps // m, m, n).sum(axis=2) / np.sqrt(m)
+    rows *= np.sqrt(dt) if times_sqrt_dt else 1.0
+    return _integrate(p, coupling, np.ones(n), 1.0, constant_schedule(1.0, 1.0, 0.5, 0.5),
+                      dt, steps // m, phi0.copy(), [PathStream(r) for r in rows])
+
+
+def strong_order(p, coupling, phi0, fine, error, times_sqrt_dt=False):
+    """Slope of log error(final - reference) against log dt over dt = 1/16
+    to 1/256, against the dt = 1/4096 reference on the same path."""
+    ref = noisy_finals(p, coupling, phi0, fine, 1 / 4096, times_sqrt_dt)
+    dts = [1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256]
+    errs = [error(noisy_finals(p, coupling, phi0, fine, dt, times_sqrt_dt) - ref)
+            for dt in dts]
+    return np.polyfit(np.log(dts), np.log(errs), 1)[0]
+
+
+def test_noisy_euler_has_strong_order_one_on_a_shared_brownian_path():
+    """Euler-Maruyama with additive noise converges with strong order 1:
+    on a 12-node +-1 graph, 32 trials, the RMS error's slope is in
+    [0.8, 1.2] for sine.  For the smoothed square a trial that switches
+    basin dominates the RMS, so its slope uses the median over trials of
+    each trial's RMS error; over seeds 0-3 of this set-up the median slopes
+    spread over 0.98-1.04 and the RMS ones over 0.33-1.25.  A noise scale
+    of Kn dt in place of Kn sqrt(dt) gives slopes near 0.5-0.7 for both
+    and fails."""
+    p = maxcut_to_ising(random_graph(12, 40, "pm_one", seed=5))
+    rng = make_rng(0)
+    phi0 = rng.uniform(0.0, np.pi, size=(32, p.n))
+    fine = rng.standard_normal((32, 4096, p.n))
+    rms = lambda e: np.sqrt((e ** 2).mean())
+    median = lambda e: np.median(np.sqrt((e ** 2).mean(axis=1)))
+    for coupling, error in ((sine(), rms), (smoothed_square(), median)):
+        assert 0.8 <= strong_order(p, coupling, phi0, fine, error) <= 1.2
+        assert strong_order(p, coupling, phi0, fine, error, times_sqrt_dt=True) < 0.8
+
+
 def test_simulate_raises_on_nonfinite_phase():
     """omega = 1e308 with no coupling or noise: phase 1 overflows to inf at
     the fourth step (t = 2), whatever form the coupling kernel takes.  The
@@ -218,7 +275,7 @@ def test_nonfinite_row_stays_nonfinite_and_leaves_others_alone():
     def run(rows):
         phi = np.array(rows, dtype=np.float64)
         rngs = [make_rng(k) for k in range(len(rows))]
-        return _integrate(p, sine(), one, 1.0, sched, 0.5, 40, phi, rngs)[0]
+        return _integrate(p, sine(), one, 1.0, sched, 0.5, 40, phi, rngs)
 
     both = run([[0.0, 0.0], [0.0, np.inf]])
     assert np.array_equal(both[0], run([[0.0, 0.0]])[0])
@@ -233,9 +290,9 @@ def test_integrate_steps_a_copy_and_records_snapshots():
     p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
     phi0 = np.array([[0.3, 2.0]])
     kept = phi0.copy()
-    final, records = _integrate(p, sine(), np.ones(2), 1.0,
-                                constant_schedule(1.0, 1.0, 0.5, 0.2), 0.1, 10,
-                                phi0, [make_rng(0)], record_every=5)
+    records, sink = recorder(10, 5, 1, 2)
+    final = _integrate(p, sine(), np.ones(2), 1.0, constant_schedule(1.0, 1.0, 0.5, 0.2),
+                       0.1, 10, phi0, [make_rng(0)], every=5, sink=sink)
     assert final is phi0
     assert records.shape == (3, 1, 2)
     assert np.array_equal(records[0], kept)
@@ -291,7 +348,7 @@ def test_smoothed_square_blocks_match_single_rows(monkeypatch):
     def run(rows):
         rngs = [make_rng(100 + b) for b in rows]
         return _integrate(p, smoothed_square(), omega, 1.0, sched, 0.05, 8,
-                          phi0[rows], rngs)[0]     # phi0[rows] is a copy
+                          phi0[rows], rngs)     # phi0[rows] is a copy
 
     finals = []
     for edge_tile, tiles in zip(TILE_SIZES, (1, 6)):
@@ -317,8 +374,8 @@ def test_edgeless_smoothed_square_drift(shape):
     ref = -0.7 * p.h * cpl.g(phi) - 0.3 * cpl.g(2.0 * phi)
     assert d == pytest.approx(ref, abs=1e-14)
     rows = np.atleast_2d(phi)
-    final, _ = _integrate(p, cpl, np.ones(3), 1.0, constant_schedule(1.0, 0.7, 0.3, 0.1),
-                          0.1, 10, rows, [make_rng(b) for b in range(len(rows))])
+    final = _integrate(p, cpl, np.ones(3), 1.0, constant_schedule(1.0, 0.7, 0.3, 0.1),
+                       0.1, 10, rows, [make_rng(b) for b in range(len(rows))])
     assert np.isfinite(final).all()
 
 
@@ -437,17 +494,19 @@ def test_direct_product_needs_contiguous_operands():
 
 
 def test_recording_every_step_holds_the_sparser_records():
-    """Records are written in place: every 5th row of a record_every=1 run,
-    plus its last, is bit-equal to a record_every=5 run, and both end on
+    """Samples are written in place: every 5th row of an every=1 run, plus
+    its last, is bit-equal to an every=5 run, and both end on
     the same final phases."""
     p = blocked_problem()
     phi0 = make_rng(6).uniform(0.0, np.pi, size=(3, p.n))
 
     def run(every):
-        return _integrate(p, smoothed_square(), np.ones(p.n), 1.0,
-                          constant_schedule(2.0, 0.8, 0.4, 0.3), 0.05, 23,
-                          phi0.copy(), [make_rng(b) for b in range(3)],
-                          record_every=every)
+        records, sink = recorder(23, every, 3, p.n)
+        final = _integrate(p, smoothed_square(), np.ones(p.n), 1.0,
+                           constant_schedule(2.0, 0.8, 0.4, 0.3), 0.05, 23,
+                           phi0.copy(), [make_rng(b) for b in range(3)],
+                           every=every, sink=sink)
+        return final, records
 
     final1, dense = run(1)
     final5, sparse = run(5)
@@ -456,15 +515,13 @@ def test_recording_every_step_holds_the_sparser_records():
     assert not np.shares_memory(final1, dense)
 
 
-def reference_integrate(p, coupling, omega, sched, dt, n_steps, phi, rngs,
-                        record_every):
+def reference_integrate(p, coupling, omega, sched, dt, n_steps, phi, rngs, every):
     """_integrate's Euler-Maruyama steps written plainly, trial-major (B, n),
     with scipy's `@` for the sparse products and the kernel's rounding order."""
     k_arr, ks_arr, kn_arr = sched.eval_arrays(np.arange(n_steps) * dt)
     noise = kn_arr * np.sqrt(dt)
     s, c, t = np.empty((3,) + phi.shape)
     B = len(phi)
-    grid = _record_grid(n_steps, record_every).tolist()
     records = [phi]
     for k in range(n_steps):
         _sin_cos(phi, s, c, t)
@@ -481,7 +538,7 @@ def reference_integrate(p, coupling, omega, sched, dt, n_steps, phi, rngs,
         d = d * omega + (omega - 1.0)
         zeta = np.stack([rng.standard_normal(p.n) for rng in rngs])
         phi = phi + d * dt + zeta * noise[k]
-        if k + 1 in grid:
+        if (k + 1) % every == 0 or k + 1 == n_steps:
             records.append(phi)
     return phi, np.stack(records)
 
@@ -510,10 +567,11 @@ def test_integrate_is_the_plain_trial_major_loop(monkeypatch, coupling, self_ter
                      [(0.0, 0.1), (1.0, 0.5)])
     for omega in (spread, np.ones(shape)):
         args = (p, coupling, omega, sched, 0.05, 7, phi0)
-        final, records = _integrate(*args[:3], 1.0, *args[3:-1], phi0.copy(),
-                                    [make_rng(b) for b in range(B)], record_every=3)
+        records, sink = recorder(7, 3, B, p.n)
+        final = _integrate(*args[:3], 1.0, *args[3:-1], phi0.copy(),
+                           [make_rng(b) for b in range(B)], every=3, sink=sink)
         ref_final, ref_records = reference_integrate(
-            *args, [make_rng(b) for b in range(B)], record_every=3)
+            *args, [make_rng(b) for b in range(B)], every=3)
         assert np.array_equal(final, ref_final)
         assert np.array_equal(records, ref_records)
 
@@ -590,8 +648,10 @@ def test_blocked_runs_are_bit_equal(monkeypatch, case):
     for blocks, width in ((B, 1), (3, 5), (1, B)):
         monkeypatch.setattr(dynamics, "STEP_BLOCK_BYTES", -(-8 * p.n * B // blocks))
         assert block_width(p.n, B) == width
-        runs.append(_run(p, coupling, sched, 0.05, 9, list(range(100, 100 + B)),
-                         sigma=sigma, record_every=4))
+        records, sink = recorder(9, 4, B, p.n)
+        final = _run(p, coupling, sched, 0.05, 9, list(range(100, 100 + B)),
+                     sigma=sigma, every=4, sink=sink)
+        runs.append((final, records))
     for final, records in runs[1:]:
         assert np.array_equal(final, runs[0][0])
         assert np.array_equal(records, runs[0][1])
@@ -693,6 +753,63 @@ def test_schedule_memory_does_not_grow_with_the_steps(monkeypatch):
     peak(200)                       # warms numpy's and CPython's caches
     small = peak(200)
     assert peak(5_000) - small <= 64 * (5_000 // 16) + 2048
+
+
+def test_sample_chunks_leave_records_and_finals_alone(monkeypatch):
+    """Samples reach the sink in chunks no longer than the buffer.  Over
+    three trial blocks, every 3rd of 40 steps, the records and finals of
+    one whole chunk per block (14 rows) are bit-equal to those of buffers
+    cut by STEP_CHUNK to 2 rows or to 1, the state itself, and by the
+    default SAMPLE_BYTES to 3 rows or by 8 B to 1; the finals are those
+    of a run without a sink."""
+    p = blocked_problem()
+    three_blocks(monkeypatch, p.n)
+    B = 65
+    phi0 = make_rng(3).uniform(0.0, np.pi, size=(B, p.n))
+    sched = constant_schedule(2.0, 0.8, 0.4, 0.3)
+
+    def run(chunk, nbytes, sampled=True):
+        monkeypatch.setattr(dynamics, "STEP_CHUNK", chunk)
+        monkeypatch.setattr(dynamics, "SAMPLE_BYTES", nbytes)
+        records, sink = recorder(40, 3, B, p.n)
+        sizes = []
+
+        def sizing(steps, *args):
+            sizes.append(len(steps))
+            sink(steps, *args)
+
+        final = _integrate(p, smoothed_square(), np.ones(p.n), 1.0, sched, 0.05, 40,
+                           phi0.copy(), [make_rng(b) for b in range(B)], every=3,
+                           sink=sizing if sampled else None)
+        return final, records, max(sizes, default=0)
+
+    chunk, nbytes = dynamics.STEP_CHUNK, dynamics.SAMPLE_BYTES
+    final, records, rows = run(chunk, 1 << 30)
+    assert rows == 14
+    assert np.array_equal(final, run(chunk, nbytes, sampled=False)[0])
+    for args, rows in (((8, 1 << 30), 2), ((4, 1 << 30), 1), ((chunk, nbytes), 3),
+                       ((chunk, 8), 1)):
+        again, again_records, longest = run(*args)
+        assert longest == rows
+        assert np.array_equal(again, final) and np.array_equal(again_records, records)
+
+
+def test_sink_sees_only_checked_chunks(monkeypatch):
+    """With chunks of two samples, phase 1 overflows at step 4 (t = 2): the
+    sink has seen steps 0 to 2, all finite, and the error names index 1 and
+    t = 2, as a run in one chunk does."""
+    monkeypatch.setattr(dynamics, "STEP_CHUNK", 2)
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    seen = []
+
+    def sink(steps, rows, lo, hi):
+        assert np.isfinite(rows).all()
+        seen.extend(steps.tolist())
+
+    with pytest.raises(IntegrationError, match=r"non-finite phase at index 1 \(t=2\)"):
+        _integrate(p, sine(), np.array([1.0, 1e308]), 1.0, constant_schedule(20.0, 0.0, 0.0, 0.0),
+                   0.5, 40, np.zeros((1, 2)), [make_rng(0)], sink=sink)
+    assert seen == [0, 1, 2]
 
 
 def test_read_spins_mapping():

@@ -1,11 +1,12 @@
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from oscising import harness
+from oscising import dynamics, harness
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import IntegrationError, OscillatorBank, make_rng
 from helpers import cubic_ring_graph
@@ -281,9 +282,9 @@ def test_simulate_replays_a_trial_of_a_batch(coupling, monkeypatch):
     real, rows = harness._integrate, []
 
     def capture(*args, **kwargs):
-        phi, records = real(*args, **kwargs)
+        phi = real(*args, **kwargs)
         rows.extend(phi)
-        return phi, records
+        return phi
 
     monkeypatch.setattr(harness, "_integrate", capture)
     run_trials(p, AblationVariant("baseline"), sched, 6, 9, graph=g,
@@ -472,9 +473,13 @@ def test_boltzmann_matches_cell_by_cell_reference(monkeypatch):
     chain = (cells + 0.5) * step + 2.0 * np.pi * rng.integers(-1, 2, cells.shape)
 
     def fake_integrate(problem, coupling, omega, omega_star, schedule, dt,
-                       n_steps, phi, rngs, record_every=0):
-        assert n_steps == duration and record_every == 1
-        return None, chain[:, None, :]
+                       n_steps, phi, rngs, every=1, sink=None):
+        """The chain through the sample seam, in uneven chunks, one across
+        the burn-in's end."""
+        assert n_steps == duration and every == 1
+        for steps in np.split(np.arange(duration + 1), [7, 33, 45, 300]):
+            sink(steps, chain[steps, :, None], 0, 1)
+        return phi
 
     monkeypatch.setattr(harness, "_integrate", fake_integrate)
     rep = boltzmann_check(p, sine(), Kn, K, Ks, duration, seed=0, grid=grid)
@@ -522,6 +527,27 @@ def test_boltzmann_rejects_bad_duration(duration, message, monkeypatch):
     p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
     with pytest.raises(ValueError, match=message):
         boltzmann_check(p, sine(), 0.5, 0.5, 0.5, duration, 0)
+
+
+def test_boltzmann_memory_does_not_grow_with_the_chain(monkeypatch):
+    """The chain is bincounted chunk by chunk: with chunks of 16 steps, a
+    5,000-step chain peaks within 64 B per chunk plus 2 kB of a 200-step
+    one, where storing every step held about 160 B per step, 770 kB more
+    (see the schedule-memory test in test_dynamics for the 64 B)."""
+    monkeypatch.setattr(dynamics, "STEP_CHUNK", 16)
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            boltzmann_check(p, sine(), 1.0, 0.5, 0.5, steps, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(200)                       # warms numpy's and CPython's caches
+    small = peak(200)
+    assert peak(5_000) - small <= 64 * (5_000 // 16) + 2048
 
 
 def test_boltzmann_rejects_large_n():

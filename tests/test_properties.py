@@ -3,18 +3,18 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
-from helpers import all_spin_configs, scipy_csr
+from helpers import all_spin_configs, recorder, scipy_csr
 from oscising.coupling import sine, smoothed_square
 from oscising.dynamics import (OscillatorBank, _block_diagonal, _coupling_sum,
                                _integrate, _Operands, _product_args, _sin_cos,
                                _step_drift, csr_matvecs, drift, make_rng)
 from oscising.graphs import GraphFormatError, WeightedGraph
-from oscising.harness import simulate, trial_seed
+from oscising.harness import _run, simulate, trial_seed
 from oscising.ising import (IsingProblem, _incidence, brute_force_ground_state,
                             cut_batch, cut_value, hamiltonian, hamiltonian_batch,
                             maxcut_to_ising)
 from oscising.lyapunov import check_monotone, energy, energy_total_batch
-from oscising.schedule import constant_schedule
+from oscising.schedule import Schedule, constant_schedule
 
 FEW = settings(max_examples=25, deadline=None)
 weights = st.floats(-2.0, 2.0, allow_nan=False)
@@ -303,13 +303,48 @@ def test_integrate_rows_do_not_depend_on_chunking(p, seed, coupling, cuts, per_t
 
     def run(idx):
         rngs = [make_rng(trial_seed(seed, int(b))) for b in idx]
-        return _integrate(p, coupling, omega[idx] if per_trial else omega, 1.0,
-                          sched, 0.05, 12, phi0[idx], rngs, record_every=5)
+        records, sink = recorder(12, 5, len(idx), p.n)
+        final = _integrate(p, coupling, omega[idx] if per_trial else omega, 1.0,
+                           sched, 0.05, 12, phi0[idx], rngs, every=5, sink=sink)
+        return final, records
 
     whole, whole_rec = run(np.arange(rows))
     parts = [run(idx) for idx in np.split(np.arange(rows), sorted(cuts))]
     assert np.array_equal(whole, np.concatenate([q[0] for q in parts]))
     assert np.array_equal(whole_rec, np.concatenate([q[1] for q in parts], axis=1))
+
+
+@st.composite
+def schedules(draw):
+    """Controls over [0, 1], each channel one to three control points at
+    random times; Kn > 0 at every point, so noise always enters."""
+    def channel(lo):
+        ts = [0.0] + sorted(draw(st.sets(st.floats(0.01, 1.0), max_size=2)))
+        return tuple((t, draw(st.floats(lo, 2.0))) for t in ts)
+    return Schedule(1.0, channel(0.0), channel(0.0), channel(0.1))
+
+
+def rescaled(schedule, c, kn_factor):
+    """Times over c, K and Ks times c, Kn times kn_factor."""
+    move = lambda pts, a: tuple((t / c, a * v) for t, v in pts)
+    return Schedule(schedule.t_end / c, move(schedule.k_points, c),
+                    move(schedule.ks_points, c), move(schedule.kn_points, kn_factor))
+
+
+@FEW
+@given(problems(), seeds, couplings, schedules(), st.sampled_from([0.25, 4.0]),
+       st.integers(5, 40))
+def test_time_rescaled_anneal_gives_bit_equal_finals(p, seed, coupling, sched, c, n_steps):
+    """With unit frequencies the drift is linear in (K, Ks) and noise enters
+    as Kn sqrt(dt), so (K, Ks, Kn, T, dt) -> (c K, c Ks, sqrt(c) Kn, T/c,
+    dt/c), control points included, maps every Euler-Maruyama step to
+    itself.  A power of four keeps c, sqrt(c) and sqrt(dt/c) exact, so the
+    finals on the same keys are bit-equal; Kn scaled by c is told apart."""
+    keys = [trial_seed(seed, k) for k in range(3)]
+    run = lambda s, dt: _run(p, coupling, s, dt, n_steps, keys)
+    base = run(sched, 1.0 / n_steps)
+    assert np.array_equal(run(rescaled(sched, c, np.sqrt(c)), 1.0 / n_steps / c), base)
+    assert not np.array_equal(run(rescaled(sched, c, c), 1.0 / n_steps / c), base)
 
 
 @FEW

@@ -108,12 +108,7 @@ class CouplingFunction:
         periodicity need no check: they follow from g = f(sin x) with f odd.
 
         The slope is the cubic's own, (d0 + t (2 c2 + 3 c3 t)) / h, taken
-        from the table.  A central difference of G with step e = 1e-5 stays
-        inside the cell (the points lie 0.21 h = 3.2e-4 from its knots), and
-        the central difference of a cubic is its slope plus e^2 c3 / h^3 and
-        about 2^-53 |G| / e of rounding: about 1e-10 near the 1e-6 bound, so
-        the analytic slope is what the finite difference measured, without
-        its noise or its two evaluations of G per point.
+        from the table.
         """
         t = 0.5 + np.array([[-1.0], [1.0]]) * (np.sqrt(3.0) / 6.0)
         _, d0, c2, c3 = self._antiderivative_table

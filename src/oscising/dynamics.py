@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .coupling import CouplingFunction
-from .ising import CSR, EDGE_TILE, IsingProblem, SpinConfig, _incidence
+from .ising import CSR, EDGE_TILE, IsingProblem, _incidence
 from .schedule import Schedule
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "OscillatorBank",
     "Trajectory",
     "drift",
-    "read_spins",
     "binarisation_residual",
     "trajectory_to_csv",
 ]
@@ -189,10 +188,11 @@ class _Operands:
     layers of one flat buffer, phi (the block's phases), d (the drift, into
     which the coupling sum is written), tmp (also the (w, n) noise), sc =
     [s | c], jsc = [js | jc] (sine), then the constants h (self terms),
-    omega and wdelta = omega - w* (given (n,) or (B, n); none when every
-    omega = w* = 1, a pass that would only turn -0.0 into +0.0), bound to
-    each block by trial_blocks.  Sine: csr_matvecs adds diag(J, J) sc, seen
-    as (2n, w), into jsc.  Smoothed square: tiles holds per edge tile
+    omega and wdelta = omega - omega_star, bound to each block by
+    trial_blocks.  A given omega, (n,) or (B, n), takes the omega pass;
+    omega None means every omega = w* = 1, and the drift skips the pass,
+    which would only turn -0.0 into +0.0.  Sine: csr_matvecs adds
+    diag(J, J) sc, seen as (2n, w), into jsc.  Smoothed square: tiles holds per edge tile
     writable copies of its edge indices (np.take copies a read-only index
     array on every call), three (tile, w) views of one edge buffer and the
     csr_matvecs arguments of the tile's columns of S, built from its slice
@@ -201,14 +201,15 @@ class _Operands:
     """
 
     def __init__(self, problem: IsingProblem, coupling: CouplingFunction,
-                 omega: np.ndarray, wdelta: np.ndarray, batch: int):
+                 omega: np.ndarray | None, omega_star: float, batch: int):
         n = problem.n
         self.problem, self.coupling = problem, coupling
         # the fewest equal blocks whose (n, w) float64 arrays fit STEP_BLOCK_BYTES
         self.width = -(-batch // (-(-8 * n * batch // STEP_BLOCK_BYTES) or 1)) or 1
         self.sine, self.has_h = coupling.kind == "sine", problem.has_self_terms
-        self.has_omega = bool(np.any(omega != 1.0) or np.any(wdelta != 0.0))
-        consts = [problem.h] * self.has_h + [omega, wdelta] * self.has_omega
+        self.has_omega = omega is not None
+        consts = [problem.h] * self.has_h + ([omega, omega - omega_star]
+                                             if self.has_omega else [])
         # (B, k, n): the k constants of each trial, copied into each block
         self.rows = np.broadcast_to(np.stack(np.broadcast_arrays(*consts), -2)
                                     if consts else np.empty((0, n)), (batch, len(consts), n))
@@ -344,7 +345,8 @@ def drift(problem: IsingProblem, coupling: CouplingFunction,
     if not np.isfinite(phi).all():
         raise IntegrationError("non-finite phase passed to drift")
     rows = phi.reshape(-1, problem.n)
-    ops = _Operands(problem, coupling, bank.omega, bank.omega - 1.0, len(rows))
+    ops = _Operands(problem, coupling, None if bank.is_uniform else bank.omega, 1.0,
+                    len(rows))
     out = np.empty(rows.shape)
     for lo, hi in ops.trial_blocks(rows):
         out[lo:hi] = _step_drift(ops, ops.phi, -K, Ks if Ks != 0.0 else None).T
@@ -371,13 +373,13 @@ def _flush(sink, steps: np.ndarray, rows: np.ndarray, dt: float, lo: int, hi: in
 
 
 def _integrate(problem: IsingProblem, coupling: CouplingFunction,
-               omega: np.ndarray, omega_star: float,
+               omega: np.ndarray | None, omega_star: float,
                schedule: Schedule, dt: float, n_steps: int,
                phi: np.ndarray, rngs: list[np.random.Generator],
                every: int = 1, sink=None) -> np.ndarray:
-    """Shared fixed-step core; phi is (B, n) float64, omega (n,) or
-    per-trial (B, n), one RNG stream per row.  Returns phi, overwritten
-    with the finals.
+    """Shared fixed-step core; phi is (B, n) float64, omega (n,),
+    per-trial (B, n) or None (uniform), one RNG stream per row.  Returns
+    phi, overwritten with the finals.
 
     Per block (_Operands.trial_blocks), a step runs the drift of the
     block's (n, w) phases, then one standard_normal(n) per row b from
@@ -399,7 +401,7 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     omega_star (1.0 at every caller) sets wdelta; it stays as
     perfbench/layertrace.py wraps it.
     """
-    ops = _Operands(problem, coupling, omega, omega - omega_star, len(phi))
+    ops = _Operands(problem, coupling, omega, omega_star, len(phi))
     dt_0d, sqrt_dt = np.array(dt), np.sqrt(dt)
     if sink:    # rows of a block's sample buffer, past step 0
         cap = max(1, min(-(-n_steps // every), STEP_CHUNK // every,
@@ -442,14 +444,6 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
 
 def _spins_batch(phi: np.ndarray) -> np.ndarray:
     return np.where(np.cos(phi) >= 0.0, 1.0, -1.0)
-
-
-def read_spins(phi: np.ndarray) -> SpinConfig:
-    """s_i = +1 where cos(phi_i) >= 0 else -1 (ties at cos = 0 give +1)."""
-    phi = np.asarray(phi, dtype=np.float64)
-    if not np.isfinite(phi).all():
-        raise ValueError("phases must be finite")
-    return SpinConfig(_spins_batch(phi))
 
 
 def binarisation_residual(phi: np.ndarray) -> float:

@@ -27,13 +27,11 @@ __all__ = [
     "cross_correlate",
     "lock_equilibria",
     "shil_profile",
-    "shil_bistability",
     "signal_from_csv",
     "detuning_sweep",
 ]
 
 TWO_PI = 2.0 * np.pi
-ROOT_TOL = 1e-10
 
 
 def _check_m(m: int) -> int:
@@ -132,54 +130,39 @@ def lock_equilibria(c: PeriodicSignal, detuning_ratio: float,
                     phi_in: float = 0.0) -> list[LockEquilibrium]:
     """All solutions of detuning_ratio = c(phi - phi_in) on [0, 2*pi).
 
-    Roots are bracketed by sign changes of the residual on the sample grid,
-    and exact-zero samples are roots.  The residual is linear on either side
-    of its one kink per cell, at a + mod(phi_in, dx): one evaluation there
-    picks the side with the sign change.  An end can carry the next piece's
-    value (rounding at a kink), so the secant runs over the first part of
-    [a, a + ROOT_TOL / 2, b - ROOT_TOL / 2, b] whose ends differ in sign, or
-    over [a, b] on a side narrower than ROOT_TOL.
-    Stability follows the sign of the local slope of c: stable iff
-    c'(phi*) < 0; near-zero slopes are flagged degenerate instead of being
-    classified.  An empty list means the drive cannot lock at this detuning.
+    The residual f = detuning_ratio - c(phi - phi_in) is linear between its
+    knots phi_in + k dx, at which f_k = detuning_ratio - samples[k].  A knot
+    with f_k = 0 is a root, with slope c' the mean of its two segments'
+    slopes.  A segment whose ends have opposite signs (compared as np.sign:
+    the product of two tiny f_k underflows) holds one root, at the fraction
+    f_k / (f_k - f_{k+1}) along it, with the segment's own slope.  A root is
+    a stable lock iff c' < 0; a slope |c'| <= 1e-9 max|c| is flagged
+    degenerate instead of being classified.  phi* lies in [0, 2*pi) (np.mod
+    rounds a tiny negative angle to 2*pi, which is read as 0).  An empty
+    list means the drive cannot lock at this detuning.
     """
     if c.channels != 1:
         raise ValueError("locking profile must be scalar")
     if not np.isfinite([detuning_ratio, phi_in]).all():
         raise ValueError("detuning_ratio and phi_in must be finite")
-    m, grid = c.m, _grid(c.m)
-
-    def f(phi):
-        return detuning_ratio - c.eval(phi - phi_in)
-
-    fg = f(grid)
-    scale = float(np.abs(c.samples).max())
+    s = c.samples
+    scale = float(np.abs(s).max())
     if scale == 0.0:
         return []
-    slope_tol = 1e-9 * scale
-    dx = TWO_PI / m
-    cell = np.flatnonzero(fg * np.roll(fg, -1) < 0.0)
-    a, kink = grid[cell], grid[cell] + np.mod(phi_in, dx)
-    fa, fb = fg[cell], fg[(cell + 1) % m]
-    # a kink rounded onto the cell's end takes its value: f(2 pi) need not be f(0)
-    fk = np.where(kink < a + dx, f(kink), fb)
-    right = np.sign(fk) == np.sign(fa)  # an exact zero at the kink ends the side
-    a, b = np.where(right, kink, a), np.where(right, a + dx, kink)
-    fa, fb = np.where(right, fk, fa), np.where(right, fb, fk)
-    h = np.where(b - a > ROOT_TOL, 0.5 * ROOT_TOL, 0.0)
-    x = np.stack([a, a + h, b - h, b])
-    fx = np.stack([fa, *np.where(h > 0.0, f(x[1:3]), [fa, fb]), fb])
-    k = np.argmax(np.sign(fx[1:]) != np.sign(fx[:-1]), axis=0)
-    (x0, x1), (f0, f1) = (v[[k, k + 1], np.arange(len(k))] for v in (x, fx))
-    r = np.concatenate([grid[fg == 0.0], np.clip(x0 - f0 * (x1 - x0) / (f1 - f0),
-                                                 a, b)])
-    # slope of the piecewise-linear interpolant just around each root
-    cp = (c.eval(r - phi_in + 0.5 * dx) - c.eval(r - phi_in - 0.5 * dx)) / dx
-    degenerate = np.abs(cp) <= slope_tol
-    out = [LockEquilibrium(phi_star=float(p), stable=bool(s), degenerate=bool(d),
+    dx = TWO_PI / c.m
+    f = detuning_ratio - s
+    f1, slope = np.roll(f, -1), (np.roll(s, -1) - s) / dx
+    knot = np.flatnonzero(f == 0.0)
+    cell = np.flatnonzero(np.sign(f) * np.sign(f1) < 0.0)
+    k = np.concatenate([knot, cell + f[cell] / (f[cell] - f1[cell])])
+    cp = np.concatenate([0.5 * (slope[knot - 1] + slope[knot]), slope[cell]])
+    r = np.mod(phi_in + k * dx, TWO_PI)
+    r[r == TWO_PI] = 0.0
+    degenerate = np.abs(cp) <= 1e-9 * scale
+    out = [LockEquilibrium(phi_star=float(p), stable=bool(st), degenerate=bool(dg),
                            residual=float(e))
-           for p, s, d, e in zip(np.mod(r, TWO_PI), (cp < 0.0) & ~degenerate,
-                                 degenerate, np.abs(f(r)))]
+           for p, st, dg, e in zip(r, (cp < 0.0) & ~degenerate, degenerate,
+                                   np.abs(detuning_ratio - c.eval(r - phi_in)))]
     out.sort(key=lambda e: e.phi_star)
     return out
 
@@ -189,31 +172,6 @@ def shil_profile(p2: PeriodicSignal, b2: PeriodicSignal) -> PeriodicSignal:
     b2(2t), with c2 the cross-correlation of p2 and b2."""
     c2 = cross_correlate(p2, b2)
     return PeriodicSignal(c2.samples[(2 * np.arange(c2.m)) % c2.m])
-
-
-def shil_bistability(p2: PeriodicSignal, b2: PeriodicSignal,
-                     detuning_ratio: float) -> list[LockEquilibrium]:
-    """Lock states under second-harmonic drive.
-
-    p2 and b2 hold the second-harmonic content: the physical waveforms are
-    p(t) = p2(2t), b(t) = b2(2t), whose correlation gives the pi-periodic
-    profile c(t) = c2(2t).  Stable equilibria of a pi-periodic profile come
-    in pairs separated by pi; this is asserted before returning.
-    """
-    c = shil_profile(p2, b2)
-    defect = float(np.abs(c.samples - np.roll(c.samples, c.m // 2)).max())
-    scale = max(float(np.abs(c.samples).max()), 1e-30)
-    if defect > 1e-9 * scale:
-        raise ValueError(f"composed profile is not pi-periodic (defect {defect:.3g})")
-    eq = lock_equilibria(c, detuning_ratio, phi_in=0.0)
-    stable = sorted(e.phi_star for e in eq if e.stable)
-    if len(stable) % 2 != 0:
-        raise ValueError("stable equilibria of a pi-periodic profile must pair up")
-    half = len(stable) // 2
-    for a, b in zip(stable[:half], stable[half:]):
-        if abs((b - a) - np.pi) > 1e-6:
-            raise ValueError(f"stable pair {a:.6f}/{b:.6f} not separated by pi")
-    return eq
 
 
 def signal_from_csv(path, m: int = 1024) -> PeriodicSignal:

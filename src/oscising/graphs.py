@@ -18,7 +18,6 @@ __all__ = [
     "GraphFormatError",
     "WeightedGraph",
     "parse_gset",
-    "serialize_gset",
     "load_gset",
     "random_graph",
 ]
@@ -165,15 +164,6 @@ def parse_gset(text: str, name: str = "") -> WeightedGraph:
         raise GraphFormatError(
             f"vertex index out of [1, {n}] in edge {e + 1}: ({a[e]}, {b[e]})")
     return WeightedGraph(n=n, i=lo - 1, j=hi - 1, w=w, name=name)
-
-
-def serialize_gset(graph: WeightedGraph) -> str:
-    """Inverse of parse_gset on canonical graphs (1-based indices, LF)."""
-    lines = [f"{graph.n} {graph.m}"]
-    for a, b, wt in graph.edges():
-        wtf = int(wt) if float(wt).is_integer() else wt
-        lines.append(f"{a + 1} {b + 1} {wtf}")
-    return "\n".join(lines) + "\n"
 
 
 def load_gset(path) -> WeightedGraph:

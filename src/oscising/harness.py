@@ -78,7 +78,7 @@ def _run(problem: IsingProblem, coupling: CouplingFunction, schedule: Schedule,
          phase_hi: float = np.pi, every: int = 1, sink=None) -> np.ndarray:
     """One batch of runs, one per stream key.  The stream contract: row b
     draws from make_rng(keys[b]), in order, its frequencies 1 + sigma N(0, 1)
-    if sigma > 0 (else omega, default 1), its phases uniform on
+    if sigma > 0 (else omega, None for all 1), its phases uniform on
     [0, phase_hi) and then one standard_normal(n) per step, so it depends
     on its integer key alone.  A non-positive frequency raises ValueError
     naming trial key mod 2**64.  Returns the (B, n) finals; every and sink
@@ -86,7 +86,6 @@ def _run(problem: IsingProblem, coupling: CouplingFunction, schedule: Schedule,
     for key in keys:
         _need_int("seed", key, 0)
     rngs = [make_rng(key) for key in keys]
-    omega = np.ones(problem.n) if omega is None else omega
     if sigma > 0:
         omega = np.empty((len(keys), problem.n))
         for b, (key, rng) in enumerate(zip(keys, rngs)):
@@ -123,7 +122,8 @@ def simulate(problem: IsingProblem, coupling: CouplingFunction,
         at = -(-steps[0] // record_every)
         phis[at:at + len(steps)] = rows[:, :, 0]
 
-    _run(problem, coupling, schedule, dt, n_steps, [seed], omega=bank.omega,
+    _run(problem, coupling, schedule, dt, n_steps, [seed],
+         omega=None if bank.is_uniform else bank.omega,
          every=record_every, sink=record)
     ctrl = np.stack(schedule.eval_arrays(np.minimum(ts, schedule.t_end)), axis=1)
     return Trajectory(t=ts, phi=phis, controls=ctrl)

@@ -19,6 +19,12 @@ def cubic_ring_graph(n: int = 8, weight: float = 1.0) -> WeightedGraph:
     return WeightedGraph.from_edges(n, edges, name=f"cubic_ring_{n}")
 
 
+def gset_text(graph: WeightedGraph) -> str:
+    """G-set text of a graph: "n m", then "i j w" per edge, 1-based."""
+    rows = [f"{a + 1} {b + 1} {w!r}" for a, b, w in graph.edges()]
+    return "\n".join([f"{graph.n} {graph.m}", *rows]) + "\n"
+
+
 def all_spin_configs(n: int) -> np.ndarray:
     """All 2^n spin rows, row k holding -1 at the set bits of k."""
     codes = np.arange(2 ** n)[:, None]

@@ -7,17 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import gset_text
 import oscising
 from oscising.cli import main
-from oscising.dynamics import read_spins
-from oscising.graphs import random_graph, serialize_gset
+from oscising.dynamics import _spins_batch
+from oscising.graphs import random_graph
 
 
 @pytest.fixture
 def gset_file(tmp_path):
     g = random_graph(12, 40, "pm_one", seed=21)
     path = tmp_path / "r12.txt"
-    path.write_text(serialize_gset(g))
+    path.write_text(gset_text(g))
     return path
 
 
@@ -47,7 +48,7 @@ def test_solve_maxcut_writes_trajectory(gset_file, tmp_path):
     assert lines[1].split(",")[-1] != ""
     # the trajectory is the best trial's: its last row reads out to best_spins
     phi = np.array([float(c) for c in lines[-1].split(",")[1:13]])
-    assert read_spins(phi).s.tolist() == json.loads(out.read_text())["best_spins"]
+    assert _spins_batch(phi).tolist() == json.loads(out.read_text())["best_spins"]
 
 
 def test_solve_maxcut_seed_changes_results(gset_file, capsys):

@@ -9,9 +9,9 @@ from oscising.coupling import sine, smoothed_square
 from oscising.coloring import coloring_to_ising, us_states_instance
 from oscising.dynamics import (EDGE_TILE, IntegrationError, OscillatorBank,
                                _coupling_sum, _integrate,
-                               _Operands, _product_args,
-                               _sin_cos, _step_drift, binarisation_residual,
-                               drift, make_rng, read_spins, trajectory_to_csv)
+                               _Operands, _product_args, _sin_cos,
+                               _spins_batch, _step_drift, binarisation_residual,
+                               drift, make_rng, trajectory_to_csv)
 from oscising.graphs import random_graph
 from oscising import dynamics, harness
 from oscising.harness import _run, simulate
@@ -310,13 +310,13 @@ def blocked_problem():
 
 def n_tiles(p, coupling=None):
     """Edge tiles of a smoothed-square workspace for p."""
-    ops = _Operands(p, coupling or smoothed_square(), np.ones(p.n), np.zeros(p.n), 2)
+    ops = _Operands(p, coupling or smoothed_square(), None, 1.0, 2)
     return len(ops.tiles)
 
 
 def block_width(n, batch):
     """Trials per block of a workspace for n nodes and batch trials."""
-    return _Operands(empty_problem(n), sine(), np.ones(n), np.zeros(n), batch).width
+    return _Operands(empty_problem(n), sine(), None, 1.0, batch).width
 
 
 def three_blocks(monkeypatch, n):
@@ -385,7 +385,7 @@ def test_coupling_sum_rejects_a_block_other_than_its_own(kind):
     a silent sum of ops.sc."""
     p = blocked_problem()
     coupling = sine() if kind == "sine" else smoothed_square()
-    ops = _Operands(p, coupling, np.ones(p.n), np.zeros(p.n), 2)
+    ops = _Operands(p, coupling, None, 1.0, 2)
     with pytest.raises(ValueError, match="ops.sc"):
         _coupling_sum(ops, coupling, ops.sc.copy())
 
@@ -395,7 +395,7 @@ def sum_twice(coupling, p):
     block, which must agree, the second returned in ops.d; returns the
     second's tracemalloc peak and the (B, n) phases."""
     phi = make_rng(5).uniform(-3.0, 3.0, size=(65, p.n))
-    ops = _Operands(p, coupling, np.ones(p.n), np.zeros(p.n), len(phi))
+    ops = _Operands(p, coupling, None, 1.0, len(phi))
     _sin_cos(phi.T, ops.s, ops.c, ops.tmp)
     first = _coupling_sum(ops, coupling, ops.sc).copy()
     tracemalloc.start()
@@ -443,7 +443,7 @@ def test_tiled_smoothed_square_sum_is_the_untiled_product(monkeypatch):
     _sin_cos(phi.T, s, c, t)
     x = s[p.i] * c[p.j] - c[p.i] * s[p.j]
     ref = scipy_csr(p.incidence) @ cpl.g_of_sin(x)
-    ops = _Operands(p, cpl, np.ones(p.n), np.zeros(p.n), len(phi))
+    ops = _Operands(p, cpl, None, 1.0, len(phi))
     assert len(ops.tiles) == 40
     blocks = []
     for lo, hi in ops.trial_blocks(phi):
@@ -577,18 +577,20 @@ def test_integrate_is_the_plain_trial_major_loop(monkeypatch, coupling, self_ter
 
 
 def test_unit_frequencies_skip_only_a_zero_shift():
-    """The kernel drops the omega pass for omega = w* = 1 only: with omega = 1
-    and w* = 0.5 the drift still gains wdelta = 0.5."""
+    """omega None skips the omega pass, which for omega = w* = 1 only turns
+    -0.0 into +0.0; a given omega takes it: with omega = 1 and w* = 0.5 the
+    drift gains wdelta = 0.5."""
     p = blocked_problem()
     phi = make_rng(4).uniform(-3.0, 3.0, size=(3, p.n))
     ones = np.ones(p.n)
 
-    def drift_at(w_star):
-        ops = _Operands(p, sine(), ones, ones - w_star, len(phi))
+    def drift_at(omega, w_star):
+        ops = _Operands(p, sine(), omega, w_star, len(phi))
         next(ops.trial_blocks(phi))
         return _step_drift(ops, ops.phi, -0.7, 0.3).copy()
 
-    assert np.array_equal(drift_at(0.5), drift_at(1.0) + 0.5)
+    assert np.array_equal(drift_at(None, 1.0), drift_at(ones, 1.0))
+    assert np.array_equal(drift_at(ones, 0.5), drift_at(ones, 1.0) + 0.5)
 
 
 class CountingRng:
@@ -813,8 +815,9 @@ def test_sink_sees_only_checked_chunks(monkeypatch):
 
 
 def test_read_spins_mapping():
-    s = read_spins(np.array([0.0, np.pi, np.pi / 2, 2 * np.pi, -np.pi]))
-    assert s.s.tolist() == [1.0, -1.0, 1.0, 1.0, -1.0]
+    """The readout: +1 where cos(phi) >= 0 (ties at cos = 0 give +1), else -1."""
+    s = _spins_batch(np.array([0.0, np.pi, np.pi / 2, 2 * np.pi, -np.pi]))
+    assert s.tolist() == [1.0, -1.0, 1.0, 1.0, -1.0]
 
 
 def test_binarisation_residual_values():

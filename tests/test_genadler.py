@@ -3,10 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from oscising.genadler import (ROOT_TOL, LockEquilibrium, PeriodicSignal,
-                               cross_correlate, detuning_sweep,
-                               lock_equilibria, shil_bistability,
-                               signal_from_csv)
+from oscising.genadler import (PeriodicSignal, cross_correlate, detuning_sweep,
+                               lock_equilibria, shil_profile, signal_from_csv)
 
 GRID_1024 = np.arange(1024) * (2 * np.pi / 1024)
 
@@ -166,126 +164,185 @@ def test_degenerate_profile_flagged():
 
 
 def brent_locks(c, detuning, phi_in):
-    """The lock rules with each sign-change bracket refined by Brent's
-    method: (phi*, stable, degenerate) sorted by phi*."""
-    m, dx = c.m, 2 * np.pi / c.m
-    f = lambda phi: detuning - c.eval(phi - phi_in)
-    grid = np.arange(m) * dx
-    fg = f(grid)
-    scale = float(np.abs(c.samples).max())
+    """The lock rules with each root located by Brent's method on the
+    residual's own knot brackets [phi_in + k dx, phi_in + (k + 1) dx]: an
+    end carries f_k = detuning - samples[k] exactly, and c.eval gives f
+    inside.  (phi*, stable, degenerate) per root, phi* in [0, 2 pi)."""
+    s, m = c.samples, c.m
+    dx, scale = 2 * np.pi / m, float(np.abs(s).max())
     if scale == 0.0:
         return []
-    roots = []
-    for k in range(m):
-        fa, fb = fg[k], fg[(k + 1) % m]
-        if fa == 0.0:
-            roots.append(grid[k])
-        elif fa * fb < 0.0:
-            # the bracket's ends keep their sampled signs: f at grid[k] + dx
-            # can differ in the last bit from f at grid[k + 1]
-            a, b = grid[k], grid[k] + dx
-            ends = lambda x: fa if x == a else fb if x == b else f(x)
-            roots.append(brentq(ends, a, b, xtol=ROOT_TOL))
+    fk = detuning - s
     out = []
-    for r in roots:
-        cp = float((c.eval(r - phi_in + 0.5 * dx) - c.eval(r - phi_in - 0.5 * dx)) / dx)
+    for k in range(m):
+        a, b, fa, fb = phi_in + k * dx, phi_in + (k + 1) * dx, fk[k], fk[(k + 1) % m]
+        slope = (s[(k + 1) % m] - s[k]) / dx
+        if fa == 0.0:
+            r, cp = a, 0.5 * ((s[k] - s[k - 1]) / dx + slope)
+        elif (fa < 0.0 < fb) or (fb < 0.0 < fa):
+            ends = lambda x: fa if x == a else fb if x == b else detuning - c.eval(x - phi_in)
+            r, cp = brentq(ends, a, b, xtol=1e-12), slope
+        else:
+            continue
         degenerate = abs(cp) <= 1e-9 * scale
-        out.append((float(np.mod(r, 2 * np.pi)), cp < 0.0 and not degenerate, degenerate))
-    return sorted(out)
+        phi = float(np.mod(r, 2 * np.pi))
+        out.append((0.0 if phi == 2 * np.pi else phi, cp < 0.0 and not degenerate, degenerate))
+    return out
 
 
-# small integers give exact-zero samples and flat runs; floats give the rest
+def circle_gap(a, b):
+    """Distance of two angles on the circle."""
+    d = abs(a - b) % (2 * np.pi)
+    return min(d, 2 * np.pi - d)
+
+
+def assert_same_locks(got, want, tol=1e-10):
+    """got, a lock_equilibria list, and want, (phi*, stable, degenerate)
+    tuples, are one multiset: each root of got, in [0, 2 pi), pairs with
+    its own root of want with the same flags, within tol on the circle."""
+    left = list(want)
+    for e in got:
+        assert 0.0 <= e.phi_star < 2 * np.pi, e
+        hit = next((w for w in left if w[1:] == (e.stable, e.degenerate)
+                    and circle_gap(e.phi_star, w[0]) <= tol), None)
+        assert hit is not None, (e, want)
+        left.remove(hit)
+    assert not left, left
+
+
+# small integers give exact-zero samples and flat runs, +-1e-200 products
+# that underflow; floats give the rest
 sample = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
+                   st.sampled_from([-1e-200, 1e-200]),
                    st.floats(-2.0, 2.0, allow_nan=False))
+detunings = st.one_of(st.just(0.0), st.integers(-2, 2).map(float),
+                      st.floats(-2.5, 2.5, allow_nan=False))
+# off the grid and on it (k 2 pi / 64, the knots on grid points)
+phases = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False),
+                   st.integers(-200, 200).map(lambda k: k * 2 * np.pi / 64))
 
 
 @settings(max_examples=150, deadline=None)
-@given(samples=st.lists(sample, min_size=64, max_size=64),
-       detuning=st.one_of(st.just(0.0), st.integers(-2, 2).map(float),
-                          st.floats(-2.5, 2.5, allow_nan=False)),
-       phi_in=st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False),
-                        st.integers(-200, 200).map(lambda k: k * 2 * np.pi / 64)))
+@given(samples=st.lists(sample, min_size=64, max_size=64), detuning=detunings,
+       phi_in=phases)
 @example(samples=[0.0] * 64, detuning=0.0, phi_in=0.0)
 @example(samples=[0.0] * 62 + [-1.0, 0.0], detuning=-1e-277, phi_in=0.0)
-# f is -6e-32 on the cell before the -1 sample and +7e-15 at its right end
-# (rounding in eval): a straight line through the cell's ends puts the root
-# at the left end, a cell away from where f changes sign
 @example(samples=[0.0] * 59 + [-1.0] + [0.0] * 4, detuning=-6.105238998560496e-32,
          phi_in=0.0)
 @example(samples=[0.0] * 64, detuning=0.5, phi_in=0.3)
 @example(samples=[0.0, 1.0, -2.0, 1.5] * 16, detuning=0.0, phi_in=0.0)
 @example(samples=[0.0, 1.0, -2.0, 1.5] * 16, detuning=0.25, phi_in=0.5 * 2 * np.pi / 64)
-# a root at the wrap: lock_equilibria puts it 1 ulp below 2 pi, Brent's
-# method at 2 pi, which reads 0.0, so the sorted lists are a rotation apart
+# a root at the wrap, which one side may round to 2 pi (read as 0.0)
 @example(samples=[0.0] * 61 + [1.0, 0.0, 0.0], detuning=1e-30,
          phi_in=0.19634954084936107)
-# a zero plateau 27 cells to the right of the -1 sample, where phi_in is a
-# whole number of cells: rounding makes f +-tiny at the plateau's grid
-# points, so the bracket [44 dx, 45 dx] is flat and any point of it a root;
-# lock_equilibria picks 44 dx (stable, its slope window reaching the next
-# cell) and Brent's method 44.5 dx (degenerate)
+# a zero plateau: every knot of it a root, no segment root between them
 @example(samples=[0.0] * 16 + [1.0, 0.0, 0.0, -1.0] + [0.0] * 44, detuning=0.0,
          phi_in=27 * 2 * np.pi / 64)
 def test_lock_equilibria_match_brent_per_bracket(samples, detuning, phi_in):
-    """The batched bisection finds every root Brent's method finds, within
-    ROOT_TOL, with the same stable and degenerate flags; phi_in off the grid
-    puts a kink of the interpolant inside a cell, and phi_in on it (k 2 pi /
-    64) puts the kinks on grid points.  The roots are compared on the
-    circle: both lists are sorted in [0, 2 pi), and they are paired under
-    the rotation that makes the largest circular gap smallest.  A root in a
-    plateau cell, where f is zero to rounding at both ends and so across
-    the cell, can be any point of it, and its flags follow the point: such
-    a pair need only lie in one grid interval [k dx, (k + 1) dx]."""
+    """lock_equilibria returns the roots, and their stable and degenerate
+    flags, that Brent's method finds on the residual's knot brackets, as a
+    multiset, within 1e-10 on the circle, each phi* in [0, 2 pi)."""
     c = PeriodicSignal(np.array(samples))
-    got = lock_equilibria(c, detuning, phi_in)
-    want = brent_locks(c, detuning, phi_in)
-    assert len(got) == len(want)
-    m, dx = c.m, 2 * np.pi / c.m
-    flat = np.abs(detuning - c.eval(np.arange(m + 1) * dx - phi_in)) <= 1e-12 * max(
-        np.abs(c.samples).max(), abs(detuning))
-    cells = lambda x: {int(np.floor((x + d) / dx)) % m for d in (-ROOT_TOL, ROOT_TOL)}
-    gap = lambda a, b: min(abs(a - b), 2 * np.pi - abs(a - b))
-    pairings = [list(zip(got, want[k:] + want[:k])) for k in range(len(want))] or [[]]
-    pairs = min(pairings, key=lambda ps: max(
-        [gap(e.phi_star, w[0]) for e, w in ps], default=0.0))
-    for e, (phi, stable, degenerate) in pairs:
-        if gap(e.phi_star, phi) <= ROOT_TOL and (e.stable, e.degenerate) == (stable, degenerate):
-            continue
-        shared = cells(e.phi_star) & cells(phi)
-        assert any(flat[k] and flat[k + 1] for k in shared), (e, phi, stable, degenerate)
+    assert_same_locks(lock_equilibria(c, detuning, phi_in),
+                      brent_locks(c, detuning, phi_in))
 
 
 def test_lock_equilibria_kink_rounded_onto_the_cell_end():
-    """phi_in = -1.2e-26 puts the last cell's kink at a + dx, which rounds to
-    2 pi, where f wraps to f(0) with the shift lost: f there is +4e-102
-    while the sampled f(0) is -1.2e-25.  The root stays in the last cell,
-    just below 2 pi, where Brent's method puts it."""
+    """phi_in = -1.2e-26 puts the first knot just below 0, and the root on
+    the segment after it, 4e-102 of the way along, there too: np.mod rounds
+    it to 2 pi, which reads 0.0.  The solver and the knot oracle both give
+    63 roots, the 62 knots of the zero run and that one."""
     c = PeriodicSignal(np.array([-4.0073812798532255e-102, 1.0] + [0.0] * 62))
     got = lock_equilibria(c, 0.0, -1.179432275963258e-26)
     want = brent_locks(c, 0.0, -1.179432275963258e-26)
-    assert len(got) == len(want) == 62
-    assert got[-1].phi_star == pytest.approx(want[-1][0], abs=ROOT_TOL)
-    assert got[-1].phi_star < 2 * np.pi
-    assert [(e.stable, e.degenerate) for e in got] == [w[1:] for w in want]
+    assert len(got) == len(want) == 63
+    assert got[0].phi_star == 0.0
+    assert all(e.phi_star < 2 * np.pi for e in got)
+    assert_same_locks(got, want)
+
+
+DX_64 = 2 * np.pi / 64
+
+
+def locks_in_cells(samples, detuning=0.0, phi_in=0.0):
+    """(phi* / dx, stable, degenerate) of each root on the 64-sample grid."""
+    return [(e.phi_star / DX_64, e.stable, e.degenerate)
+            for e in lock_equilibria(PeriodicSignal(np.array(samples)), detuning, phi_in)]
+
+
+def test_lock_pair_inside_one_cell_is_found():
+    """A single -1 sample among 100s, with phi_in = 0.3 dx: a stable and an
+    unstable lock 1/101 dx either side of its knot, both inside the grid
+    cell [10 dx, 11 dx], whose ends have the same sign."""
+    s = np.full(64, 100.0)
+    s[10] = -1.0
+    (a, *fa), (b, *fb) = locks_in_cells(s, phi_in=0.3 * DX_64)
+    assert (fa, fb) == ([True, False], [False, False])
+    assert a == pytest.approx(10.3 - 1 / 101, abs=1e-12)
+    assert b == pytest.approx(10.3 + 1 / 101, abs=1e-12)
+
+
+def test_lock_stability_is_its_own_segments_slope():
+    """c falls across the segment [10 dx, 11 dx] holding the root at 10.1 dx,
+    so it is stable, although the next segment back rises steeply; Euler
+    steps of dphi/dt = c(phi) return to it from either side."""
+    s = np.full(64, -0.9)
+    s[9], s[10] = -10.0, 0.1
+    assert locks_in_cells(s) == [(pytest.approx(9 + 10 / 10.1), False, False),
+                                 (pytest.approx(10.1), True, False)]
+    c = PeriodicSignal(s)
+    for start in (10.05, 10.15):
+        phi = start * DX_64
+        for _ in range(400):
+            phi += 0.01 * float(c.eval(phi))
+        assert phi / DX_64 == pytest.approx(10.1, abs=1e-9)
+
+
+@pytest.mark.parametrize("unit, flags", [(1.0, (False, True)), (1e-200, (True, False))])
+def test_lock_between_tiny_samples_of_opposite_sign_is_found(unit, flags):
+    """samples[10] = 1e-200 and samples[11] = -1e-200: f changes sign across
+    the segment although the product of its ends underflows to -0.0.  The
+    root at 10.5 dx has slope -2e-200 / dx, degenerate against samples of 1
+    and stable against samples of 1e-200; the rising segment after it holds
+    an unstable one."""
+    s = np.full(64, unit)
+    s[10], s[11] = 1e-200, -1e-200
+    second = 11.0 if unit == 1.0 else 11.5
+    assert locks_in_cells(s) == [(10.5, *flags),
+                                 (pytest.approx(second, abs=1e-12), False, False)]
+
+
+def sorted_stable(c, detuning):
+    return sorted(e.phi_star for e in lock_equilibria(c, detuning) if e.stable)
 
 
 def test_shil_bistability_pair():
-    eq = shil_bistability(sig(np.cos), sig(np.sin), 0.0)
-    stable = sorted(e.phi_star for e in eq if e.stable)
+    stable = sorted_stable(shil_profile(sig(np.cos), sig(np.sin)), 0.0)
     assert len(stable) == 2
     assert stable[1] - stable[0] == pytest.approx(np.pi, abs=1e-6)
 
 
 def test_shil_bistability_out_of_range():
-    eq = shil_bistability(sig(np.cos), sig(np.sin), 10.0)
-    assert eq == []
+    assert lock_equilibria(shil_profile(sig(np.cos), sig(np.sin)), 10.0) == []
 
 
 def test_shil_stable_set_invariant_under_pi_shift():
-    eq = shil_bistability(sig(np.cos), sig(np.sin), 0.2)
-    stable = sorted(e.phi_star for e in eq if e.stable)
+    stable = sorted_stable(shil_profile(sig(np.cos), sig(np.sin)), 0.2)
     shifted = sorted((p + np.pi) % (2 * np.pi) for p in stable)
-    assert np.allclose(sorted(stable), sorted(shifted), atol=1e-6)
+    assert np.allclose(stable, shifted, atol=1e-6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(half=st.lists(sample, min_size=32, max_size=32), detuning=detunings,
+       phi_in=phases)
+def test_shil_stable_locks_pair_up_pi_apart(half, detuning, phi_in):
+    """A pi-periodic profile, its 64 samples two copies of 32, has its stable
+    locks in pairs pi apart, within 1e-12 on the circle."""
+    c = PeriodicSignal(np.tile(half, 2))
+    stable = [e.phi_star for e in lock_equilibria(c, detuning, phi_in) if e.stable]
+    assert len(stable) % 2 == 0
+    for p in stable:
+        assert min(circle_gap(p + np.pi, q) for q in stable) <= 1e-12
 
 
 def test_detuning_sweep_lock_range():

@@ -9,7 +9,7 @@ import pytest
 from helpers import cubic_ring_graph, same_bits
 from oscising import graphs
 from oscising.graphs import (GraphFormatError, WeightedGraph, parse_gset,
-                             random_graph, serialize_gset)
+                             random_graph)
 from oscising.ising import IsingProblem
 
 
@@ -69,16 +69,17 @@ def test_parse_rejects_malformed(text):
         parse_gset(text)
 
 
-def test_roundtrip_serialize_parse():
-    g = random_graph(17, 37.5, "uniform_range", seed=5)
-    g2 = parse_gset(serialize_gset(g), name=g.name)
-    assert g2.n == g.n
-    assert g2.edges() == g.edges()
+def test_parse_float_weights_exactly_in_file_order():
+    """Each pair becomes 0-based i < j, in the file's order, and each weight
+    the float64 its text rounds to."""
+    g = parse_gset("4 3\n2 1 0.1\n2 4 -2.5e-3\n3 4 1.7976931348623157e+308\n")
+    assert g.n == 4 and g.w.dtype == np.float64
+    assert g.edges() == [(0, 1, 0.1), (1, 3, -0.0025), (2, 3, 1.7976931348623157e308)]
 
 
-def test_roundtrip_integer_weights_stay_integers():
-    text = "3 2\n1 2 1\n1 3 -4\n"
-    assert serialize_gset(parse_gset(text)) == text
+def test_parse_integer_weights():
+    g = parse_gset("3 2\n1 2 1\n1 3 -4\n")
+    assert g.edges() == [(0, 1, 1.0), (0, 2, -4.0)]
 
 
 def test_random_graph_deterministic():

@@ -256,7 +256,7 @@ def test_factorised_drift_matches_edge_sum(p, seed, coupling, bsz, K, Ks):
     phi = rng.uniform(-20.0, 20.0, size=(bsz, p.n))
     scale = np.abs(p.jval).sum()
     ref_sum = edge_coupling_sum(p, coupling, phi)
-    ops = _Operands(p, coupling, bank.omega, bank.omega - 1.0, bsz)
+    ops = _Operands(p, coupling, bank.omega, 1.0, bsz)
     _sin_cos(phi.T, ops.s, ops.c, ops.tmp)
     floor = 4 * p.m * np.finfo(float).smallest_subnormal
     assert np.abs(_coupling_sum(ops, coupling, ops.sc).T - ref_sum).max() <= 1e-12 * scale + floor
@@ -369,7 +369,7 @@ def test_nonfinite_phase_gives_nonfinite_drift(p, seed, coupling, bad, K, Ks):
     phi[1, node] = bad
     omega = np.ones(p.n)
     with np.errstate(invalid="ignore"):
-        ops = _Operands(p, coupling, omega, omega - 1.0, len(phi))
+        ops = _Operands(p, coupling, omega, 1.0, len(phi))
         next(ops.trial_blocks(phi))
         d = _step_drift(ops, ops.phi, -K, Ks).T
     assert not np.isfinite(d[1, node])

@@ -1,10 +1,14 @@
 """Averaged injection-locking analysis for a single driven oscillator.
 
-The phase-sensitivity waveform p and the perturbation waveform b (both
-2*pi-periodic, possibly multi-channel) combine by circular
-cross-correlation into a scalar locking profile
+The phase-sensitivity waveform p and the perturbation waveform b, each a
+2*pi-periodic scalar sampled on the same uniform grid of M points, combine
+by circular cross-correlation into the locking profile
 
-    c(t) = integral_0^{2pi} p(t + tau)^T b(tau) dtau.
+    c(t) = integral_0^{2pi} p(t + tau) b(tau) dtau.
+
+Cross-correlation is linear, so a vector PPV's profile
+integral p(t + tau)^T b(tau) dtau is the sum of the scalar profiles of its
+channels: cross_correlate(p_k, b_k) summed over k.
 
 Equilibria of the averaged phase equation solve
 
@@ -48,18 +52,18 @@ def _grid(m: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicSignal:
-    """Uniform samples of a 2*pi-periodic function over [0, 2*pi).
+    """Uniform samples of a scalar 2*pi-periodic function over [0, 2*pi).
 
-    samples has shape (M,) or (M, channels) with M a power of two >= 64.
-    Evaluation interpolates linearly with wraparound.
+    samples has shape (M,) with M a power of two >= 64.  Evaluation
+    interpolates linearly with wraparound.
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.float64)
-        if s.ndim not in (1, 2):
-            raise ValueError("samples must be (M,) or (M, channels)")
+        if s.ndim != 1:
+            raise ValueError(f"samples must have shape (M,), got {s.shape}")
         _check_m(s.shape[0])
         if not np.isfinite(s).all():
             raise ValueError("samples must be finite")
@@ -75,45 +79,26 @@ class PeriodicSignal:
     def m(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def channels(self) -> int:
-        return 1 if self.samples.ndim == 1 else self.samples.shape[1]
-
     def eval(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         u = np.mod(x, TWO_PI) * (self.m / TWO_PI)
         k = np.floor(u).astype(np.int64) % self.m
         frac = u - np.floor(u)
-        s = self.samples
-        if s.ndim == 1:
-            return s[k] * (1.0 - frac) + s[(k + 1) % self.m] * frac
-        return s[k] * (1.0 - frac)[..., None] + s[(k + 1) % self.m] * frac[..., None]
-
-    def resampled(self, m: int) -> "PeriodicSignal":
-        if m == self.m:
-            return self
-        return PeriodicSignal(self.eval(_grid(m)))
+        return self.samples[k] * (1.0 - frac) + self.samples[(k + 1) % self.m] * frac
 
 
 def cross_correlate(p: PeriodicSignal, b: PeriodicSignal) -> PeriodicSignal:
-    """c(t) = integral of p(t + tau)^T b(tau) over one period.
+    """c(t) = integral of p(t + tau) b(tau) over one period, for two signals
+    on the same grid (equal M).
 
     Computed on the uniform grid by FFT (exact circular correlation of the
     sample sequences, scaled by 2*pi/M); spectrally accurate for
-    band-limited inputs.  Signals of different M are resampled to the finer
-    grid first.
+    band-limited inputs.
     """
-    m = max(p.m, b.m)
-    p, b = p.resampled(m), b.resampled(m)
-    if p.channels != b.channels:
-        raise ValueError(f"channel mismatch: {p.channels} vs {b.channels}")
-    ps = p.samples.reshape(m, -1)
-    bs = b.samples.reshape(m, -1)
-    acc = np.zeros(m)
-    for ch in range(ps.shape[1]):
-        spec = np.fft.rfft(ps[:, ch]) * np.conj(np.fft.rfft(bs[:, ch]))
-        acc += np.fft.irfft(spec, n=m)
-    return PeriodicSignal(acc * (TWO_PI / m))
+    if p.m != b.m:
+        raise ValueError(f"signals must have the same M, got {p.m} and {b.m}")
+    spec = np.fft.rfft(p.samples) * np.conj(np.fft.rfft(b.samples))
+    return PeriodicSignal(np.fft.irfft(spec, n=p.m) * (TWO_PI / p.m))
 
 
 @dataclass(frozen=True)
@@ -141,16 +126,18 @@ def lock_equilibria(c: PeriodicSignal, detuning_ratio: float,
     rounds a tiny negative angle to 2*pi, which is read as 0).  An empty
     list means the drive cannot lock at this detuning.
     """
-    if c.channels != 1:
-        raise ValueError("locking profile must be scalar")
     if not np.isfinite([detuning_ratio, phi_in]).all():
         raise ValueError("detuning_ratio and phi_in must be finite")
-    s = c.samples
-    scale = float(np.abs(s).max())
-    if scale == 0.0:
+    scale = float(np.abs(c.samples).max())
+    if scale == 0.0 or abs(detuning_ratio) > scale:
         return []
+    # f, its crossing fractions and the slopes reach about M max|c|: where
+    # that overflows, work in units of 2^shift, shift the exponent of max|c|
+    # (a power of two, so exact in the normal range)
+    shift = 0 if np.isfinite(scale * c.m) else np.frexp(scale)[1]
+    s, d, scale = (np.ldexp(x, -shift) for x in (c.samples, detuning_ratio, scale))
     dx = TWO_PI / c.m
-    f = detuning_ratio - s
+    f = d - s
     f1, slope = np.roll(f, -1), (np.roll(s, -1) - s) / dx
     knot = np.flatnonzero(f == 0.0)
     cell = np.flatnonzero(np.sign(f) * np.sign(f1) < 0.0)
@@ -170,8 +157,8 @@ def lock_equilibria(c: PeriodicSignal, detuning_ratio: float,
 def shil_profile(p2: PeriodicSignal, b2: PeriodicSignal) -> PeriodicSignal:
     """The pi-periodic profile c(t) = c2(2t) of the waveforms p2(2t) and
     b2(2t), with c2 the cross-correlation of p2 and b2."""
-    c2 = cross_correlate(p2, b2)
-    return PeriodicSignal(c2.samples[(2 * np.arange(c2.m)) % c2.m])
+    c2 = cross_correlate(p2, b2).samples
+    return PeriodicSignal(np.tile(c2[::2], 2))
 
 
 def signal_from_csv(path, m: int = 1024) -> PeriodicSignal:

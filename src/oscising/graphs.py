@@ -22,7 +22,7 @@ __all__ = [
     "random_graph",
 ]
 
-WEIGHT_MODES = ("unit", "pm_one", "uniform_range")
+WEIGHT_MODES = ("unit", "pm_one")
 PAIR_BLOCK = 1 << 16    # random_graph draws per block of pairs
 
 
@@ -206,24 +206,21 @@ def random_graph(n: int, density_percent: float, weight_mode: str = "unit",
     probability density_percent/100.
 
     Deterministic for a fixed seed (Philox counter-based generator).
-    Weights: "unit" -> 1, "pm_one" -> random sign, "uniform_range" ->
-    uniform over [-1, 1).
+    Weights: "unit" -> 1, "pm_one" -> random sign.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not 0 < density_percent <= 100:
         raise ValueError(f"density_percent must be in (0, 100], got {density_percent}")
     if weight_mode not in WEIGHT_MODES:
-        raise ValueError(f"unknown weight_mode {weight_mode!r}")
+        raise ValueError(f"unknown weight_mode {weight_mode!r}; expected one of {WEIGHT_MODES}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     ii, jj = _kept_pairs(n, density_percent / 100.0, rng)
     m = len(ii)
     if weight_mode == "unit":
         ww = np.ones(m)
-    elif weight_mode == "pm_one":
-        ww = rng.integers(0, 2, size=m) * 2.0 - 1.0
     else:
-        ww = rng.uniform(-1.0, 1.0, size=m)
+        ww = rng.integers(0, 2, size=m) * 2.0 - 1.0
     if not name:
         name = f"random_n{n}_d{density_percent:g}_{weight_mode}_s{seed}"
     return WeightedGraph(n=n, i=ii, j=jj, w=ww, name=name)

@@ -2,7 +2,7 @@
 import numpy as np
 from scipy import sparse
 
-from oscising.graphs import WeightedGraph
+from oscising.graphs import WeightedGraph, random_graph
 from oscising.ising import IsingProblem
 
 
@@ -17,6 +17,14 @@ def cubic_ring_graph(n: int = 8, weight: float = 1.0) -> WeightedGraph:
     edges = [(k, (k + 1) % n, weight) for k in range(n)]
     edges += [(k, k + n // 2, weight) for k in range(n // 2)]
     return WeightedGraph.from_edges(n, edges, name=f"cubic_ring_{n}")
+
+
+def uniform_random_graph(n: int, density_percent: float, seed: int) -> WeightedGraph:
+    """random_graph's seeded edges with float weights uniform over [-1, 1),
+    drawn from a stream of their own."""
+    g = random_graph(n, density_percent, "unit", seed=seed)
+    w = np.random.default_rng(seed).uniform(-1.0, 1.0, size=g.m)
+    return WeightedGraph(n=g.n, i=g.i, j=g.j, w=w, name=f"{g.name}_uniform")
 
 
 def gset_text(graph: WeightedGraph) -> str:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import recorder, scipy_csr
+from helpers import recorder, scipy_csr, uniform_random_graph
 from oscising.coupling import sine, smoothed_square
 from oscising.coloring import coloring_to_ising, us_states_instance
 from oscising.dynamics import (EDGE_TILE, IntegrationError, OscillatorBank,
@@ -39,7 +39,7 @@ def test_drift_two_oscillators_analytic():
 
 def test_drift_two_pi_shift_equivariance():
     rng = np.random.default_rng(5)
-    g = random_graph(8, 50, "uniform_range", seed=9)
+    g = uniform_random_graph(8, 50, seed=9)
     p = maxcut_to_ising(g)
     bank = OscillatorBank.uniform(8)
     phi = rng.uniform(0, 2 * np.pi, 8)
@@ -303,7 +303,7 @@ def test_integrate_steps_a_copy_and_records_snapshots():
 
 def blocked_problem():
     """A 30-node problem with self terms, m well above a block's width."""
-    g = random_graph(30, 40, "uniform_range", seed=3)
+    g = uniform_random_graph(30, 40, seed=3)
     h = np.linspace(-0.5, 0.5, 30)
     return IsingProblem(n=30, i=g.i, j=g.j, jval=-g.w, h=h)
 
@@ -433,7 +433,7 @@ def test_tiled_smoothed_square_sum_is_the_untiled_product(monkeypatch):
     workspace of 22 trials.  In each of three trial blocks, the last
     narrower, the tiled sum is bit-equal to the block's columns of the
     whole incidence times f(s_i c_j - c_i s_j), all node-major (n, B)."""
-    g = random_graph(80, 100, "uniform_range", seed=6)
+    g = uniform_random_graph(80, 100, seed=6)
     p = IsingProblem(n=80, i=g.i, j=g.j, jval=g.w.copy(), h=np.zeros(80))
     cpl = smoothed_square(6.0)
     assert p.m == 3160 and n_tiles(p, cpl) == 4

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,8 +30,7 @@ def test_grid_builders_reject_bad_sample_counts(tmp_path, m):
     path = tmp_path / "wave.csv"
     path.write_text("0,0\n0.5,1\n1,0\n")
     builders = (lambda: PeriodicSignal.from_function(np.sin, m),
-                lambda: signal_from_csv(path, m),
-                lambda: sig(np.sin).resampled(m))
+                lambda: signal_from_csv(path, m))
     for build in builders:
         with pytest.raises(ValueError, match=f"M must be a power of two >= 64, got {m}"):
             build()
@@ -84,22 +85,44 @@ def test_cross_correlate_shift_property():
 
 
 def test_cross_correlate_multichannel_sum():
-    two = PeriodicSignal(np.stack([np.cos(GRID_1024), np.sin(GRID_1024)], axis=1))
-    c = cross_correlate(two, two)
-    # sum of the two autocorrelations: pi cos(t) + pi cos(t) = 2 pi cos t
-    assert np.abs(c.samples - 2 * np.pi * np.cos(GRID_1024)).max() < 1e-6
+    """A vector PPV's profile is the sum of its channels' scalar profiles:
+    p = b = (cos, sin) gives pi cos t + pi cos t = 2 pi cos t."""
+    c = (cross_correlate(sig(np.cos), sig(np.cos)).samples
+         + cross_correlate(sig(np.sin), sig(np.sin)).samples)
+    assert np.abs(c - 2 * np.pi * np.cos(GRID_1024)).max() < 1e-6
 
 
 def test_cross_correlate_channel_mismatch():
-    two = PeriodicSignal(np.stack([np.cos(GRID_1024), np.sin(GRID_1024)], axis=1))
-    with pytest.raises(ValueError):
-        cross_correlate(two, sig(np.sin))
+    """Samples of shape (M, channels) are rejected, naming the shape."""
+    two = np.stack([np.cos(GRID_1024), np.sin(GRID_1024)], axis=1)
+    for samples in (two, two[:, :1], np.float64(1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"shape (M,), got {samples.shape}")):
+            PeriodicSignal(samples)
 
 
-def test_cross_correlate_resamples_different_m():
-    c = cross_correlate(sig(np.cos, 256), sig(np.sin, 1024))
-    assert c.m == 1024
-    assert np.abs(c.samples - (-np.pi * np.sin(GRID_1024))).max() < 1e-3
+def test_cross_correlate_rejects_different_m():
+    with pytest.raises(ValueError, match="same M, got 256 and 1024"):
+        cross_correlate(sig(np.cos, 256), sig(np.sin, 1024))
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.lists(finite, min_size=64, max_size=64),
+       b1=st.lists(finite, min_size=64, max_size=64),
+       b2=st.lists(finite, min_size=64, max_size=64))
+def test_cross_correlate_is_linear_in_the_perturbation(p, b1, b2):
+    """On one grid, the profile of b1 + b2 is the sum of the two profiles
+    within 1e-12 (1 + max|c|), max|c| taken at its Cauchy-Schwarz bound
+    (2 pi / M) |p| (|b1| + |b2|): the FFT's rounding scales with the
+    inputs, not with a profile that cancels."""
+    p, b1, b2 = (PeriodicSignal(np.array(x)) for x in (p, b1, b2))
+    whole = cross_correlate(p, PeriodicSignal(b1.samples + b2.samples)).samples
+    parts = cross_correlate(p, b1).samples + cross_correlate(p, b2).samples
+    norm = np.linalg.norm
+    bound = 2 * np.pi / 64 * norm(p.samples) * (norm(b1.samples) + norm(b2.samples))
+    assert np.abs(whole - parts).max() <= 1e-12 * (1.0 + bound)
 
 
 def test_adler_lock_pair():
@@ -310,6 +333,23 @@ def test_lock_between_tiny_samples_of_opposite_sign_is_found(unit, flags):
     second = 11.0 if unit == 1.0 else 11.5
     assert locks_in_cells(s) == [(10.5, *flags),
                                  (pytest.approx(second, abs=1e-12), False, False)]
+
+
+@pytest.mark.parametrize("knots, want", [({10: -1.5e308}, [(9.5, True), (10.5, False)]),
+                                         ({10: 0.0, 11: -1.5e308}, [(10.0, True), (11.5, False)])])
+def test_lock_roots_of_samples_near_the_float_maximum(knots, want):
+    """Samples of 1.5e308 with the given knots changed, detuning 0: unscaled,
+    f_k - f_{k+1} and the slopes overflow, which put these roots at 9.0 and
+    10.0 dx, and the crossing after the zero knot at 11.0 dx."""
+    s = np.full(64, 1.5e308)
+    s[list(knots)] = list(knots.values())
+    assert locks_in_cells(s) == [(pytest.approx(r, abs=1e-12), st, False) for r, st in want]
+
+
+def test_lock_detuning_beyond_the_profile_has_no_root():
+    """|d| > max|c|: no root, and d - c, which would overflow here, is never
+    formed."""
+    assert locks_in_cells(np.full(64, -1e307), detuning=1.79e308) == []
 
 
 def sorted_stable(c, detuning):

@@ -116,15 +116,14 @@ def triu_reference(n, density_percent, weight_mode, seed):
     keep = np.ones(len(iu), dtype=bool) if p >= 1.0 else rng.random(len(iu)) < p
     m = int(keep.sum())
     w = {"unit": lambda: np.ones(m),
-         "pm_one": lambda: rng.integers(0, 2, size=m) * 2.0 - 1.0,
-         "uniform_range": lambda: rng.uniform(-1.0, 1.0, size=m)}[weight_mode]()
+         "pm_one": lambda: rng.integers(0, 2, size=m) * 2.0 - 1.0}[weight_mode]()
     return iu[keep], ju[keep], w
 
 
 # 400 nodes: 79,800 pairs, so the first block of draws ends inside a row
 @pytest.mark.parametrize("n", [2, 3, 40, 400])
 @pytest.mark.parametrize("density", [7.5, 100])
-@pytest.mark.parametrize("mode", ["unit", "pm_one", "uniform_range"])
+@pytest.mark.parametrize("mode", ["unit", "pm_one"])
 def test_random_graph_matches_one_draw_over_all_pairs(n, density, mode):
     g = random_graph(n, density, mode, seed=n)
     for got, want in zip((g.i, g.j, g.w), triu_reference(n, density, mode, n)):
@@ -136,7 +135,7 @@ def test_random_graph_draw_blocks_make_the_same_graph(monkeypatch, block):
     """Blocks shorter than a row, as long as one and spanning several rows
     give the one-draw graph."""
     monkeypatch.setattr(graphs, "PAIR_BLOCK", block)
-    for mode in ("unit", "uniform_range"):
+    for mode in ("unit", "pm_one"):
         g = random_graph(41, 30, mode, seed=3)
         for got, want in zip((g.i, g.j, g.w), triu_reference(41, 30, mode, 3)):
             assert same_bits(got, want)
@@ -148,7 +147,7 @@ def test_random_graph_draw_blocks_make_the_same_graph(monkeypatch, block):
 @pytest.mark.parametrize("block", [1, 7, 1 << 16])
 def test_random_graph_edge_densities_match_one_draw(monkeypatch, density, block):
     monkeypatch.setattr(graphs, "PAIR_BLOCK", block)
-    for mode in ("unit", "uniform_range"):
+    for mode in ("unit", "pm_one"):
         g = random_graph(60, density, mode, seed=5)
         for got, want in zip((g.i, g.j, g.w), triu_reference(60, density, mode, 5)):
             assert same_bits(got, want)
@@ -202,6 +201,11 @@ def test_random_graph_benchmark_instances_are_pinned(n, density, m, digest):
 def test_random_graph_rejects_bad_args(n, density):
     with pytest.raises(ValueError):
         random_graph(n, density, "unit", seed=0)
+
+
+def test_random_graph_rejects_unknown_weight_mode():
+    with pytest.raises(ValueError, match=r"'uniform_range'; expected one of \('unit', 'pm_one'\)"):
+        random_graph(5, 50, "uniform_range", seed=0)
 
 
 def test_cubic_ring_graph_degrees():

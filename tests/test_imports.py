@@ -39,18 +39,46 @@ print(loaded())
 """
 
 
+def fresh_python(code: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(oscising.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_package_loads_no_sparse_interpolate_or_optimize():
     """A fresh interpreter: import oscising, build a smoothed square,
     evaluate its G, find lock roots, run trials with each coupling kind,
     evaluate an energy and run a Boltzmann check; no module of
     scipy.sparse, scipy.interpolate or scipy.optimize is ever loaded."""
-    src = str(Path(oscising.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "[]", ""]
+    assert fresh_python(PROBE).split("\n") == ["[]", "[]", ""]
+
+
+def numpy_submodules_after(statement: str) -> set[str]:
+    """The modules of numpy.random, numpy.fft and numpy.linalg loaded in a
+    fresh interpreter after statement."""
+    return set(fresh_python(f"""import sys
+{statement}
+print(*(m for m in sys.modules if m.startswith(("numpy.random", "numpy.fft", "numpy.linalg"))))
+""").split())
+
+
+def test_numpy_submodule_probe_sees_an_import():
+    assert "numpy.fft" in numpy_submodules_after("import numpy.fft")
+
+
+@pytest.mark.parametrize("module", ["oscising", "oscising.cli"])
+def test_import_loads_no_numpy_submodule_beyond_numpy_s_own(module):
+    """Importing the package or its CLI loads none of numpy.random, numpy.fft
+    and numpy.linalg that `import numpy` alone does not: each costs memory
+    and import time, and a run loads what it uses when it uses it.  numpy's
+    own set is the reference because older numpy imports them eagerly."""
+    assert numpy_submodules_after(f"import {module}") <= numpy_submodules_after("import numpy")
 
 
 def test_kernel_loader_names_the_path_it_searched(monkeypatch):

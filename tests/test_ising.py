@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import all_spin_configs, coupling_dict, cubic_ring_graph, same_bits, scipy_csr
+from helpers import (all_spin_configs, coupling_dict, cubic_ring_graph, same_bits, scipy_csr,
+                     uniform_random_graph)
 from oscising import ising
 from oscising.coupling import smoothed_square
 from oscising.graphs import WeightedGraph, random_graph
@@ -147,8 +148,9 @@ def test_cut_identity_property():
     rng = np.random.default_rng(123)
     checked = 0
     for gseed in range(100):
-        g = random_graph(int(rng.integers(2, 30)), float(rng.uniform(5, 100)),
-                         ("unit", "pm_one", "uniform_range")[gseed % 3], seed=gseed)
+        n, density = int(rng.integers(2, 30)), float(rng.uniform(5, 100))
+        g = (uniform_random_graph(n, density, seed=gseed) if gseed % 3 == 2
+             else random_graph(n, density, ("unit", "pm_one")[gseed % 3], seed=gseed))
         p = maxcut_to_ising(g)
         s = 1.0 - 2.0 * rng.integers(0, 2, size=(100, g.n))
         cuts = np.array([cut_value(g, row) for row in s])
@@ -161,7 +163,7 @@ def test_cut_identity_property():
 
 def test_spin_flip_symmetry_when_h_zero():
     rng = np.random.default_rng(7)
-    g = random_graph(12, 40, "uniform_range", seed=8)
+    g = uniform_random_graph(12, 40, seed=8)
     p = maxcut_to_ising(g)
     for _ in range(50):
         s = 1.0 - 2.0 * rng.integers(0, 2, size=12)
@@ -216,7 +218,7 @@ def untiled_edge_sum(g, x, term):
 def test_edge_sum_is_the_untiled_row_sum(monkeypatch, term, tile):
     """Float weights, whose sums depend on the order of the additions; a
     row alone, its row in a batch and the untiled sum agree bit for bit."""
-    g = random_graph(30, 40, "uniform_range", seed=4)
+    g = uniform_random_graph(30, 40, seed=4)
     monkeypatch.setattr(ising, "EDGE_TILE", g.m if tile == "m" else tile)
     x = np.random.default_rng(5).uniform(-3.0, 3.0, size=(6, g.n))
     x[1] = np.where(x[1] < 0, -1.0, 1.0)        # a row of spins

@@ -48,7 +48,9 @@ def _add_run_options(sp, trials_default):
     sp.add_argument("--k-max", type=float, default=1.0)
     sp.add_argument("--ks-max", type=float, default=1.0)
     sp.add_argument("--kn-high", type=float, default=1.0)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="processes over the batches of trials, on top of the "
+                         "threads each run steps its trial blocks on")
     sp.add_argument("--out", help="write stats JSON here (default: stdout)")
 
 

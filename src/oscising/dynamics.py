@@ -17,20 +17,28 @@ g(2 phi_i) = f(2 s_i c_i).  For sine the coupling sum is s_i (J c)_i -
 c_i (J s)_i, one sparse product of diag(J, J) with [s | c].
 
 The trials step in blocks of w whose (n, w) float64 arrays fit
-STEP_BLOCK_BYTES, on one node-major workspace (_Operands); within a block a
-step allocates one array, numpy's iterator buffer for the add of the
-transposed noise, besides 0-d views and the schedule of STEP_CHUNK steps.
-Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1), on the
-streams harness._run states.  Samples leave a run through one seam:
-_integrate writes sampled steps into a block's bounded buffer and hands
-them, checked finite, to a sink.  Phases are kept unwrapped.
+STEP_BLOCK_BYTES, each on a node-major workspace (_Operands); within a
+block a step allocates one array, numpy's iterator buffer for the add of
+the transposed noise, besides 0-d views and the schedule of STEP_CHUNK
+steps.  A run of several blocks steps them on min(blocks, usable CPUs)
+threads, each with its own workspace over the run's shared read-only
+operands, so its workspace memory is threads x one block; with one block
+or one usable CPU no thread starts.  Noise enters as
+phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1), on the streams harness._run
+states.  Samples leave a run through one seam: _integrate writes sampled
+steps into a block's bounded buffer and hands them, checked finite, to a
+sink, which is called under a lock.  Phases are kept unwrapped.
 """
 from __future__ import annotations
 
+import copy
 import importlib.machinery
 import importlib.util
 import os
+import queue
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,6 +84,15 @@ def _load_csr_matvecs():
 
 
 csr_matvecs = _load_csr_matvecs()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else os.cpu_count(), else 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 class IntegrationError(RuntimeError):
@@ -188,8 +205,9 @@ class _Operands:
     layers of one flat buffer, phi (the block's phases), d (the drift, into
     which the coupling sum is written), tmp (also the (w, n) noise), sc =
     [s | c], jsc = [js | jc] (sine), then the constants h (self terms),
-    omega and wdelta = omega - omega_star, bound to each block by
-    trial_blocks.  A given omega, (n,) or (B, n), takes the omega pass;
+    omega and wdelta = omega - omega_star, bound to each block by load;
+    workspace() gives another, for a second thread, over the same read-only
+    operands.  A given omega, (n,) or (B, n), takes the omega pass;
     omega None means every omega = w* = 1, and the drift skips the pass,
     which would only turn -0.0 into +0.0.  Sine: csr_matvecs adds
     diag(J, J) sc, seen as (2n, w), into jsc.  Smoothed square: tiles holds per edge tile
@@ -228,6 +246,16 @@ class _Operands:
             self.edges = np.empty((3, len(self.edge_tiles[0][0]) * self.width))
         self._bind(self.width)
 
+    def workspace(self) -> "_Operands":
+        """Another workspace of this run: its own nodes and edges buffers
+        over the same read-only operands (matrix, edge tiles, rows)."""
+        other = copy.copy(self)
+        other.nodes = np.empty_like(self.nodes)
+        if not self.sine:
+            other.edges = np.empty_like(self.edges)
+        other._bind(self.width)
+        return other
+
     def _bind(self, w: int) -> None:
         """Views of w trials at the start of each buffer."""
         n = self.problem.n
@@ -248,16 +276,15 @@ class _Operands:
                 x, y, z = (e[:len(i) * w].reshape(len(i), w) for e in self.edges)
                 self.tiles.append((i, j, x, y, z, _product_args(tile, x, self.d)))
 
-    def trial_blocks(self, phi: np.ndarray):
-        """Yield (lo, hi) for each block of rows of the (B, n) phases phi,
-        the workspace bound to it with its phases and constants loaded."""
-        for lo in range(0, len(phi), self.width):
-            hi = min(lo + self.width, len(phi))
-            if hi - lo != self.phi.shape[1]:
-                self._bind(hi - lo)
-            np.copyto(self.consts, self.rows[lo:hi].transpose(1, 2, 0))
-            np.copyto(self.phi, phi[lo:hi].T)
-            yield lo, hi
+    def load(self, phi: np.ndarray, lo: int) -> int:
+        """Bind the workspace to the block of rows lo:hi of the (B, n)
+        phases phi, loading its phases and constants; returns hi."""
+        hi = min(lo + self.width, len(phi))
+        if hi - lo != self.phi.shape[1]:
+            self._bind(hi - lo)
+        np.copyto(self.consts, self.rows[lo:hi].transpose(1, 2, 0))
+        np.copyto(self.phi, phi[lo:hi].T)
+        return hi
 
     @property
     def incidence(self):
@@ -348,7 +375,8 @@ def drift(problem: IsingProblem, coupling: CouplingFunction,
     ops = _Operands(problem, coupling, None if bank.is_uniform else bank.omega, 1.0,
                     len(rows))
     out = np.empty(rows.shape)
-    for lo, hi in ops.trial_blocks(rows):
+    for lo in range(0, len(rows), ops.width):
+        hi = ops.load(rows, lo)
         out[lo:hi] = _step_drift(ops, ops.phi, -K, Ks if Ks != 0.0 else None).T
     return out.reshape(phi.shape)
 
@@ -362,60 +390,92 @@ def _n_steps(t_end: float, dt: float) -> int:
     return int(np.floor(t_end / dt + 1e-9))
 
 
-def _flush(sink, steps: np.ndarray, rows: np.ndarray, dt: float, lo: int, hi: int) -> None:
-    """Hand a block's (k, n, w) sample rows and their steps to the sink as
-    read-only views (broadcast_to makes them so), or raise IntegrationError
-    naming the first non-finite row in (k, w, n) order."""
+def _flush(sink, lock, steps: np.ndarray, rows: np.ndarray, dt: float,
+           lo: int, hi: int) -> None:
+    """Hand a block's (k, n, w) sample rows and their steps to the sink,
+    under lock, as read-only views (broadcast_to makes them so), or raise
+    IntegrationError naming the first non-finite row in (k, w, n) order."""
     if not np.isfinite(rows).all():
         r, _, i = np.argwhere(~np.isfinite(rows.transpose(0, 2, 1)))[0]
         raise IntegrationError(f"non-finite phase at index {i} (t={steps[r] * dt:g})")
-    sink(np.broadcast_to(steps, steps.shape), np.broadcast_to(rows, rows.shape), lo, hi)
+    with lock:
+        sink(np.broadcast_to(steps, steps.shape), np.broadcast_to(rows, rows.shape), lo, hi)
+
+
+def _in_threads(step_block, spaces: list, starts: range) -> None:
+    """step_block(ws, lo) for each lo of starts, on one thread per workspace
+    of spaces, each block taking a free workspace ws from a queue.  The
+    blocks are consumed in order, so the error raised is the first failing
+    block's, once every block before it has run, as in a serial run; the
+    blocks not yet started are then dropped, and every thread is joined."""
+    free = queue.SimpleQueue()
+    for ws in spaces:
+        free.put(ws)
+
+    def run(lo):
+        ws = free.get()
+        try:
+            step_block(ws, lo)
+        finally:
+            free.put(ws)
+
+    with ThreadPoolExecutor(len(spaces)) as pool:
+        for _ in pool.map(run, starts):
+            pass
 
 
 def _integrate(problem: IsingProblem, coupling: CouplingFunction,
                omega: np.ndarray | None, omega_star: float,
                schedule: Schedule, dt: float, n_steps: int,
                phi: np.ndarray, rngs: list[np.random.Generator],
-               every: int = 1, sink=None) -> np.ndarray:
+               every: int = 1, sink=None, threads: int | None = None) -> np.ndarray:
     """Shared fixed-step core; phi is (B, n) float64, omega (n,),
     per-trial (B, n) or None (uniform), one RNG stream per row.  Returns
     phi, overwritten with the finals.
 
-    Per block (_Operands.trial_blocks), a step runs the drift of the
+    Per block of rows (_Operands.load), a step runs the drift of the
     block's (n, w) phases, then one standard_normal(n) per row b from
     rngs[b] alone into row b of the (w, n) noise buffer, then the Euler
     update, which adds the buffer's transpose.  Rows never mix, so batched,
-    blocked and one-at-a-time runs are bit-equal.  A step's -K, Ks and
-    Kn sqrt(dt) are 0-d views (see _HALF) of arrays evaluated per chunk of
-    STEP_CHUNK steps.
+    blocked, threaded and one-at-a-time runs are bit-equal.  A step's -K,
+    Ks and Kn sqrt(dt) are 0-d views (see _HALF) of arrays evaluated per
+    chunk of STEP_CHUNK steps.
+
+    The thread rule: the blocks step on min(blocks, threads) threads,
+    threads defaulting to _usable_cpus(), each thread with its own
+    workspace (_Operands.workspace), so the workspace memory is threads x
+    one block; with one, the blocks step inline and no thread starts.
+    Every thread is joined before _integrate returns or raises.
 
     The sample seam: with a sink, steps 0, every, 2 every, ... and the last
     are sampled, a sampled step's update writing into the next row of the
     block's buffer of at most STEP_CHUNK // every rows and SAMPLE_BYTES
     (one row is the state itself).  Step 0, each full buffer and the last
     rows go to sink(steps, rows, lo, hi), rows (k, n, w), as read-only
-    views valid during the call, once checked finite: IntegrationError
-    names the first non-finite row's index and t, in the first block with
-    one.  So memory does not grow with n_steps.  Without a sink nothing is
-    checked: a non-finite row stays so, and the caller reads the finals.
-    omega_star (1.0 at every caller) sets wdelta; it stays as
-    perfbench/layertrace.py wraps it.
+    views valid during the call, once checked finite, one call at a time
+    under a lock: IntegrationError names the first non-finite row's index
+    and t, in the first block with one.  So memory does not grow with
+    n_steps.  Without a sink nothing is checked: a non-finite row stays
+    so, and the caller reads the finals.  omega_star (1.0 at every caller)
+    sets wdelta; it stays as perfbench/layertrace.py wraps it.
     """
     ops = _Operands(problem, coupling, omega, omega_star, len(phi))
-    dt_0d, sqrt_dt = np.array(dt), np.sqrt(dt)
-    if sink:    # rows of a block's sample buffer, past step 0
-        cap = max(1, min(-(-n_steps // every), STEP_CHUNK // every,
-                         SAMPLE_BYTES // ops.phi.nbytes))
-        flat, steps = np.empty(cap * ops.phi.size * (cap > 1)), np.empty(cap, np.int64)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for lo, hi in ops.trial_blocks(phi):
+    starts = range(0, len(phi), ops.width)
+    threads = min(len(starts), _usable_cpus() if threads is None else threads)
+    dt_0d, sqrt_dt, lock = np.array(dt), np.sqrt(dt), threading.Lock()
+    # rows of a block's sample buffer, past step 0
+    cap = max(1, min(-(-n_steps // every), STEP_CHUNK // every,
+                     SAMPLE_BYTES // ops.phi.nbytes))
+
+    def step_block(ops, lo):
+        with np.errstate(invalid="ignore", over="ignore"):   # numpy's is per thread
+            hi = ops.load(phi, lo)
             noise, noise_t, streams = ops.noise, ops.noise.T, list(zip(rngs[lo:hi], ops.noise))
             state = cur = ops.phi
             if sink:
-                buf = (state[None] if cap == 1 else
-                       flat[:cap * state.size].reshape(cap, *state.shape))
-                steps[0], r = 0, 0
-                _flush(sink, steps[:1], state[None], dt, lo, hi)
+                buf = state[None] if cap == 1 else np.empty((cap, *state.shape))
+                steps, r = np.zeros(cap, np.int64), 0
+                _flush(sink, lock, steps[:1], state[None], dt, lo, hi)
             for first in range(0, n_steps, STEP_CHUNK):
                 k_arr, ks_arr, kn_arr = schedule.eval_arrays(
                     np.arange(first, min(first + STEP_CHUNK, n_steps)) * dt)
@@ -436,9 +496,16 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
                     if sampled:
                         steps[r], r = step, r + 1
                         if r == cap or step == n_steps:
-                            _flush(sink, steps[:r], buf[:r], dt, lo, hi)
+                            _flush(sink, lock, steps[:r], buf[:r], dt, lo, hi)
                             r = 0
             phi[lo:hi] = cur.T
+
+    if threads <= 1:
+        for lo in starts:
+            step_block(ops, lo)
+    else:
+        _in_threads(step_block, [ops] + [ops.workspace() for _ in range(threads - 1)],
+                    starts)
     return phi
 
 

@@ -13,7 +13,6 @@ _basin_keys labels a cell by its left edge on half-open intervals, as cut.
 from __future__ import annotations
 
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,7 +24,7 @@ import numpy as np
 from . import coupling as cpl
 from .coupling import CouplingFunction
 from .dynamics import (IntegrationError, OscillatorBank, Trajectory, _check_sizes,
-                       _integrate, _n_steps, _spins_batch, make_rng)
+                       _integrate, _n_steps, _spins_batch, _usable_cpus, make_rng)
 from .graphs import WeightedGraph, random_graph
 from .ising import (IsingProblem, SpinConfig, cut_batch, hamiltonian_batch,
                     maxcut_to_ising)
@@ -75,14 +74,16 @@ def _need_int(name: str, value, lo: int) -> None:
 def _run(problem: IsingProblem, coupling: CouplingFunction, schedule: Schedule,
          dt: float, n_steps: int, keys: list[int], *,
          omega: np.ndarray | None = None, sigma: float = 0.0,
-         phase_hi: float = np.pi, every: int = 1, sink=None) -> np.ndarray:
+         phase_hi: float = np.pi, every: int = 1, sink=None,
+         threads: int | None = None) -> np.ndarray:
     """One batch of runs, one per stream key.  The stream contract: row b
     draws from make_rng(keys[b]), in order, its frequencies 1 + sigma N(0, 1)
     if sigma > 0 (else omega, None for all 1), its phases uniform on
     [0, phase_hi) and then one standard_normal(n) per step, so it depends
     on its integer key alone.  A non-positive frequency raises ValueError
     naming trial key mod 2**64.  Returns the (B, n) finals; every and sink
-    are _integrate's sample seam, whose buffer bounds the memory."""
+    are _integrate's sample seam, whose buffer bounds the memory, and
+    threads caps its block threads."""
     for key in keys:
         _need_int("seed", key, 0)
     rngs = [make_rng(key) for key in keys]
@@ -96,7 +97,7 @@ def _run(problem: IsingProblem, coupling: CouplingFunction, schedule: Schedule,
                                  f"(variability sigma={sigma:g})") from exc
     phi0 = np.stack([rng.uniform(0.0, phase_hi, size=problem.n) for rng in rngs])
     return _integrate(problem, coupling, omega, 1.0, schedule, dt, n_steps,
-                      phi0, rngs, every=every, sink=sink)
+                      phi0, rngs, every=every, sink=sink, threads=threads)
 
 
 def simulate(problem: IsingProblem, coupling: CouplingFunction,
@@ -273,10 +274,12 @@ def _finalize_stats(idx, h, cut, spins, target, wall) -> TrialStats:
 def _run_chunk(problem: IsingProblem, variant: AblationVariant,
                schedule: Schedule, coupling: CouplingFunction, base_seed: int,
                dt: float, n_steps: int, graph: WeightedGraph | None,
-               trial_indices: np.ndarray):
-    """Integrate one batch of trials; returns their final H, cut and spins."""
+               threads: int, trial_indices: np.ndarray):
+    """Integrate one batch of trials on at most `threads` threads; returns
+    their final H, cut and spins."""
     keys = [trial_seed(base_seed, int(k)) for k in trial_indices]
-    phi = _run(problem, coupling, schedule, dt, n_steps, keys, sigma=variant.sigma)
+    phi = _run(problem, coupling, schedule, dt, n_steps, keys, sigma=variant.sigma,
+               threads=threads)
     done = np.isfinite(phi).all(axis=1)
     spins = _spins_batch(np.where(done[:, None], phi, 0.0))
     h = np.where(done, hamiltonian_batch(problem, spins), np.nan)
@@ -298,7 +301,9 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
     counted and excluded from the aggregates.  trial_offset shifts the
     global trial numbering: runs over disjoint ranges, concatenated,
     reproduce the single run's per-trial results.  The pool holds at most
-    min(workers, number of batches, CPU count) processes.
+    min(workers, number of batches, usable CPUs) processes, and each batch
+    steps its trial blocks on at most max(1, usable CPUs // pool size)
+    threads, so processes x threads stay within the usable CPUs.
     """
     for name, value, lo in (("n_trials", n_trials, 1), ("batch_size", batch_size, 1),
                             ("workers", workers, 1), ("trial_offset", trial_offset, 0)):
@@ -311,9 +316,10 @@ def run_trials(problem: IsingProblem, variant: AblationVariant,
     lo, hi = trial_offset, trial_offset + n_trials
     chunks = [np.arange(s, min(s + batch_size, hi))
               for s in range(lo, hi, batch_size)]
+    cpus = _usable_cpus()
+    pool_size = min(workers, len(chunks), cpus)
     run_chunk = partial(_run_chunk, problem, variant, sched, coupling,
-                        base_seed, dt, n_steps, graph)
-    pool_size = min(workers, len(chunks), os.cpu_count() or 1)
+                        base_seed, dt, n_steps, graph, max(1, cpus // pool_size))
     t0 = time.perf_counter()
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:

@@ -1,10 +1,12 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import recorder, scipy_csr, uniform_random_graph
+from helpers import recorder, same_bits, scipy_csr, uniform_random_graph
 from oscising.coupling import sine, smoothed_square
 from oscising.coloring import coloring_to_ising, us_states_instance
 from oscising.dynamics import (EDGE_TILE, IntegrationError, OscillatorBank,
@@ -446,7 +448,8 @@ def test_tiled_smoothed_square_sum_is_the_untiled_product(monkeypatch):
     ops = _Operands(p, cpl, None, 1.0, len(phi))
     assert len(ops.tiles) == 40
     blocks = []
-    for lo, hi in ops.trial_blocks(phi):
+    for lo in range(0, len(phi), ops.width):
+        hi = ops.load(phi, lo)
         _sin_cos(ops.phi, ops.s, ops.c, ops.tmp)
         assert np.array_equal(_coupling_sum(ops, cpl, ops.sc), ref[:, lo:hi])
         blocks.append(hi - lo)
@@ -586,7 +589,7 @@ def test_unit_frequencies_skip_only_a_zero_shift():
 
     def drift_at(omega, w_star):
         ops = _Operands(p, sine(), omega, w_star, len(phi))
-        next(ops.trial_blocks(phi))
+        ops.load(phi, 0)
         return _step_drift(ops, ops.phi, -0.7, 0.3).copy()
 
     assert np.array_equal(drift_at(None, 1.0), drift_at(ones, 1.0))
@@ -640,20 +643,23 @@ def block_case(name):
 @pytest.mark.parametrize("case", ["sine", "us_map", "variability"])
 def test_blocked_runs_are_bit_equal(monkeypatch, case):
     """13 trials stepped in blocks of one, in three uneven blocks (5, 5, 3)
-    and in one whole block give bit-equal finals and records."""
+    and in one whole block, each on 1, 2 and 4 usable CPUs (so on up to 4
+    threads), give bit-equal finals and records."""
     p, coupling, sigma = block_case(case)
     assert p.has_self_terms == (case == "us_map")
     B = 13
     sched = Schedule(1.0, [(0.0, 0.8), (1.0, 0.6)], [(0.0, 0.0), (0.1, 0.0), (1.0, 0.4)],
                      [(0.0, 0.1), (1.0, 0.5)])
     runs = []
-    for blocks, width in ((B, 1), (3, 5), (1, B)):
-        monkeypatch.setattr(dynamics, "STEP_BLOCK_BYTES", -(-8 * p.n * B // blocks))
-        assert block_width(p.n, B) == width
-        records, sink = recorder(9, 4, B, p.n)
-        final = _run(p, coupling, sched, 0.05, 9, list(range(100, 100 + B)),
-                     sigma=sigma, every=4, sink=sink)
-        runs.append((final, records))
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+        for blocks, width in ((B, 1), (3, 5), (1, B)):
+            monkeypatch.setattr(dynamics, "STEP_BLOCK_BYTES", -(-8 * p.n * B // blocks))
+            assert block_width(p.n, B) == width
+            records, sink = recorder(9, 4, B, p.n)
+            final = _run(p, coupling, sched, 0.05, 9, list(range(100, 100 + B)),
+                         sigma=sigma, every=4, sink=sink)
+            runs.append((final, records))
     for final, records in runs[1:]:
         assert np.array_equal(final, runs[0][0])
         assert np.array_equal(records, runs[0][1])
@@ -677,10 +683,12 @@ def test_a_step_allocates_only_the_transposed_noise_add(monkeypatch):
     noise draws and the Euler update, peaks at the buffer numpy's iterator
     takes for the transposed noise, measured here on a bare add of the same
     shapes (8 min(n w, 8192) bytes on numpy 2.4), plus 2 kB for 0-d views
-    and scalars."""
+    and scalars.  The blocks step on one thread, since tracemalloc's
+    counters are process-wide and would mix the steps of two threads."""
     p = coloring_to_ising(us_states_instance(4))
     B, steps = 64, 6
     monkeypatch.setattr(dynamics, "STEP_BLOCK_BYTES", 8 * p.n * 24)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
     width = block_width(p.n, B)
     assert width == 22
     rng = make_rng(3)
@@ -715,11 +723,12 @@ def test_a_step_allocates_only_the_transposed_noise_add(monkeypatch):
 
 
 def test_workspace_scales_with_the_block_not_the_batch(monkeypatch):
-    """At a fixed block width of 4, a record-free run of 64 trials peaks
-    within 2 kB of a run of 8: the workspace and the noise buffer are
-    (n, 4), whatever B."""
+    """At a fixed block width of 4, on 2 usable CPUs, a record-free run of
+    64 trials peaks within 2 kB of a run of 8: both step on two threads,
+    each with an (n, 4) workspace and noise buffer, whatever B."""
     p = blocked_problem()
     monkeypatch.setattr(dynamics, "STEP_BLOCK_BYTES", 8 * p.n * 4)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     sched = constant_schedule(1.0, 0.8, 0.4, 0.3)
 
     def peak(B):
@@ -812,6 +821,208 @@ def test_sink_sees_only_checked_chunks(monkeypatch):
         _integrate(p, sine(), np.array([1.0, 1e308]), 1.0, constant_schedule(20.0, 0.0, 0.0, 0.0),
                    0.5, 40, np.zeros((1, 2)), [make_rng(0)], sink=sink)
     assert seen == [0, 1, 2]
+
+
+def one_trial_blocks(monkeypatch, cpus):
+    """Blocks of one trial of the two-spin problem, on `cpus` usable CPUs."""
+    monkeypatch.setattr(dynamics, "STEP_BLOCK_BYTES", 16)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+
+
+def test_threaded_nonfinite_row_is_the_serial_one(monkeypatch):
+    """Three one-trial blocks, the second starting at an infinite phase, on
+    three threads: no warning escapes a thread (numpy's error state is per
+    thread, and a RuntimeWarning fails the tests), and the finals are
+    bit-equal to the serial run's, non-finite row and all."""
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    sched = constant_schedule(20.0, 1.0, 0.0, 0.0)   # Kn = 0
+
+    def run(cpus):
+        one_trial_blocks(monkeypatch, cpus)
+        phi = np.array([[0.0, 0.0], [0.0, np.inf], [0.3, 1.0]])
+        return _integrate(p, sine(), np.ones(2), 1.0, sched, 0.5, 40, phi,
+                          [make_rng(k) for k in range(3)])
+
+    serial = run(1)
+    assert np.isfinite(serial[[0, 2]]).all() and not np.isfinite(serial[1]).all()
+    assert same_bits(run(3), serial)
+
+
+class MeetingRng:
+    """A stream whose first draw waits at a barrier, so the threads of the
+    blocks that share it run at once."""
+
+    def __init__(self, seed, barrier):
+        self.gen, self.barrier = make_rng(seed), barrier
+
+    def standard_normal(self, out):
+        if self.barrier is not None:
+            self.barrier.wait(5.0)
+            self.barrier = None
+        return self.gen.standard_normal(out=out)
+
+
+def test_threaded_sink_sees_only_checked_chunks(monkeypatch):
+    """Three one-trial blocks on three threads, with chunks of two samples:
+    the second block's phase 1 overflows at t = 180 and the third's phase 0
+    at t = 2, sooner, the two blocks stepping at once (MeetingRng).  The
+    error is the second block's, as in a serial run, which never starts the
+    third; the sink sees only finite rows, and the first two blocks'
+    samples are the serial run's."""
+    monkeypatch.setattr(dynamics, "STEP_CHUNK", 2)
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    omega = np.array([[1.0, 1.0], [1.0, 1e306], [1e308, 1.0]])
+
+    def run(cpus):
+        one_trial_blocks(monkeypatch, cpus)
+        seen = {0: [], 1: [], 2: []}
+        rngs = [make_rng(k) for k in range(3)]
+        if cpus > 1:
+            barrier = threading.Barrier(2)
+            rngs[1:] = [MeetingRng(k, barrier) for k in (1, 2)]
+
+        def sink(steps, rows, lo, hi):
+            assert np.isfinite(rows).all()
+            seen[lo].extend(steps.tolist())
+
+        with pytest.raises(IntegrationError) as err:
+            _integrate(p, sine(), omega, 1.0, constant_schedule(200.0, 0.0, 0.0, 0.0),
+                       0.5, 400, np.zeros((3, 2)), rngs, sink=sink)
+        return str(err.value), seen
+
+    message, seen = run(1)
+    assert message == "non-finite phase at index 1 (t=180)"
+    assert seen[0] == list(range(401)) and seen[2] == []
+    threaded, threaded_seen = run(3)
+    assert threaded == message
+    assert [threaded_seen[0], threaded_seen[1]] == [seen[0], seen[1]]
+
+
+def test_threads_call_the_sink_one_at_a_time(monkeypatch):
+    """Two one-trial blocks on two threads: the first sink call waits up
+    to 0.2 s for a second one to begin, which the lock holds back until
+    the first returns."""
+    one_trial_blocks(monkeypatch, 2)
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    inside, depths, second = [], [], threading.Event()
+
+    def sink(steps, rows, lo, hi):
+        inside.append(lo)
+        depths.append(len(inside))
+        if len(depths) == 1:
+            second.wait(0.2)
+        else:
+            second.set()
+        inside.remove(lo)
+
+    _integrate(p, sine(), np.ones(2), 1.0, constant_schedule(1.0, 1.0, 0.5, 0.2), 0.1, 10,
+               np.zeros((2, 2)), [make_rng(k) for k in range(2)], every=5, sink=sink)
+    assert len(depths) == 4 and max(depths) == 1
+
+
+def test_many_threads_step_each_block_once(monkeypatch):
+    """24 one-trial blocks on 8 threads, more than the cores, switching
+    every microsecond: each sample of each block reaches the sink once, a
+    read-modify-write count in the sink loses no call, every thread is
+    joined on return, and finals and records are the serial run's."""
+    p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
+    B, sched = 24, constant_schedule(1.0, 1.0, 0.5, 0.2)
+    phi0 = make_rng(6).uniform(0.0, np.pi, size=(B, 2))
+
+    def run(cpus):
+        one_trial_blocks(monkeypatch, cpus)
+        records, record = recorder(20, 3, B, 2)
+        calls = {"n": 0}
+
+        def sink(*args):
+            n = calls["n"]
+            record(*args)
+            calls["n"] = n + 1
+
+        final = _integrate(p, sine(), np.ones(2), 1.0, sched, 0.05, 20, phi0.copy(),
+                           [make_rng(b) for b in range(B)], every=3, sink=sink)
+        assert calls["n"] == 2 * B      # step 0, then one chunk of samples
+        return final, records
+
+    serial = run(1)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run(8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert not np.isnan(threaded[1]).any()
+    assert np.array_equal(threaded[0], serial[0]) and np.array_equal(threaded[1], serial[1])
+
+
+class InlineExecutor:
+    """Stands in for ThreadPoolExecutor: records max_workers and maps in
+    this thread, so no thread starts."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("blocks, cpus, threads", [
+    (1, 4, None),       # one block: inline
+    (3, 1, None),       # one CPU: inline
+    (3, 2, 2),          # the CPU count
+    (2, 4, 2),          # the block count
+])
+def test_threads_start_only_for_several_blocks_and_cpus(monkeypatch, blocks, cpus,
+                                                        threads):
+    """A one-block and a one-CPU run start no thread.  A run of k blocks on
+    c usable CPUs builds min(k, c) workspaces, one per thread, each with
+    its own nodes and edges buffers over the same edge tiles and constants;
+    its finals are the inline run's."""
+    p = blocked_problem()
+    monkeypatch.setattr(dynamics, "STEP_BLOCK_BYTES", 8 * p.n * 2)
+    monkeypatch.setattr(dynamics, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(InlineExecutor, "made", [])
+    spaces, load = {}, dynamics._Operands.load
+
+    def recording_load(ws, phi, lo):
+        spaces[id(ws)] = ws
+        return load(ws, phi, lo)
+
+    monkeypatch.setattr(dynamics._Operands, "load", recording_load)
+    B = 2 * blocks
+    assert block_width(p.n, B) == 2
+    phi0 = make_rng(4).uniform(0.0, np.pi, size=(B, p.n))
+    omega = 1.0 + 0.01 * make_rng(5).standard_normal((B, p.n))
+    sched = constant_schedule(1.0, 0.8, 0.4, 0.3)
+
+    def run(cpus):
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+        spaces.clear()
+        return _integrate(p, smoothed_square(), omega, 1.0, sched, 0.05, 5, phi0.copy(),
+                          [make_rng(b) for b in range(B)])
+
+    final = run(cpus)
+    if threads is None:
+        assert InlineExecutor.made == [] and len(spaces) == 1
+        return
+    (pool,) = InlineExecutor.made
+    assert pool.max_workers == len(spaces) == threads
+    for buffer in ("nodes", "edges"):
+        assert len({id(getattr(ws, buffer)) for ws in spaces.values()}) == threads
+    first = next(iter(spaces.values()))
+    assert all(ws.edge_tiles is first.edge_tiles and ws.rows is first.rows
+               for ws in spaces.values())
+    assert np.array_equal(final, run(1))
 
 
 def test_read_spins_mapping():

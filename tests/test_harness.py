@@ -103,11 +103,56 @@ def test_pool_is_capped_by_batches_and_cpus(small_run, monkeypatch, workers,
     g, p, sched, stats = small_run
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    if cpus is None:    # no affinity set and no CPU count: the helper's fallback
+        monkeypatch.delattr(dynamics.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(dynamics.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     pooled = run_trials(p, AblationVariant("baseline"), sched, n_trials, 99,
                         graph=g, dt=0.02, batch_size=4, workers=workers)
     assert RecordingPool.sizes == ([] if size is None else [size])
     assert np.array_equal(pooled.trial_H, stats.trial_H[:n_trials])
+
+
+@pytest.mark.parametrize("workers, cpus, size, threads", [
+    (2, 5, 2, 2),            # 5 CPUs over 2 processes: 2 threads each
+    (8, 3, 3, 1),            # as many processes as CPUs: one thread each
+    (1, 4, None, 4),         # no pool: the batches step on every CPU
+])
+def test_pool_children_share_out_the_cpus(small_run, monkeypatch, workers, cpus,
+                                          size, threads):
+    """Each batch steps its blocks on at most max(1, cpus // pool size)
+    threads, so processes x threads stay within the usable CPUs."""
+    g, p, sched, stats = small_run
+    caps = []
+
+    def integrate(*args, threads, **kwargs):
+        caps.append(threads)
+        return real(*args, threads=threads, **kwargs)
+
+    real = harness._integrate
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "_integrate", integrate)
+    pooled = run_trials(p, AblationVariant("baseline"), sched, 16, 99,
+                        graph=g, dt=0.02, batch_size=4, workers=workers)
+    assert RecordingPool.sizes == ([] if size is None else [size])
+    assert caps == [threads] * 4
+    assert np.array_equal(pooled.trial_H, stats.trial_H)
+
+
+def test_usable_cpus_reads_the_affinity_then_the_cpu_count(monkeypatch):
+    """The affinity set where the platform has one; else os.cpu_count(),
+    and 1 where that is unknown."""
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    assert dynamics._usable_cpus() == 3
+    monkeypatch.delattr(dynamics.os, "sched_getaffinity")
+    assert dynamics._usable_cpus() == 8
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: None)
+    assert dynamics._usable_cpus() == 1
 
 
 def test_best_fields_consistent(small_run):
@@ -473,7 +518,7 @@ def test_boltzmann_matches_cell_by_cell_reference(monkeypatch):
     chain = (cells + 0.5) * step + 2.0 * np.pi * rng.integers(-1, 2, cells.shape)
 
     def fake_integrate(problem, coupling, omega, omega_star, schedule, dt,
-                       n_steps, phi, rngs, every=1, sink=None):
+                       n_steps, phi, rngs, every=1, sink=None, threads=None):
         """The chain through the sample seam, in uneven chunks, one across
         the burn-in's end."""
         assert n_steps == duration and every == 1

@@ -370,7 +370,7 @@ def test_nonfinite_phase_gives_nonfinite_drift(p, seed, coupling, bad, K, Ks):
     omega = np.ones(p.n)
     with np.errstate(invalid="ignore"):
         ops = _Operands(p, coupling, omega, 1.0, len(phi))
-        next(ops.trial_blocks(phi))
+        ops.load(phi, 0)
         d = _step_drift(ops, ops.phi, -K, Ks).T
     assert not np.isfinite(d[1, node])
     assert np.isfinite(d[[0, 2]]).all()

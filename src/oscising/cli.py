@@ -18,11 +18,10 @@ from . import genadler as ga
 from .coloring import ColoringInstance, decode_coloring, coloring_to_ising, \
     parse_adjacency_pairs, us_states_instance
 from .dynamics import IntegrationError, OscillatorBank, trajectory_to_csv
-from .graphs import GraphFormatError, load_gset
-from .harness import (AblationVariant, _best_trial, ablate, boltzmann_check,
-                      gset_targets, run_trials, scaling_study, simulate,
-                      trial_seed)
-from .ising import maxcut_to_ising
+from .graphs import GraphFormatError, load_gset, parse_gset
+from .harness import (AblationVariant, ablate, boltzmann_check, gset_targets,
+                      run_trials, scaling_study, simulate, trial_seed)
+from .ising import IsingProblem, maxcut_to_ising
 from .lyapunov import energy_total_batch
 from .schedule import Schedule, baseline_schedule
 
@@ -31,12 +30,21 @@ EXIT_FORMAT = 2
 EXIT_NUMERIC = 3
 
 
-def _load_schedule(args, t_end: float) -> Schedule:
+def _load_schedule(args) -> Schedule:
     if getattr(args, "schedule", None):
         with open(args.schedule, "r", encoding="utf-8") as f:
             return Schedule.from_json(f.read())
-    return baseline_schedule(t_end, k_max=args.k_max, ks_max=args.ks_max,
+    return baseline_schedule(args.t_end, k_max=args.k_max, ks_max=args.ks_max,
                              kn_high=args.kn_high)
+
+
+def _load_maxcut(args):
+    """The graph, problem, schedule and target (--target, else the table's)
+    of a MAX-CUT command."""
+    graph = load_gset(args.gset_file)
+    problem, sched = maxcut_to_ising(graph), _load_schedule(args)
+    target = args.target if args.target is not None else gset_targets().get(graph.name)
+    return graph, problem, sched, target
 
 
 def _add_run_options(sp, trials_default):
@@ -71,10 +79,9 @@ def _emit(args, payload: str):
 
 
 def _write_best_trajectory(args, problem, coupling, sched, stats):
-    best_idx = int(stats.trial_index[_best_trial(stats.objectives())])
     bank = OscillatorBank.uniform(problem.n)
     traj = simulate(problem, coupling, bank, sched, dt=args.dt,
-                    seed=trial_seed(args.seed, best_idx),
+                    seed=trial_seed(args.seed, stats.best_trial),
                     record_every=max(1, int(round(0.1 / args.dt))))
     e = energy_total_batch(problem, coupling, bank, traj.phi,
                            traj.controls[:, 0], traj.controls[:, 1])
@@ -82,13 +89,8 @@ def _write_best_trajectory(args, problem, coupling, sched, stats):
 
 
 def cmd_solve_maxcut(args) -> int:
-    graph = load_gset(args.gset_file)
-    problem = maxcut_to_ising(graph)
-    sched = _load_schedule(args, args.t_end)
+    graph, problem, sched, target = _load_maxcut(args)
     coupling = cpl.by_name(args.coupling)
-    target = args.target
-    if target is None:
-        target = gset_targets().get(graph.name)
     stats = run_trials(problem, AblationVariant("baseline"), sched,
                        args.trials, args.seed, target=target, graph=graph,
                        coupling=coupling, dt=args.dt, workers=args.workers)
@@ -105,7 +107,6 @@ def cmd_solve_coloring(args) -> int:
         with open(args.adjacency_file, "r", encoding="utf-8") as f:
             text = f.read()
         if args.format == "gset":
-            from .graphs import parse_gset
             graph = parse_gset(text, name=args.adjacency_file)
             instance = ColoringInstance(graph=graph, n_colors=args.colors)
         else:
@@ -113,7 +114,7 @@ def cmd_solve_coloring(args) -> int:
             instance = ColoringInstance(graph=graph, n_colors=args.colors,
                                         labels=labels)
     problem = coloring_to_ising(instance)
-    sched = _load_schedule(args, args.t_end)
+    sched = _load_schedule(args)
     coupling = cpl.by_name(args.coupling)
     stats = run_trials(problem, AblationVariant("baseline"), sched,
                        args.trials, args.seed, target=-0.0,
@@ -137,11 +138,8 @@ def _parse_variant(tag: str) -> AblationVariant:
 
 
 def cmd_ablate(args) -> int:
-    graph = load_gset(args.gset_file)
-    problem = maxcut_to_ising(graph)
-    sched = _load_schedule(args, args.t_end)
+    graph, problem, sched, target = _load_maxcut(args)
     variants = [_parse_variant(v) for v in args.variants.split(",")]
-    target = args.target if args.target is not None else gset_targets().get(graph.name)
     stats, table = ablate(problem, variants, sched, args.trials, args.seed,
                           graph=graph, target=target, dt=args.dt,
                           workers=args.workers)
@@ -153,7 +151,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_boltzmann(args) -> int:
-    from .ising import IsingProblem
     problem = IsingProblem.from_couplings(2, {(0, 1): args.j}, name="pair")
     report = boltzmann_check(problem, cpl.by_name(args.coupling), args.kn,
                              args.k, args.ks, args.steps,

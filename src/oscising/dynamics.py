@@ -20,22 +20,23 @@ The trials step in blocks of w whose (n, w) float64 arrays fit
 STEP_BLOCK_BYTES, each on a node-major workspace (_Operands); within a
 block a step allocates one array, numpy's iterator buffer for the add of
 the transposed noise, besides 0-d views and the schedule of STEP_CHUNK
-steps.  A run of several blocks steps them on min(blocks, usable CPUs)
-threads, each with its own workspace over the run's shared read-only
-operands, so its workspace memory is threads x one block; with one block
-or one usable CPU no thread starts.  Noise enters as
-phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1), on the streams harness._run
-states.  Samples leave a run through one seam: _integrate writes sampled
-steps into a block's bounded buffer and hands them, checked finite, to a
-sink, which is called under a lock.  Phases are kept unwrapped.
+steps.  A run of several blocks on c usable CPUs splits them into
+contiguous ranges of ceil(blocks / c) blocks, each stepped in order on its
+own thread and workspace over the run's shared read-only operands, so its
+workspace memory is one block per range; with one range no thread starts.
+Noise enters as phi' = phi + drift*dt + Kn*sqrt(dt)*N(0, 1), on the
+streams harness._run states.  Samples leave a run through one seam:
+_integrate writes sampled steps into a block's bounded buffer and hands
+them, checked finite, to a sink, which is called under a lock.  Phases are
+kept unwrapped.
 """
 from __future__ import annotations
 
 import copy
 import importlib.machinery
 import importlib.util
+import math
 import os
-import queue
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -206,16 +207,16 @@ class _Operands:
     which the coupling sum is written), tmp (also the (w, n) noise), sc =
     [s | c], jsc = [js | jc] (sine), then the constants h (self terms),
     omega and wdelta = omega - omega_star, bound to each block by load;
-    workspace() gives another, for a second thread, over the same read-only
-    operands.  A given omega, (n,) or (B, n), takes the omega pass;
-    omega None means every omega = w* = 1, and the drift skips the pass,
-    which would only turn -0.0 into +0.0.  Sine: csr_matvecs adds
-    diag(J, J) sc, seen as (2n, w), into jsc.  Smoothed square: tiles holds per edge tile
-    writable copies of its edge indices (np.take copies a read-only index
-    array on every call), three (tile, w) views of one edge buffer and the
-    csr_matvecs arguments of the tile's columns of S, built from its slice
-    of the edge arrays by ising._incidence.  perfbench/layertrace.py's bytes
-    model reads the whole S as .incidence.
+    workspace() gives another, for each further thread's range of blocks,
+    over the same read-only operands.  A given omega, (n,) or (B, n), takes
+    the omega pass; omega None means every omega = w* = 1, and the drift
+    skips the pass, which would only turn -0.0 into +0.0.  Sine: csr_matvecs
+    adds diag(J, J) sc, seen as (2n, w), into jsc.  Smoothed square: tiles
+    holds per edge tile writable copies of its edge indices (np.take copies
+    a read-only index array on every call), three (tile, w) views of one
+    edge buffer and the csr_matvecs arguments of the tile's columns of S,
+    built from its slice of the edge arrays by ising._incidence.
+    perfbench/layertrace.py's bytes model reads the whole S as .incidence.
     """
 
     def __init__(self, problem: IsingProblem, coupling: CouplingFunction,
@@ -236,9 +237,9 @@ class _Operands:
         if self.sine:
             self.matrix = _block_diagonal(problem.adjacency)
         else:
-            # tiles of at least n edges (more entries than row pointers) whose
-            # three (tile, w) edge arrays fit STEP_BLOCK_BYTES; the first is the widest
-            edges = max(n, min(EDGE_TILE, STEP_BLOCK_BYTES // (24 * self.width)))
+            # tiles of at least n edges (more entries than row pointers) and one,
+            # whose three (tile, w) edge arrays fit STEP_BLOCK_BYTES; the first is the widest
+            edges = max(n, 1, min(EDGE_TILE, STEP_BLOCK_BYTES // (24 * self.width)))
             self.edge_tiles = []
             for a in range(0, max(problem.m, 1), edges):    # one empty tile when m = 0
                 i, j, jval = (e[a:a + edges] for e in (problem.i, problem.j, problem.jval))
@@ -371,7 +372,7 @@ def drift(problem: IsingProblem, coupling: CouplingFunction,
     _check_sizes(problem, bank, phi)
     if not np.isfinite(phi).all():
         raise IntegrationError("non-finite phase passed to drift")
-    rows = phi.reshape(-1, problem.n)
+    rows = phi.reshape(math.prod(phi.shape[:-1]), problem.n)
     ops = _Operands(problem, coupling, None if bank.is_uniform else bank.omega, 1.0,
                     len(rows))
     out = np.empty(rows.shape)
@@ -402,28 +403,6 @@ def _flush(sink, lock, steps: np.ndarray, rows: np.ndarray, dt: float,
         sink(np.broadcast_to(steps, steps.shape), np.broadcast_to(rows, rows.shape), lo, hi)
 
 
-def _in_threads(step_block, spaces: list, starts: range) -> None:
-    """step_block(ws, lo) for each lo of starts, on one thread per workspace
-    of spaces, each block taking a free workspace ws from a queue.  The
-    blocks are consumed in order, so the error raised is the first failing
-    block's, once every block before it has run, as in a serial run; the
-    blocks not yet started are then dropped, and every thread is joined."""
-    free = queue.SimpleQueue()
-    for ws in spaces:
-        free.put(ws)
-
-    def run(lo):
-        ws = free.get()
-        try:
-            step_block(ws, lo)
-        finally:
-            free.put(ws)
-
-    with ThreadPoolExecutor(len(spaces)) as pool:
-        for _ in pool.map(run, starts):
-            pass
-
-
 def _integrate(problem: IsingProblem, coupling: CouplingFunction,
                omega: np.ndarray | None, omega_star: float,
                schedule: Schedule, dt: float, n_steps: int,
@@ -441,11 +420,15 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     Ks and Kn sqrt(dt) are 0-d views (see _HALF) of arrays evaluated per
     chunk of STEP_CHUNK steps.
 
-    The thread rule: the blocks step on min(blocks, threads) threads,
-    threads defaulting to _usable_cpus(), each thread with its own
-    workspace (_Operands.workspace), so the workspace memory is threads x
-    one block; with one, the blocks step inline and no thread starts.
-    Every thread is joined before _integrate returns or raises.
+    The thread rule: with k = ceil(blocks / threads), threads defaulting
+    to _usable_cpus(), each of ceil(blocks / k) threads steps one
+    contiguous range of k blocks, in order, on its own workspace
+    (_Operands.workspace, made in the calling thread), so the workspace
+    memory is one block per thread; with one range, the blocks step inline
+    and no thread starts.  The ranges are consumed in order, so the error
+    raised is the first failing block's, once every block before it has
+    run, as in a serial run.  Every thread is joined before _integrate
+    returns or raises.
 
     The sample seam: with a sink, steps 0, every, 2 every, ... and the last
     are sampled, a sampled step's update writing into the next row of the
@@ -461,11 +444,12 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
     """
     ops = _Operands(problem, coupling, omega, omega_star, len(phi))
     starts = range(0, len(phi), ops.width)
-    threads = min(len(starts), _usable_cpus() if threads is None else threads)
+    span = -(-len(starts) // (_usable_cpus() if threads is None else threads)) or 1
+    ranges = [starts[a:a + span] for a in range(0, len(starts), span)]
     dt_0d, sqrt_dt, lock = np.array(dt), np.sqrt(dt), threading.Lock()
     # rows of a block's sample buffer, past step 0
     cap = max(1, min(-(-n_steps // every), STEP_CHUNK // every,
-                     SAMPLE_BYTES // ops.phi.nbytes))
+                     SAMPLE_BYTES // max(ops.phi.nbytes, 1)))
 
     def step_block(ops, lo):
         with np.errstate(invalid="ignore", over="ignore"):   # numpy's is per thread
@@ -500,12 +484,16 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
                             r = 0
             phi[lo:hi] = cur.T
 
-    if threads <= 1:
-        for lo in starts:
+    def step_range(ops, blocks):
+        for lo in blocks:
             step_block(ops, lo)
+
+    if len(ranges) <= 1:
+        step_range(ops, starts)
     else:
-        _in_threads(step_block, [ops] + [ops.workspace() for _ in range(threads - 1)],
-                    starts)
+        spaces = [ops] + [ops.workspace() for _ in ranges[1:]]
+        with ThreadPoolExecutor(len(ranges)) as pool:
+            list(pool.map(step_range, spaces, ranges))
     return phi
 
 

@@ -195,6 +195,7 @@ class TrialStats:
     trial_index: np.ndarray          # (T,) global trial numbers
     trial_H: np.ndarray              # (T,) final Hamiltonian per trial
     trial_cut: np.ndarray | None     # (T,) cut values (MAX-CUT mode only)
+    best_trial: int                  # global number of the best trial (_best_trial)
     best_H: float
     best_cut: float | None
     best_spins: SpinConfig
@@ -263,7 +264,7 @@ def _finalize_stats(idx, h, cut, spins, target, wall) -> TrialStats:
     counts, edges = np.histogram(finite, bins=HIST_BINS, range=(lo, hi))
     return TrialStats(
         n_trials=n_trials, trial_index=idx, trial_H=h, trial_cut=cut,
-        best_H=float(h[best]),
+        best_trial=int(idx[best]), best_H=float(h[best]),
         best_cut=float(cut[best]) if cut is not None else None,
         best_spins=SpinConfig(spins[best]), target=target, n_max=n_max,
         n_0999=n_0999, hist_edges=edges, hist_counts=counts,

@@ -113,6 +113,20 @@ def test_solve_maxcut_exits_3_when_every_trial_fails(tmp_path, capsys):
     assert "all trials failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["solve-maxcut"], ["ablate"], ["solve-coloring"],
+                                  ["solve-coloring", "--format", "pairs"]],
+                         ids=["solve-maxcut", "ablate", "solve-coloring", "pairs"])
+def test_problems_with_no_spins_exit_0(tmp_path, capsys, argv):
+    """A '0 0' G-set file, or an empty pairs file, used to raise
+    ZeroDivisionError in every run; now each run ends with no spins."""
+    path = tmp_path / "none.txt"
+    path.write_text("" if "pairs" in argv else "0 0\n")
+    assert main([argv[0], str(path), *argv[1:], "--trials", "2", "--t-end", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    runs = list(doc["stats"].values()) if argv[0] == "ablate" else [doc.get("stats", doc)]
+    assert all(s["best_spins"] == [] and s["n_failed"] == 0 for s in runs)
+
+
 def test_solve_maxcut_custom_schedule(gset_file, tmp_path, capsys):
     sfile = tmp_path / "sched.json"
     sfile.write_text(json.dumps({

@@ -89,6 +89,17 @@ def test_drift_keeps_any_leading_batch_axes():
                    for row, drow in zip(phi.reshape(-1, p.n), d.reshape(-1, p.n)))
 
 
+@pytest.mark.parametrize("shape", [(0,), (2, 0), (20_000, 0)])
+def test_drift_of_no_spins_keeps_the_shape(shape):
+    """A problem with no spins: (2, 0) phases used to fail in the reshape,
+    and a block of 20,000 trials in the smoothed square's edge tiling,
+    which made tiles of no edges."""
+    p = empty_problem(0)
+    for coupling in (sine(), smoothed_square()):
+        assert drift(p, coupling, OscillatorBank.uniform(0), np.zeros(shape),
+                     1.0, 0.5).shape == shape
+
+
 def test_drift_rejects_wrong_sized_bank():
     """A one-frequency bank used to broadcast over three oscillators."""
     p = empty_problem(3)
@@ -972,30 +983,36 @@ class InlineExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
-@pytest.mark.parametrize("blocks, cpus, threads", [
-    (1, 4, None),       # one block: inline
-    (3, 1, None),       # one CPU: inline
-    (3, 2, 2),          # the CPU count
-    (2, 4, 2),          # the block count
-])
+THREAD_CASES = [    # blocks, usable CPUs, threads started (None: inline), block ranges
+    (1, 4, None, [(0,)]),
+    (3, 1, None, [(0, 1, 2)]),
+    (3, 2, 2, [(0, 1), (2,)]),          # the CPU count
+    (2, 4, 2, [(0,), (1,)]),            # the block count
+    (5, 4, 3, [(0, 1), (2, 3), (4,)]),  # fewer ranges than CPUs
+]
+
+
+@pytest.mark.parametrize("blocks, cpus, threads, ranges",
+                         [pytest.param(*c, id="-".join(map(str, c[:3]))) for c in THREAD_CASES])
 def test_threads_start_only_for_several_blocks_and_cpus(monkeypatch, blocks, cpus,
-                                                        threads):
-    """A one-block and a one-CPU run start no thread.  A run of k blocks on
-    c usable CPUs builds min(k, c) workspaces, one per thread, each with
-    its own nodes and edges buffers over the same edge tiles and constants;
+                                                        threads, ranges):
+    """A one-block and a one-CPU run start no thread.  A run of b blocks on
+    c usable CPUs starts one thread per contiguous range of ceil(b / c)
+    blocks, each stepping its range in order on its own workspace, with its
+    own nodes and edges buffers over the same edge tiles and constants;
     its finals are the inline run's."""
     p = blocked_problem()
     monkeypatch.setattr(dynamics, "STEP_BLOCK_BYTES", 8 * p.n * 2)
     monkeypatch.setattr(dynamics, "ThreadPoolExecutor", InlineExecutor)
     monkeypatch.setattr(InlineExecutor, "made", [])
-    spaces, load = {}, dynamics._Operands.load
+    loads, load = [], dynamics._Operands.load
 
     def recording_load(ws, phi, lo):
-        spaces[id(ws)] = ws
+        loads.append((ws, lo))
         return load(ws, phi, lo)
 
     monkeypatch.setattr(dynamics._Operands, "load", recording_load)
@@ -1007,21 +1024,23 @@ def test_threads_start_only_for_several_blocks_and_cpus(monkeypatch, blocks, cpu
 
     def run(cpus):
         monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
-        spaces.clear()
+        loads.clear()
         return _integrate(p, smoothed_square(), omega, 1.0, sched, 0.05, 5, phi0.copy(),
                           [make_rng(b) for b in range(B)])
 
     final = run(cpus)
+    spaces = list({id(ws): ws for ws, _ in loads}.values())
+    assert [(spaces.index(ws), lo // 2) for ws, lo in loads] == \
+        [(a, block) for a, r in enumerate(ranges) for block in r]
     if threads is None:
         assert InlineExecutor.made == [] and len(spaces) == 1
         return
     (pool,) = InlineExecutor.made
     assert pool.max_workers == len(spaces) == threads
     for buffer in ("nodes", "edges"):
-        assert len({id(getattr(ws, buffer)) for ws in spaces.values()}) == threads
-    first = next(iter(spaces.values()))
-    assert all(ws.edge_tiles is first.edge_tiles and ws.rows is first.rows
-               for ws in spaces.values())
+        assert len({id(getattr(ws, buffer)) for ws in spaces}) == threads
+    assert all(ws.edge_tiles is spaces[0].edge_tiles and ws.rows is spaces[0].rows
+               for ws in spaces)
     assert np.array_equal(final, run(1))
 
 

@@ -198,6 +198,7 @@ def test_best_spins_come_from_lowest_tied_trial():
     assert any(not np.array_equal(s, alone[0]) for s in alone[1:])
     assert tied[-1] // 4 > tied[0] // 4
     assert np.array_equal(full.best_spins.s, alone[0])
+    assert full.best_trial == tied[0]
 
 
 def test_trial_seed_injective():
@@ -366,12 +367,13 @@ SPINS4 = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 ])
 def test_best_fields_come_from_one_trial(cut, best):
     """The lowest H (trial 2) and the highest cut (trials 0 and 3) belong to
-    different trials; best_H, best_cut and best_spins all describe the one
-    _best_trial trial, and n_failed counts the NaN rows."""
+    different trials; best_trial, best_H, best_cut and best_spins all
+    describe the one _best_trial trial, and n_failed counts the NaN rows."""
     h = np.array([-3.0, np.nan, -5.0, -1.0])
     stats = harness._finalize_stats(np.arange(10, 14), h, cut, SPINS4, None,
                                     wall=1.0)
     assert best == harness._best_trial(stats.objectives())
+    assert stats.best_trial == 10 + best
     assert stats.best_H == h[best]
     assert stats.best_cut == (None if cut is None else cut[best])
     assert np.array_equal(stats.best_spins.s, SPINS4[best])

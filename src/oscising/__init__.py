@@ -13,13 +13,12 @@ from .coloring import (ColorAssignment, ColoringInstance, coloring_to_ising,
                        decode_coloring, us_states_instance)
 from .coupling import CouplingFunction, sine, smoothed_square
 from .schedule import Schedule, baseline_schedule, constant_schedule
-from .dynamics import (IntegrationError, OscillatorBank, Trajectory,
-                       binarisation_residual, drift, trajectory_to_csv)
-from .lyapunov import DescentReport, EnergyBreakdown, check_monotone, energy
+from .dynamics import (IntegrationError, OscillatorBank, Trajectory, drift,
+                       trajectory_to_csv)
+from .lyapunov import DescentReport, check_monotone, energy_total_batch
 from .genadler import (LockEquilibrium, PeriodicSignal, cross_correlate,
                        lock_equilibria)
 from .harness import (AblationVariant, BoltzmannReport, TrialStats, ablate,
-                      boltzmann_check, gset_targets, run_trials,
-                      scaling_study, simulate)
+                      boltzmann_check, gset_targets, run_trials, simulate)
 
 __version__ = "0.1.0"

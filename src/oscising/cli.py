@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: solve-maxcut, solve-coloring, ablate, boltzmann, genadler,
-scaling.  Exit codes: 0 success, 2 malformed input or a file that cannot be
-read or written (missing, a directory, no permission), 3 numeric failure.
-All randomness is controlled by --seed.
+Subcommands: solve-maxcut, solve-coloring, ablate, boltzmann, genadler.
+Exit codes: 0 success, 2 malformed input or a file that cannot be read or
+written (missing, a directory, no permission), 3 numeric failure.  All
+randomness is controlled by --seed.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .coloring import ColoringInstance, decode_coloring, coloring_to_ising, \
 from .dynamics import IntegrationError, OscillatorBank, trajectory_to_csv
 from .graphs import GraphFormatError, load_gset, parse_gset
 from .harness import (AblationVariant, ablate, boltzmann_check, gset_targets,
-                      run_trials, scaling_study, simulate, trial_seed)
+                      run_trials, simulate, trial_seed)
 from .ising import IsingProblem, maxcut_to_ising
 from .lyapunov import energy_total_batch
 from .schedule import Schedule, baseline_schedule
@@ -187,18 +187,6 @@ def cmd_genadler(args) -> int:
     return EXIT_OK
 
 
-def cmd_scaling(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    traces = scaling_study(sizes, args.density, args.trials, args.seed,
-                           K=args.k, Ks=args.ks, Kn=args.kn,
-                           dt=args.dt, t_end=args.t_end)
-    doc = [{"n": tr.n, "t": tr.t.tolist(), "mean_H": tr.mean_H.tolist(),
-            "normalized": tr.normalized().tolist(),
-            "settling_time": tr.settling_time()} for tr in traces]
-    _emit(args, json.dumps(doc, allow_nan=False))
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="oscising",
                                  description="coupled-oscillator Ising machine")
@@ -249,18 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_genadler)
 
-    sp = sub.add_parser("scaling", help="settling-speed study over problem sizes")
-    sp.add_argument("--sizes", default="50,100,200")
-    sp.add_argument("--density", type=float, default=10.0)
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--k", type=float, default=1.0)
-    sp.add_argument("--ks", type=float, default=0.1)
-    sp.add_argument("--kn", type=float, default=0.01)
-    sp.add_argument("--dt", type=float, default=0.01)
-    sp.add_argument("--t-end", type=float, default=20.0)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_scaling)
     return ap
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "OscillatorBank",
     "Trajectory",
     "drift",
-    "binarisation_residual",
     "trajectory_to_csv",
 ]
 
@@ -115,6 +114,8 @@ class OscillatorBank:
         w = np.asarray(self.omega, dtype=np.float64)
         if w.ndim != 1:
             raise ValueError(f"omega must be one-dimensional, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("frequencies must be finite")
         if not (w > 0).all():
             raise ValueError("frequencies must be positive")
         w.setflags(write=False)
@@ -499,17 +500,6 @@ def _integrate(problem: IsingProblem, coupling: CouplingFunction,
 
 def _spins_batch(phi: np.ndarray) -> np.ndarray:
     return np.where(np.cos(phi) >= 0.0, 1.0, -1.0)
-
-
-def binarisation_residual(phi: np.ndarray) -> float:
-    """Largest angular distance of any phase from the lattice {0, pi}."""
-    phi = np.asarray(phi, dtype=np.float64)
-    if not np.isfinite(phi).all():
-        raise ValueError("phases must be finite")
-    if phi.size == 0:
-        return 0.0
-    frac = np.mod(phi, np.pi)
-    return float(np.minimum(frac, np.pi - frac).max())
 
 
 def trajectory_to_csv(traj: Trajectory, energy: np.ndarray, path) -> None:

@@ -15,9 +15,11 @@ Equilibria of the averaged phase equation solve
     detuning_ratio = c(phi* - phi_in),
 
 and a root is a stable lock iff c'(phi*) < 0 under
-d(phi)/dt = -detuning_ratio + c(phi - phi_in).  Second-harmonic drive makes
-c pi-periodic, so stable locks come in pairs separated by pi: the
-bistability used to binarise oscillator phases.
+d(phi)/dt = -detuning_ratio + c(phi - phi_in).  One uncoupled oscillator of
+the simulator, drift (w - 1) - w Ks g(2 phi), is w times this form with
+detuning_ratio = -(w - 1)/w, c(phi) = -Ks g(2 phi) and phi_in = 0.
+Second-harmonic drive makes c pi-periodic, so stable locks come in pairs
+separated by pi: the bistability used to binarise oscillator phases.
 """
 from __future__ import annotations
 

@@ -200,6 +200,14 @@ def _kept_pairs(n: int, p: float, rng: np.random.Generator) -> tuple:
     return row, kept - (end[row] - length[row]) + row + 1
 
 
+def _need_int(name: str, value, lo: int) -> None:
+    """Raise ValueError naming `name` unless value is an integer >= lo."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"need {name} >= {lo}, got {value}")
+
+
 def random_graph(n: int, density_percent: float, weight_mode: str = "unit",
                  seed: int = 0, name: str = "") -> WeightedGraph:
     """Seeded Erdos-Renyi graph: each of the n(n-1)/2 pairs is kept with
@@ -208,8 +216,8 @@ def random_graph(n: int, density_percent: float, weight_mode: str = "unit",
     Deterministic for a fixed seed (Philox counter-based generator).
     Weights: "unit" -> 1, "pm_one" -> random sign.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _need_int("n", n, 2)
+    _need_int("seed", seed, 0)
     if not 0 < density_percent <= 100:
         raise ValueError(f"density_percent must be in (0, 100], got {density_percent}")
     if weight_mode not in WEIGHT_MODES:

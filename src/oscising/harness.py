@@ -25,9 +25,8 @@ from . import coupling as cpl
 from .coupling import CouplingFunction
 from .dynamics import (IntegrationError, OscillatorBank, Trajectory, _check_sizes,
                        _integrate, _n_steps, _spins_batch, _usable_cpus, make_rng)
-from .graphs import WeightedGraph, random_graph
-from .ising import (IsingProblem, SpinConfig, cut_batch, hamiltonian_batch,
-                    maxcut_to_ising)
+from .graphs import WeightedGraph, _need_int
+from .ising import IsingProblem, SpinConfig, cut_batch, hamiltonian_batch
 from .lyapunov import energy_total_batch
 from .schedule import Schedule, constant_schedule
 
@@ -38,7 +37,6 @@ __all__ = [
     "ablate",
     "boltzmann_check",
     "BoltzmannReport",
-    "scaling_study",
     "gset_targets",
     "trial_seed",
     "simulate",
@@ -50,8 +48,6 @@ VARIANT_KINDS = ("baseline", "no_noise", "no_sync_threshold",
 HIST_BINS = 32
 SEED_LIMIT = 1 << 64
 BOLTZMANN_BURN_IN = 0.1      # leading fraction of the chain discarded
-SCALING_RECORD_EVERY = 20    # steps between scaling_study samples
-SETTLING_LEVEL = 0.95        # settling: mean H reaches this share of its final value
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
@@ -61,14 +57,6 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
             raise ValueError(f"{name} must be in [0, 2**64), got {value}")
         _need_int(name, value, 0)
     return (int(base_seed) << 64) + int(trial_index)
-
-
-def _need_int(name: str, value, lo: int) -> None:
-    """Raise ValueError naming `name` unless value is an integer >= lo."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < lo:
-        raise ValueError(f"need {name} >= {lo}, got {value}")
 
 
 def _run(problem: IsingProblem, coupling: CouplingFunction, schedule: Schedule,
@@ -343,6 +331,10 @@ def ablate(problem: IsingProblem, variants: list[AblationVariant],
     table with one row per variant, as given: median and best objective."""
     if not variants:
         raise ValueError("need at least one variant")
+    labels = [v.label for v in variants]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"variant {label!r} is given more than once")
     stats: dict[str, TrialStats] = {}
     table = []
     for v in variants:
@@ -434,58 +426,3 @@ def boltzmann_check(problem: IsingProblem, coupling: CouplingFunction,
     return BoltzmannReport(basin_probs_empirical=basins(emp),
                            basin_probs_oracle=basins(dens),
                            tv_distance=tv, n_samples=n_samples)
-
-
-@dataclass(frozen=True)
-class ScalingTrace:
-    n: int
-    t: np.ndarray
-    mean_H: np.ndarray
-
-    def normalized(self) -> np.ndarray:
-        final = abs(self.mean_H[-1])
-        return self.mean_H / (final if final > 0 else 1.0)
-
-    def settling_time(self) -> float:
-        """First recorded time when mean H reaches SETTLING_LEVEL * final value."""
-        thresh = SETTLING_LEVEL * self.mean_H[-1]
-        hit = np.nonzero(self.mean_H <= thresh)[0]
-        return float(self.t[hit[0]]) if len(hit) else float(self.t[-1])
-
-
-def scaling_study(sizes: list[int], density_percent: float, n_trials: int,
-                  seed: int, *, K: float = 1.0, Ks: float = 0.1,
-                  Kn: float = 0.01, dt: float = 0.01,
-                  t_end: float = 20.0) -> list[ScalingTrace]:
-    """Mean Ising energy over time for random +-1 problems of several sizes.
-
-    All sizes run under the same fixed controls so the settling speeds are
-    directly comparable.  Graphs use stream 2**64 - 1 - n, which no trial uses.
-    The sample seam's sink stores each trial's H at every
-    SCALING_RECORD_EVERY-th step, and the trace is their mean over trials; a
-    non-finite phase raises IntegrationError.
-    """
-    if len(sizes) < 2:
-        raise ValueError("need at least two sizes")
-    for size in sizes:
-        _need_int("size", size, 2)
-    _need_int("n_trials", n_trials, 1)
-    sched = constant_schedule(t_end, K, Ks, Kn)
-    n_steps = _n_steps(t_end, dt)
-    keys, every = [trial_seed(seed, k) for k in range(n_trials)], SCALING_RECORD_EVERY
-    t = _sample_steps(n_steps, every) * dt
-    h = np.empty((len(t), n_trials))
-    out = []
-    for size in sizes:
-        key = trial_seed(seed, SEED_LIMIT - 1 - size)
-        problem = maxcut_to_ising(random_graph(size, density_percent, "pm_one", seed=key))
-
-        def energies(steps, rows, lo, hi):
-            at = -(-steps[0] // every)
-            h[at:at + len(steps), lo:hi] = hamiltonian_batch(
-                problem, _spins_batch(rows).transpose(0, 2, 1))
-
-        _run(problem, cpl.smoothed_square(), sched, dt, n_steps, keys,
-             every=every, sink=energies)
-        out.append(ScalingTrace(n=size, t=t, mean_H=h.mean(axis=1)))
-    return out

@@ -25,25 +25,15 @@ from .coupling import CouplingFunction
 from .dynamics import OscillatorBank, Trajectory, _check_sizes
 from .ising import IsingProblem, _edge_sum, _row_sum
 
-__all__ = ["EnergyBreakdown", "energy", "check_monotone", "DescentReport"]
+__all__ = ["energy_total_batch", "check_monotone", "DescentReport"]
 
 DESCENT_REL_TOL = 1e-8      # allowed rise per record, relative to 1 + |E|
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """total = coupling_term + self_term + shil_term + tilt_term, in that order."""
-
-    coupling_term: float
-    self_term: float
-    shil_term: float
-    tilt_term: float
-    total: float
-
-
 def _terms(problem: IsingProblem, coupling: CouplingFunction,
            bank: OscillatorBank, phi: np.ndarray, K, Ks):
-    """The four EnergyBreakdown terms over rows of (..., n) phases."""
+    """E's coupling, self, SHIL and tilt terms, in that order, each of
+    shape (...,) over rows of (..., n) phases; K and Ks broadcast there."""
     phi = np.asarray(phi, dtype=np.float64)
     _check_sizes(problem, bank, phi)
     zero = np.zeros(phi.shape[:-1])
@@ -58,16 +48,10 @@ def _terms(problem: IsingProblem, coupling: CouplingFunction,
     return coupling_term, self_term, shil_term, tilt_term
 
 
-def energy(problem: IsingProblem, coupling: CouplingFunction,
-           bank: OscillatorBank, phi: np.ndarray, K: float, Ks: float) -> EnergyBreakdown:
-    """Evaluate the descent function at a phase vector."""
-    terms = [float(t) for t in _terms(problem, coupling, bank, phi, K, Ks)]
-    return EnergyBreakdown(*terms, total=sum(terms))
-
-
 def energy_total_batch(problem: IsingProblem, coupling: CouplingFunction,
                        bank: OscillatorBank, phi: np.ndarray, K, Ks) -> np.ndarray:
-    """energy(...).total over rows of (B, n) phases; K, Ks may be arrays (B,)."""
+    """E over rows of (..., n) phases, the sum of _terms in their order:
+    a float64 for (n,) phases, else shape (...,); K, Ks may be arrays (...,)."""
     return sum(_terms(problem, coupling, bank, phi, K, Ks))
 
 

@@ -262,6 +262,17 @@ def test_ablate_cli(gset_file, tmp_path):
     assert [r["variant"] for r in doc["table"]] == ["baseline", "no_noise"]
 
 
+@pytest.mark.parametrize("variants, label", [
+    ("baseline,baseline", "baseline"),
+    ("variability:0.01,no_noise,variability:0.010", "variability_1%"),
+])
+def test_ablate_rejects_a_repeated_variant(gset_file, capsys, monkeypatch, variants, label):
+    """A repeated label would give two table rows but one stats entry."""
+    monkeypatch.setattr("oscising.harness._integrate", None)   # nothing may run
+    assert main(["ablate", str(gset_file), "--variants", variants]) == 2
+    assert f"variant {label!r} is given more than once" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--coupling", "sine"),
                                          ("--traj", "best.csv")])
 def test_ablate_rejects_single_machine_flags(gset_file, tmp_path, capsys,
@@ -349,18 +360,3 @@ def test_module_entry_point_exits_with_main_code():
     assert proc.returncode == 2
     assert "M must be a power of two >= 64, got 0" in proc.stderr
     assert proc.stdout == ""
-
-
-def test_scaling_cli(tmp_path):
-    out = tmp_path / "scaling.json"
-    code = main(["scaling", "--sizes", "16,24", "--trials", "2", "--seed", "0",
-                 "--t-end", "4", "--dt", "0.05", "--out", str(out)])
-    assert code == 0
-    rows = json.loads(out.read_text())
-    assert [r["n"] for r in rows] == [16, 24]
-    assert all("settling_time" in r for r in rows)
-
-
-def test_scaling_cli_rejects_zero_trials(capsys):
-    assert main(["scaling", "--sizes", "16,24", "--trials", "0"]) == 2
-    assert "need n_trials >= 1" in capsys.readouterr().err

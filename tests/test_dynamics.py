@@ -12,8 +12,8 @@ from oscising.coloring import coloring_to_ising, us_states_instance
 from oscising.dynamics import (EDGE_TILE, IntegrationError, OscillatorBank,
                                _coupling_sum, _integrate,
                                _Operands, _product_args, _sin_cos,
-                               _spins_batch, _step_drift, binarisation_residual,
-                               drift, make_rng, trajectory_to_csv)
+                               _spins_batch, _step_drift, drift, make_rng,
+                               trajectory_to_csv)
 from oscising.graphs import random_graph
 from oscising import dynamics, harness
 from oscising.harness import _run, simulate
@@ -272,8 +272,11 @@ def test_simulate_raises_on_nonfinite_phase():
 
 
 def test_bank_rejects_bad_frequencies():
-    for omega in ([1.0, 0.0], [1.0, -1.0], [1.0, np.nan], [[1.0, 1.0]]):
-        with pytest.raises(ValueError):
+    """An infinite frequency would make drift and E read NaN."""
+    for omega, message in (([1.0, 0.0], "positive"), ([1.0, -1.0], "positive"),
+                           ([1.0, np.nan], "finite"), ([1.0, np.inf], "finite"),
+                           ([[1.0, 1.0]], "one-dimensional")):
+        with pytest.raises(ValueError, match=f"must be {message}"):
             OscillatorBank(np.array(omega))
 
 
@@ -1048,13 +1051,6 @@ def test_read_spins_mapping():
     """The readout: +1 where cos(phi) >= 0 (ties at cos = 0 give +1), else -1."""
     s = _spins_batch(np.array([0.0, np.pi, np.pi / 2, 2 * np.pi, -np.pi]))
     assert s.tolist() == [1.0, -1.0, 1.0, 1.0, -1.0]
-
-
-def test_binarisation_residual_values():
-    assert binarisation_residual(np.array([0.0, np.pi, 2 * np.pi])) == 0.0
-    assert binarisation_residual(np.array([0.1])) == pytest.approx(0.1)
-    assert binarisation_residual(np.array([np.pi / 2])) == pytest.approx(np.pi / 2)
-    assert binarisation_residual(np.array([-0.2, np.pi + 0.05])) == pytest.approx(0.2)
 
 
 def test_frequency_spread_bank():

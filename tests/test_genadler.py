@@ -5,8 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
+from oscising.coupling import sine, smoothed_square
+from oscising.dynamics import _integrate, make_rng
 from oscising.genadler import (PeriodicSignal, cross_correlate, detuning_sweep,
                                lock_equilibria, shil_profile, signal_from_csv)
+from oscising.ising import IsingProblem
+from oscising.schedule import constant_schedule
 
 GRID_1024 = np.arange(1024) * (2 * np.pi / 1024)
 
@@ -383,6 +387,38 @@ def test_shil_stable_locks_pair_up_pi_apart(half, detuning, phi_in):
     assert len(stable) % 2 == 0
     for p in stable:
         assert min(circle_gap(p + np.pi, q) for q in stable) <= 1e-12
+
+
+LOCK_W, SLIP_W = (0.7, 1.0, 1.2, 1.5, 1.9), (2.1, 2.5)
+
+
+@pytest.mark.parametrize("coupling", [sine(), smoothed_square()], ids=["sine", "sqsmooth"])
+def test_gen_adler_predicts_the_simulated_single_oscillator_lock(coupling):
+    """One uncoupled oscillator under SHIL, Ks = 1/2, noiseless, run for
+    T = 200 from three starts per frequency w, all rows of one batch: it
+    ends within 1e-5 rad of a stable root of d = c(phi) with d = -(w - 1)/w
+    and c(phi) = -Ks g(2 phi), and where no root exists it slips by more
+    than 0.1 rad per unit time.  Without c's minus sign (the negative
+    control) every final sits about pi/2 from the predicted locks."""
+    Ks, T, dt, starts = 0.5, 200.0, 0.01, (0.3, 1.9, 4.4)
+    w = np.repeat(LOCK_W + SLIP_W, len(starts))
+    phi0 = np.tile(starts, len(LOCK_W + SLIP_W))
+    final = _integrate(IsingProblem.from_couplings(1, {}), coupling, w[:, None], 1.0,
+                       constant_schedule(T, 0.0, Ks, 0.0), dt, round(T / dt),
+                       phi0[:, None].copy(), [make_rng(k) for k in range(len(w))])[:, 0]
+
+    def gaps(sign):
+        c = PeriodicSignal.from_function(lambda x: sign * Ks * coupling.g(2 * x), 4096)
+        locks = [[e.phi_star for e in lock_equilibria(c, -(wb - 1) / wb) if e.stable]
+                 for wb in w]
+        return [min((circle_gap(phi, r) for r in rs), default=None)
+                for phi, rs in zip(final, locks)]
+
+    locked = len(LOCK_W) * len(starts)
+    assert max(gaps(-1)[:locked]) < 1e-5
+    assert gaps(-1)[locked:] == [None] * (len(w) - locked)
+    assert ((final - phi0)[locked:] / T > 0.1).all()
+    assert min(gaps(+1)[:locked]) > 1.5
 
 
 def test_detuning_sweep_lock_range():

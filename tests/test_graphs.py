@@ -203,6 +203,17 @@ def test_random_graph_rejects_bad_args(n, density):
         random_graph(n, density, "unit", seed=0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n": 5.5}, "n must be an integer, got 5.5"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+])
+def test_random_graph_rejects_non_integer_size_and_seed(kwargs, message):
+    """n = 5.5 used to fail deep in numpy with a TypeError; seed = 1.5 was
+    accepted."""
+    with pytest.raises(ValueError, match=message):
+        random_graph(**{"n": 5, "density_percent": 50, "seed": 0, **kwargs})
+
+
 def test_random_graph_rejects_unknown_weight_mode():
     with pytest.raises(ValueError, match=r"'uniform_range'; expected one of \('unit', 'pm_one'\)"):
         random_graph(5, 50, "uniform_range", seed=0)

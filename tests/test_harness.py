@@ -13,7 +13,7 @@ from helpers import cubic_ring_graph
 from oscising.graphs import random_graph
 from oscising.harness import (AblationVariant, BoltzmannReport, ablate,
                               boltzmann_check, gset_targets, run_trials,
-                              scaling_study, simulate, trial_seed)
+                              simulate, trial_seed)
 from oscising.ising import (IsingProblem, cut_value, hamiltonian,
                             maxcut_to_ising)
 from oscising.lyapunov import energy_total_batch
@@ -407,6 +407,16 @@ def test_ablate_returns_all_variants():
         ablate(p, [], baseline_schedule(5.0), 8, 5)
 
 
+def test_ablate_rejects_a_repeated_label_before_any_run(monkeypatch):
+    """Stats are keyed by label, which two unequal variants can share."""
+    monkeypatch.setattr(harness, "_integrate", None)     # nothing may run
+    p = maxcut_to_ising(cubic_ring_graph(8))
+    variants = [AblationVariant("variability", sigma=0.01), AblationVariant("baseline"),
+                AblationVariant("variability", sigma=0.010000001)]
+    with pytest.raises(ValueError, match="variant 'variability_1%' is given more than once"):
+        ablate(p, variants, baseline_schedule(5.0), 8, 5)
+
+
 def test_ablate_row_without_graph_reads_minus_h():
     """Without a graph the objective is -H: a row's best is the highest -H,
     and its median is the stats JSON's median_objective."""
@@ -601,63 +611,3 @@ def test_boltzmann_rejects_large_n():
     p = IsingProblem.from_couplings(4, {(0, 1): 1.0})
     with pytest.raises(ValueError):
         boltzmann_check(p, sine(), 0.5, 0.5, 0.5, 1000, 0)
-
-
-def test_scaling_study_bookkeeping():
-    traces = scaling_study([20, 40], 10.0, n_trials=4, seed=11,
-                           dt=0.05, t_end=5.0)
-    assert [tr.n for tr in traces] == [20, 40]
-    for tr in traces:
-        assert tr.t[0] == 0.0 and tr.t[-1] == pytest.approx(5.0)
-        assert len(tr.t) == len(tr.mean_H)
-        assert tr.mean_H[-1] < 0.0            # relaxes below random energy
-        assert tr.normalized()[-1] == pytest.approx(-1.0)
-        assert 0.0 <= tr.settling_time() <= 5.0
-    again = scaling_study([20, 40], 10.0, n_trials=4, seed=11,
-                          dt=0.05, t_end=5.0)
-    assert np.array_equal(traces[0].mean_H, again[0].mean_H)
-    with pytest.raises(ValueError):
-        scaling_study([20], 10.0, 4, 0)
-
-
-def test_scaling_study_rejects_zero_trials(monkeypatch):
-    monkeypatch.setattr(harness, "random_graph", None)   # no graph may be built
-    with pytest.raises(ValueError, match=r"need n_trials >= 1"):
-        scaling_study([20, 40], 10.0, n_trials=0, seed=0)
-
-
-@pytest.mark.parametrize("size, message", [(5.5, "size must be an integer, got 5.5"),
-                                           (1, "need size >= 2, got 1")])
-def test_scaling_study_rejects_bad_sizes(size, message, monkeypatch):
-    """A size of 5.5 used to fail deep in trial_seed with a trial_index of
-    1.8e19."""
-    monkeypatch.setattr(harness, "random_graph", None)   # no graph may be built
-    with pytest.raises(ValueError, match=message):
-        scaling_study([4, size], 50.0, 2, 0)
-
-
-def test_scaling_study_raises_on_nonfinite_phase():
-    """Noise of 1e308 overflows the phases; no mean H is read from them."""
-    with pytest.raises(IntegrationError, match="non-finite phase at index"):
-        scaling_study([20, 40], 10.0, n_trials=4, seed=0, Kn=1e308, dt=0.05,
-                      t_end=1.0)
-
-
-def test_scaling_study_graph_and_trial_streams_are_disjoint(monkeypatch):
-    graph_keys, rng_keys = [], []
-    real_graph, real_rng = harness.random_graph, harness.make_rng
-
-    def random_graph_spy(*args, seed, **kwargs):
-        graph_keys.append(seed)
-        return real_graph(*args, seed=seed, **kwargs)
-
-    def make_rng_spy(seed):
-        rng_keys.append(seed)
-        return real_rng(seed)
-
-    monkeypatch.setattr(harness, "random_graph", random_graph_spy)
-    monkeypatch.setattr(harness, "make_rng", make_rng_spy)
-    scaling_study([20, 40], 10.0, n_trials=41, seed=2, dt=0.05, t_end=0.1)
-    assert len(set(graph_keys)) == 2
-    assert len(rng_keys) == 2 * 41
-    assert not set(graph_keys) & set(rng_keys)

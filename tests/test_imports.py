@@ -1,7 +1,9 @@
 """The package imports numpy, and no part of scipy that needs importing:
 the sparse kernel comes from scipy's compiled _sparsetools file alone."""
+import importlib
 import importlib.machinery
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from oscising.genadler import PeriodicSignal, lock_equilibria
 from oscising.graphs import random_graph
 from oscising.harness import AblationVariant, boltzmann_check, run_trials
 from oscising.ising import IsingProblem, maxcut_to_ising
-from oscising.lyapunov import energy
+from oscising.lyapunov import energy_total_batch
 from oscising.schedule import baseline_schedule
 loaded = lambda: sorted(m for m in sys.modules if m.startswith(
     ("scipy.sparse", "scipy.interpolate", "scipy.optimize")))
@@ -32,7 +34,7 @@ g = random_graph(6, 60, "unit", seed=1)
 p = maxcut_to_ising(g)
 for kind in ("baseline", "sine_coupling"):
     run_trials(p, AblationVariant(kind), baseline_schedule(0.1), 2, 1, graph=g)
-energy(p, by_name("sqsmooth"), OscillatorBank.uniform(p.n), np.zeros(p.n), 1.0, 1.0)
+energy_total_batch(p, by_name("sqsmooth"), OscillatorBank.uniform(p.n), np.zeros(p.n), 1.0, 1.0)
 pair = IsingProblem.from_couplings(2, {(0, 1): 1.0})
 boltzmann_check(pair, by_name("sine"), 1.0, 0.5, 0.5, 20, 1, grid=8)
 print(loaded())
@@ -87,3 +89,10 @@ def test_kernel_loader_names_the_path_it_searched(monkeypatch):
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
     with pytest.raises(ImportError, match=r"sparse[/\\]_sparsetools\.\*"):
         dynamics._load_csr_matvecs()
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(oscising.__path__)))
+def test_every_name_in_all_exists(name):
+    """A stale __all__ entry breaks `from oscising.<module> import *`."""
+    module = importlib.import_module(f"oscising.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

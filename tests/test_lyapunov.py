@@ -6,7 +6,7 @@ from oscising.dynamics import OscillatorBank, Trajectory, drift, make_rng
 from oscising.graphs import random_graph
 from oscising.harness import simulate
 from oscising.ising import IsingProblem, hamiltonian, maxcut_to_ising
-from oscising.lyapunov import check_monotone, energy
+from oscising.lyapunov import check_monotone, energy_total_batch
 from oscising.schedule import constant_schedule
 
 
@@ -31,32 +31,26 @@ def random_problem(n=10, seed=3, with_h=False):
 def test_energy_two_aligned_oscillators():
     p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
     bank = OscillatorBank.uniform(2)
-    e = energy(p, sine(), bank, np.zeros(2), K=0.5, Ks=0.0)
-    assert e.total == -1.0
-    assert e.coupling_term == -1.0
-    assert e.self_term == e.shil_term == e.tilt_term == 0.0
+    e = energy_total_batch(p, sine(), bank, np.zeros(2), K=0.5, Ks=0.0)
+    assert e == -1.0 and isinstance(e, np.float64)
 
 
 def test_energy_with_locking_term_offset():
     p = IsingProblem.from_couplings(2, {(0, 1): 1.0})
     bank = OscillatorBank.uniform(2)
-    e = energy(p, sine(), bank, np.zeros(2), K=0.5, Ks=1.0)
-    assert e.total == -3.0          # H - n*Ks = -1 - 2
+    e = energy_total_batch(p, sine(), bank, np.zeros(2), K=0.5, Ks=1.0)
+    assert e == -3.0          # H - n*Ks = -1 - 2
 
 
 def test_uniform_bank_has_no_tilt():
-    p = random_problem()
-    e = energy(p, sine(), OscillatorBank.uniform(10),
-               make_rng(1).uniform(0, 2 * np.pi, 10), 0.5, 1.0)
-    assert e.tilt_term == 0.0
-
-
-def test_total_is_ordered_sum_of_parts():
+    """A frequency spread adds -2 sum_i ((w_i - 1)/w_i) phi_i to a uniform
+    bank's E, so a uniform bank has no tilt."""
     p = random_problem(with_h=True)
     bank = spread_bank(10)
-    e = energy(p, smoothed_square(), bank,
-               make_rng(2).uniform(-3, 3, 10), 0.7, 0.4)
-    assert e.total == e.coupling_term + e.self_term + e.shil_term + e.tilt_term
+    phi = make_rng(2).uniform(-3, 3, 10)
+    e = [energy_total_batch(p, smoothed_square(), b, phi, 0.7, 0.4)
+         for b in (bank, OscillatorBank.uniform(10))]
+    assert e[0] - e[1] == pytest.approx(-2.0 * phi @ bank.detuning, rel=1e-12)
 
 
 def test_grad_zero_at_binary_points_without_h():
@@ -87,11 +81,9 @@ def test_gradient_matches_finite_differences(coupling, uniform, with_h):
         for _ in range(5):
             phi = rng.uniform(-6, 6, 10)
             g = grad(p, coupling, bank, phi, K, Ks)
-            for i in range(10):
-                ei = np.eye(10)[i]
-                fd = (energy(p, coupling, bank, phi + h * ei, K, Ks).total
-                      - energy(p, coupling, bank, phi - h * ei, K, Ks).total) / (2 * h)
-                assert g[i] == pytest.approx(fd, abs=1e-5)
+            up, down = energy_total_batch(p, coupling, bank,
+                                          phi + h * np.stack([np.eye(10), -np.eye(10)]), K, Ks)
+            assert g == pytest.approx((up - down) / (2 * h), abs=1e-5)
 
 
 @pytest.mark.parametrize("coupling", [sine(), smoothed_square()])
@@ -105,8 +97,8 @@ def test_gradient_is_minus_two_over_omega_drift(coupling):
         phi = rng.uniform(-6, 6, 10)
         u = rng.standard_normal(10)
         u /= np.linalg.norm(u)
-        fd = (energy(p, coupling, bank, phi + h * u, 0.9, 0.3).total
-              - energy(p, coupling, bank, phi - h * u, 0.9, 0.3).total) / (2 * h)
+        fd = (energy_total_batch(p, coupling, bank, phi + h * u, 0.9, 0.3)
+              - energy_total_batch(p, coupling, bank, phi - h * u, 0.9, 0.3)) / (2 * h)
         assert grad(p, coupling, bank, phi, 0.9, 0.3) @ u == pytest.approx(fd, abs=1e-5)
 
 
@@ -119,7 +111,7 @@ def test_binary_point_energy_equals_hamiltonian_shift():
         s = 1.0 - 2.0 * rng.integers(0, 2, size=8)
         phi = np.where(s > 0, 0.0, np.pi)
         for ks in (0.0, 1.0, 3.0):
-            e = energy(p, sine(), bank, phi, 0.5, ks).total
+            e = energy_total_batch(p, sine(), bank, phi, 0.5, ks)
             assert e == pytest.approx(hamiltonian(p, s) - 8 * ks, abs=1e-12)
 
 
@@ -133,8 +125,8 @@ def test_locking_term_does_not_change_binary_differences():
     phi2 = np.where(s2 > 0, 0.0, np.pi)
     diffs = []
     for ks in (0.0, 1.0, 3.0):
-        e1 = energy(p, sine(), bank, phi1, 0.5, ks).total
-        e2 = energy(p, sine(), bank, phi2, 0.5, ks).total
+        e1 = energy_total_batch(p, sine(), bank, phi1, 0.5, ks)
+        e2 = energy_total_batch(p, sine(), bank, phi2, 0.5, ks)
         diffs.append(e1 - e2)
     assert diffs[0] == diffs[1] == diffs[2]
 

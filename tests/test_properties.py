@@ -13,7 +13,7 @@ from oscising.harness import _run, simulate, trial_seed
 from oscising.ising import (IsingProblem, _incidence, brute_force_ground_state,
                             cut_batch, cut_value, hamiltonian, hamiltonian_batch,
                             maxcut_to_ising)
-from oscising.lyapunov import check_monotone, energy, energy_total_batch
+from oscising.lyapunov import check_monotone, energy_total_batch
 from oscising.schedule import Schedule, constant_schedule
 
 FEW = settings(max_examples=25, deadline=None)
@@ -133,7 +133,7 @@ def test_energy_equals_its_batch_row(p, seed, coupling, uniform, K, Ks):
             else OscillatorBank.gaussian_spread(p.n, 0.01, rng))
     phi = rng.uniform(-2 * np.pi, 2 * np.pi, size=(5, p.n))
     totals = energy_total_batch(p, coupling, bank, phi, K, Ks)
-    assert all(energy(p, coupling, bank, row, K, Ks).total == e
+    assert all(energy_total_batch(p, coupling, bank, row, K, Ks) == e
                for row, e in zip(phi, totals))
 
 
@@ -143,7 +143,8 @@ def test_binary_energy_is_hamiltonian_minus_n_ks(p, seed, Ks):
     bank = OscillatorBank.uniform(p.n)
     for s in random_spins(seed, p.n):
         phi = np.where(s > 0, 0.0, np.pi)
-        assert energy(p, sine(), bank, phi, 0.5, Ks).total == hamiltonian(p, s) - p.n * Ks
+        assert (energy_total_batch(p, sine(), bank, phi, 0.5, Ks)
+                == hamiltonian(p, s) - p.n * Ks)
 
 
 @FEW
